@@ -28,7 +28,7 @@ from .convergence import (AllDirectionsInconclusive, ConvergenceReport,
                           DescentReport, PartialSumReport,
                           classify_partial_sums, epsilon_descent_check,
                           estimate_rc, estimate_rc_direction,
-                          estimate_rc_reports)
+                          estimate_rc_reports, rc_from_reports)
 from .construct import (ApproximationResult, ConstructionError,
                         FillingBudgetError, FillingParams, SnowmanParams,
                         SnowmanReport, SphericalFilling, build_snowman,

@@ -22,7 +22,7 @@ from .she import (SHECoefficients, coeffs_from_point_masses,
                   evaluate_partial_sum)
 from .potential import potential_point_masses, potential_spma, potential_oracle
 from .convergence import (AllDirectionsInconclusive, epsilon_descent_check,
-                          estimate_rc, estimate_rc_reports)
+                          estimate_rc_reports, rc_from_reports)
 from .construct import (ConstructionError, FillingBudgetError, FillingParams,
                         SnowmanParams, build_snowman, snowman_waist_radius,
                         snowman_descends_to_topography, spma_approximate)
@@ -64,15 +64,6 @@ def load_point_masses(path):
     if not masses:
         raise CliError("%s: no point masses found" % path)
     return masses
-
-
-def save_point_masses(masses, path):
-    with open(path, "w") as fh:
-        for pm in masses:
-            fh.write("%s %s %s %s\n" % (_fmt(pm.position[0]),
-                                        _fmt(pm.position[1]),
-                                        _fmt(pm.position[2]),
-                                        _fmt(pm.mass)))
 
 
 def _require(args, *names):
@@ -207,9 +198,13 @@ def cmd_potential(args):
     # all masses at the origin: any reference radius expands exactly
     R = pointmass_brillouin_radius(masses) or 1.0
     c = coeffs_from_point_masses(masses, R, args.n_max, G=args.G)
-    direction = Direction.from_vector(d)
+    # one direction table for the whole ray; r <= 0 has no series value
+    series = np.full(len(radii), np.nan)
+    positive = radii > 0
+    series[positive] = evaluate_partial_sum(
+        c, args.n_max, radii[positive], Direction.from_vector(d))
     rows = []
-    for r in radii:
+    for r, v_series in zip(radii, series):
         x = r * d
         cells = ["%s,%s,%s" % (_fmt(x[0]), _fmt(x[1]), _fmt(x[2]))]
         try:
@@ -220,11 +215,7 @@ def cmd_potential(args):
             cells.append(_fmt(v_exact))
         except ZeroDivisionError:
             cells.append("ERROR")
-        try:
-            cells.append(_fmt(evaluate_partial_sum(c, args.n_max, r,
-                                                   direction)))
-        except ValueError:
-            cells.append("ERROR")
+        cells.append(_fmt(v_series) if r > 0 else "ERROR")
         if args.oracle_resolution > 0 and spma is not None:
             try:
                 cells.append(_fmt(potential_oracle(
@@ -258,12 +249,7 @@ def cmd_rc(args):
     reports = estimate_rc_reports(c, k=args.directions, window=window)
     if args.out:
         _write_rc_csv(args.out, reports)
-    usable = [r.rc_estimate for r in reports
-              if r.classification != "inconclusive"]
-    if not usable:
-        raise CliError("coefficient decay inconclusive in every direction",
-                       EXIT_NUMERIC)
-    print("Rc=%s" % _fmt(max(usable)))
+    print("Rc=%s" % _fmt(rc_from_reports(reports)))
     return EXIT_OK
 
 
@@ -391,6 +377,7 @@ def build_parser():
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out")
     p.set_defaults(func=cmd_snowman_scan)
+    ap.subcommands = sub.choices
     return ap
 
 
@@ -401,17 +388,19 @@ def main(argv=None):
         if args.config:
             with open(args.config) as fh:
                 conf = json.load(fh)
-            known = set(vars(args))
+            known = set(vars(args)) - {"command", "func"}
             unknown = sorted(set(conf) - known)
             if unknown:
                 raise CliError("unknown config keys: %s" % ", ".join(unknown))
             # flags override the config file: only fill in values the
-            # command line left at their defaults
-            defaults = vars(ap.parse_args([args.command]))
+            # command line left at their defaults (read from the
+            # subcommand's parser, which would demand its positionals if
+            # it were asked to parse)
+            command = ap.subcommands[args.command]
             for key, value in conf.items():
                 if key == "config":
                     continue
-                if getattr(args, key) == defaults.get(key):
+                if getattr(args, key) == command.get_default(key):
                     setattr(args, key, value)
         return args.func(args)
     except CliError as exc:

@@ -18,7 +18,8 @@ from .she import (Direction, coeffs_from_point_masses,
                   fibonacci_directions)
 
 __all__ = ["ConvergenceReport", "PartialSumReport", "DescentReport",
-           "estimate_rc_direction", "estimate_rc", "classify_partial_sums",
+           "estimate_rc_direction", "estimate_rc", "estimate_rc_reports",
+           "rc_from_reports", "classify_partial_sums",
            "epsilon_descent_check", "AllDirectionsInconclusive"]
 
 ABS_FLOOR = 1e-300
@@ -62,6 +63,13 @@ class DescentReport:
 
 
 def _fit_report(b, d, window, ref_radius):
+    """Root-test convergence-radius estimate from one direction's b_n.
+
+    Degrees whose lumped coefficient falls below the 1e-300 floor are
+    skipped; when more than half the window is skipped the report is
+    inconclusive rather than an estimate of zero (parity cancellations on
+    symmetric configurations would otherwise masquerade as descent).
+    """
     n_lo, n_hi = int(window[0]), int(window[1])
     if not (0 <= n_lo < n_hi <= len(b) - 1):
         raise ValueError("fit window must lie within [0, n_max]")
@@ -82,19 +90,18 @@ def _fit_report(b, d, window, ref_radius):
 
 
 def estimate_rc_direction(c, d, window):
-    """Root-test convergence-radius estimate along one direction.
-
-    Degrees whose lumped coefficient falls below the 1e-300 floor are
-    skipped; when more than half the window is skipped the report is
-    inconclusive rather than an estimate of zero (parity cancellations on
-    symmetric configurations would otherwise masquerade as descent).
-    """
+    """Root-test convergence-radius estimate along one direction."""
     b = direction_coefficient_table(c, [d.theta], [d.phi])[0]
     return _fit_report(b, d, window, c.ref_radius)
 
 
 def estimate_rc(c, k=DEFAULT_DIRECTIONS, window=None):
     """Max per-direction estimate over a Fibonacci direction sample."""
+    return rc_from_reports(estimate_rc_reports(c, k=k, window=window))
+
+
+def estimate_rc_reports(c, k=DEFAULT_DIRECTIONS, window=None):
+    """Per-direction reports in lattice order (CSV-friendly)."""
     if k < 1:
         raise ValueError("need at least one direction")
     if window is None:
@@ -103,29 +110,21 @@ def estimate_rc(c, k=DEFAULT_DIRECTIONS, window=None):
     thetas = np.array([d.theta for d in dirs])
     phis = np.array([d.phi for d in dirs])
     b_all = direction_coefficient_table(c, thetas, phis)
-    best = None
-    for i, d in enumerate(dirs):
-        rep = _fit_report(b_all[i], d, window, c.ref_radius)
-        if rep.classification == "inconclusive":
-            continue
-        if best is None or rep.rc_estimate > best:
-            best = rep.rc_estimate
-    if best is None:
-        raise AllDirectionsInconclusive(
-            "coefficient decay unresolved in every sampled direction")
-    return float(best)
-
-
-def estimate_rc_reports(c, k=DEFAULT_DIRECTIONS, window=None):
-    """Per-direction reports in lattice order (CSV-friendly)."""
-    if window is None:
-        window = (max(0, int(c.n_max * DEFAULT_WINDOW_FRACTION)), c.n_max)
-    dirs = fibonacci_directions(k)
-    thetas = np.array([d.theta for d in dirs])
-    phis = np.array([d.phi for d in dirs])
-    b_all = direction_coefficient_table(c, thetas, phis)
     return [_fit_report(b_all[i], d, window, c.ref_radius)
             for i, d in enumerate(dirs)]
+
+
+def rc_from_reports(reports):
+    """The convergence-radius estimate: the largest conclusive one.
+
+    Raises AllDirectionsInconclusive when no report is conclusive.
+    """
+    usable = [r.rc_estimate for r in reports
+              if r.classification != "inconclusive"]
+    if not usable:
+        raise AllDirectionsInconclusive(
+            "coefficient decay inconclusive in every sampled direction")
+    return float(max(usable))
 
 
 def classify_partial_sums(c, r, d, N_max=None, growth_factor=DEFAULT_GROWTH_FACTOR,

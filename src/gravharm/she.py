@@ -3,15 +3,17 @@
 Real harmonics are 4-pi fully normalized (geodesy convention, no
 Condon-Shortley phase): the mean square of each Ybar_{n,m} over the unit
 sphere is 1, and Ybar_{n,0} = sqrt(2n+1) P_n.  Negative orders carry the
-sin(|m| phi) part.  Associated Legendre values are generated by the
-forward column recurrence on fully normalized functions, which stays in
-range to degree 2000 and beyond.
+sin(|m| phi) part.  Every associated Legendre value comes from one
+kernel, `_legendre_blocks`, validated through degree 1800; past about
+2000 its sectoral seeds underflow at mid colatitudes, and scaled seeds
+(Holmes & Featherstone 2002, J. Geodesy 76:279-299) are the way beyond.
 
 Coefficients are stored mass-normalized: GM carries the scale and
 C_{0,0} = 1, so the potential series reads
 (GM/R) * sum (R/r)^(n+1) C_{n,m} Ybar_{n,m}.
 """
 
+import functools
 import math
 import warnings
 
@@ -48,11 +50,6 @@ class Direction:
         phi = math.atan2(v[1], v[0]) % (2.0 * np.pi)
         return cls(theta, phi)
 
-    def unit_vector(self):
-        s = math.sin(self.theta)
-        return np.array([s * math.cos(self.phi), s * math.sin(self.phi),
-                         math.cos(self.theta)])
-
 
 def fibonacci_directions(k):
     """k quasi-uniform directions from the spherical Fibonacci lattice."""
@@ -61,52 +58,97 @@ def fibonacci_directions(k):
 
 
 def legendre_p(n, x):
-    """Legendre polynomial P_n(x) on [-1, 1] by the three-term recurrence."""
+    """Legendre polynomial P_n(x) = Pbar_{n,0}(x) / sqrt(2n+1) on [-1, 1]."""
     n = int(n)
     if n < 0:
         raise ValueError("degree must be non-negative")
     x = np.asarray(x, dtype=float)
     if np.any(np.abs(x) > 1.0):
         raise ValueError("argument must lie in [-1, 1]")
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p = x.copy() if x.ndim else np.asarray(x, dtype=float)
-    for k in range(2, n + 1):
-        p, p_prev = ((2 * k - 1) * x * p - (k - 1) * p_prev) / k, p
-    return p if np.ndim(p) else float(p)
+    u = x.reshape(-1)
+    p = np.empty_like(u)
+    for cols, degrees in _legendre_blocks(u, np.sqrt(1.0 - u * u), n):
+        for degree, pbar in degrees:
+            if degree == n:
+                p[cols] = pbar[0] / math.sqrt(2 * n + 1)
+    return p.reshape(x.shape) if x.ndim else float(p[0])
 
 
-def _recurrence_ab(n, m):
-    a = math.sqrt((2 * n - 1) * (2 * n + 1) / ((n - m) * (n + m)))
-    b = -math.sqrt((2 * n + 1) * (n + m - 1) * (n - m - 1)
-                   / ((n - m) * (n + m) * (2 * n - 3)))
-    return a, b
+# Points per column block times (n_max + 1).  The kernel's buffers hold
+# four such blocks (16 MB), so memory stays O(n_max * block) whatever the
+# point count; smaller blocks spend more time in per-call overhead.
+_BLOCK_ELEMENTS = 1 << 19
 
 
-def _pbar_column(m, n_max, u, s):
-    """Fully normalized P̄_{n,m}(u) for n = m..n_max; u = cos, s = sin.
+@functools.lru_cache(maxsize=8)
+def _recurrence_table(n_max):
+    """Recurrence coefficients for degrees 0..n_max, built once per n_max.
 
-    u and s may be arrays; yields a (n_max - m + 1, ...) array.
+    a[n] holds a_{n,m} for m = 0..n-1 and b[n] holds b_{n,m} for
+    m = 0..n-2, both as (count, 1) columns; sectoral[n] is the factor
+    taking Pbar_{n-1,n-1} / sin to Pbar_{n,n}.
     """
-    u = np.asarray(u, dtype=float)
-    s = np.asarray(s, dtype=float)
-    pmm = np.ones_like(u)
-    for k in range(1, m + 1):
-        pmm = pmm * s * math.sqrt((2 * k + 1) / (2 * k)) if k > 1 \
-            else pmm * s * math.sqrt(3.0)
-    out = np.empty((n_max - m + 1,) + u.shape)
-    out[0] = pmm
-    if n_max == m:
-        return out
-    p_prev = pmm
-    p_prev2 = np.zeros_like(u)
-    for n in range(m + 1, n_max + 1):
-        a, b = _recurrence_ab(n, m)
-        p = a * u * p_prev + b * p_prev2
-        out[n - m] = p
-        p_prev2, p_prev = p_prev, p
-    return out
+    a, b = [None], [None]
+    for n in range(1, n_max + 1):
+        m = np.arange(n)
+        a.append(np.sqrt((2 * n - 1) * (2 * n + 1)
+                         / ((n - m) * (n + m)))[:, None])
+        m = m[:-1]
+        b.append(-np.sqrt((2 * n + 1) * (n + m - 1) * (n - m - 1)
+                          / ((n - m) * (n + m) * (2 * n - 3)))[:, None])
+    k = np.arange(n_max + 1)
+    sectoral = np.sqrt((2 * k + 1) / np.maximum(2 * k, 1))
+    sectoral[1:2] = math.sqrt(3.0)      # order 0 -> 1 also gains sqrt(2)
+    return a, b, sectoral
+
+
+def _legendre_blocks(u, s, n_max, ratio=1.0):
+    """The fully normalized Legendre kernel, streamed by degree.
+
+    u = cos(theta) and s = sin(theta) are 1-D arrays over k points.
+    Yields (cols, degrees) for consecutive column blocks `cols` (slices
+    of the point axis); `degrees` yields (n, P) for n = 0..n_max, where
+    P[m] = ratio^n Pbar_{n,m}(u[cols]) for all orders m = 0..n, shape
+    (n+1, block).  P is a view of a buffer that later steps overwrite.
+
+    Forward column recurrence, every order at once:
+    P_{n,m} = (a_{n,m} ratio u) P_{n-1,m} + (b_{n,m} ratio^2) P_{n-2,m},
+    seeded by the sectoral P_{n,n} = (P_{n-1,n-1} ratio s) f_n.  With
+    ratio 1 every product by it is exact, so P is Pbar bit for bit.
+
+    Validated range: the addition theorem sum_m Pbar_{n,m}^2 = 2n+1
+    holds to 1e-11 through n = 1800 at colatitudes 0.5 to 89.9 degrees.
+    Beyond that the sectoral seeds underflow: at 20 degrees the sum is
+    off by 2e-4 at n = 2000 and by 0.25 at n = 2200.
+    """
+    a, b, sectoral = _recurrence_table(n_max)
+    ratio = np.broadcast_to(np.asarray(ratio, dtype=float), u.shape)
+    width = max(1, _BLOCK_ELEMENTS // (n_max + 1))
+    for start in range(0, len(u), width):
+        cols = slice(start, start + width)
+        yield cols, _degree_steps(u[cols], s[cols], ratio[cols], n_max,
+                                  a, b, sectoral)
+
+
+def _degree_steps(u, s, ratio, n_max, a, b, sectoral):
+    ru, rs, r2 = ratio * u, ratio * s, ratio * ratio
+    # one allocation: the three latest degrees and a work block
+    bufs = np.empty((4, n_max + 1, len(u)))
+    tmp = bufs[3]
+    bufs[0, 0] = 1.0
+    yield 0, bufs[0, :1]
+    for n in range(1, n_max + 1):
+        p, p1, p2 = bufs[n % 3], bufs[(n - 1) % 3], bufs[(n - 2) % 3]
+        np.multiply(a[n], ru, out=p[:n])
+        p[:n] *= p1[:n]
+        if n >= 2:
+            t = tmp[:n - 1]
+            np.multiply(b[n], r2, out=t)
+            t *= p2[:n - 1]
+            p[:n - 1] += t
+        np.multiply(p1[n - 1], rs, out=p[n])
+        p[n] *= sectoral[n]
+        yield n, p[:n + 1]
 
 
 def ynm_bar(n, m, d):
@@ -114,25 +156,21 @@ def ynm_bar(n, m, d):
     n, m = int(n), int(m)
     if abs(m) > n:
         raise ValueError("|m| must not exceed n")
-    u, s = math.cos(d.theta), math.sin(d.theta)
-    col = _pbar_column(abs(m), n, np.asarray(u), np.asarray(s))
-    pbar = float(col[n - abs(m)])
-    if m == 0:
-        return pbar
-    return pbar * (math.cos(m * d.phi) if m > 0 else math.sin(-m * d.phi))
+    return float(ynm_table(n, d.theta, d.phi)[n, n + m])
 
 
 def ynm_table(n_max, theta, phi):
     """Full (n_max+1, 2 n_max+1) table Y[n, n_max + m] at one direction."""
-    u, s = math.cos(theta), math.sin(theta)
+    mphi = np.arange(n_max + 1) * phi
+    cosm, sinm = np.cos(mphi), np.sin(mphi)
     Y = np.zeros((n_max + 1, 2 * n_max + 1))
-    for m in range(n_max + 1):
-        col = _pbar_column(m, n_max, np.asarray(u), np.asarray(s))
-        cm, sm = math.cos(m * phi), math.sin(m * phi)
-        for n in range(m, n_max + 1):
-            Y[n, n_max + m] = col[n - m] * cm
-            if m > 0:
-                Y[n, n_max - m] = col[n - m] * sm
+    for _, degrees in _legendre_blocks(np.array([math.cos(theta)]),
+                                       np.array([math.sin(theta)]), n_max):
+        for n, p in degrees:
+            p = p[:, 0]
+            # orders -n..-1 pair with |m| = n..1
+            Y[n, n_max:n_max + n + 1] = p * cosm[:n + 1]
+            Y[n, n_max - n:n_max] = p[n:0:-1] * sinm[n:0:-1]
     return Y
 
 
@@ -185,12 +223,29 @@ class SHECoefficients:
             if header != "n,m,C":
                 raise ValueError("missing 'n,m,C' header")
             C = np.zeros((n_max + 1, 2 * n_max + 1))
+            seen = set()
             for lineno, line in enumerate(fh, 3):
                 line = line.strip()
                 if not line:
                     continue
-                n_s, m_s, c_s = line.split(",")
-                C[int(n_s), n_max + int(m_s)] = float(c_s)
+                where = "%s:%d" % (path, lineno)
+                try:
+                    n_s, m_s, c_s = line.split(",")
+                    n, m, c = int(n_s), int(m_s), float(c_s)
+                except ValueError:
+                    raise ValueError("%s: expected 'n,m,C', got %r"
+                                     % (where, line))
+                if not 0 <= n <= n_max:
+                    raise ValueError("%s: degree %d outside [0, n_max=%d]"
+                                     % (where, n, n_max))
+                if abs(m) > n:
+                    raise ValueError("%s: order %d exceeds degree %d"
+                                     % (where, m, n))
+                if (n, m) in seen:
+                    raise ValueError("%s: duplicate entry (%d, %d)"
+                                     % (where, n, m))
+                seen.add((n, m))
+                C[n, n_max + m] = c
         return cls(R, GM, n_max, C)
 
 
@@ -224,31 +279,19 @@ def coeffs_from_point_masses(masses, R, n_max, G=1.0):
     phi = np.arctan2(pos[:, 1], pos[:, 0])
     ratio = d / R
     weights = mval / M
-
+    orders = np.arange(n_max + 1)
     C = np.zeros((n_max + 1, 2 * n_max + 1))
-    # column recurrence with the radius ratio folded in:
-    # Q_{n,m} = ratio^n * Pbar_{n,m}(u)
-    ru = ratio * u
-    r2 = ratio * ratio
-    q_mm = np.ones_like(u)            # Q_{m,m} accumulated sectorally
-    for m in range(n_max + 1):
-        if m == 1:
-            q_mm = q_mm * (ratio * s) * math.sqrt(3.0)
-        elif m > 1:
-            q_mm = q_mm * (ratio * s) * math.sqrt((2 * m + 1) / (2 * m))
-        wc = weights * np.cos(m * phi)
-        ws = weights * np.sin(m * phi) if m > 0 else None
-        q_prev, q_prev2 = q_mm, np.zeros_like(u)
-        for n in range(m, n_max + 1):
-            if n > m:
-                a, b = _recurrence_ab(n, m)
-                q = a * ru * q_prev + b * r2 * q_prev2
-                q_prev2, q_prev = q_prev, q
-            q = q_prev
-            scale = 1.0 / (2 * n + 1)
-            C[n, n_max + m] += scale * float(wc @ q)
-            if m > 0:
-                C[n, n_max - m] += scale * float(ws @ q)
+    for cols, degrees in _legendre_blocks(u, s, n_max, ratio):
+        mphi = np.outer(orders, phi[cols])
+        wc = np.cos(mphi)
+        wc *= weights[cols]
+        ws = np.sin(mphi, out=mphi)
+        ws *= weights[cols]
+        # Q_{n,m} = ratio^n Pbar_{n,m}(u); orders -n..-1 pair with |m| = n..1
+        for n, q in degrees:
+            C[n, n_max:n_max + n + 1] += np.vecdot(wc[:n + 1], q)
+            C[n, n_max - n:n_max] += np.vecdot(ws[n:0:-1], q[n:0:-1])
+    C *= 1.0 / (2 * orders[:, None] + 1)
     return SHECoefficients(R, G * M, n_max, C)
 
 
@@ -285,28 +328,25 @@ def coeffs_from_sphere_quadrature(potential_fn, R_quad, R, n_max,
             sin_t[j] * np.cos(phis), sin_t[j] * np.sin(phis),
             np.full(n_phi, x_gl[j])])
         V[j] = np.asarray(potential_fn(pts), dtype=float)
-    # phi transform: mean of V * cos(m phi), V * sin(m phi)
-    mvals = np.arange(n_max + 1)
-    cosm = np.cos(np.outer(mvals, phis))
-    sinm = np.sin(np.outer(mvals, phis))
-    Vc = V @ cosm.T / n_phi            # (n_theta, n_max+1)
-    Vs = V @ sinm.T / n_phi
+    # phi transform, the Gauss-Legendre weights folded in:
+    # wvc[m, j] = w_j * mean over phi of V(x_j, phi) cos(m phi)
+    orders = np.arange(n_max + 1)
+    mphi = np.outer(orders, phis)
+    wvc = np.cos(mphi) @ V.T * (w_gl / n_phi)
+    wvs = np.sin(mphi) @ V.T * (w_gl / n_phi)
+    # theta transform: Gauss-Legendre sums against Pbar_{n,m}(x_gl)
     C = np.zeros((n_max + 1, 2 * n_max + 1))
-    for m in range(n_max + 1):
-        cols = _pbar_column(m, n_max, x_gl, sin_t)   # (n-m+1, n_theta)
-        proj_c = 0.5 * cols @ (w_gl * Vc[:, m])
-        proj_s = 0.5 * cols @ (w_gl * Vs[:, m]) if m > 0 else None
-        for n in range(m, n_max + 1):
-            C[n, n_max + m] = proj_c[n - m]
-            if m > 0:
-                C[n, n_max - m] = proj_s[n - m]
+    for cols, degrees in _legendre_blocks(x_gl, sin_t, n_max):
+        for n, p in degrees:
+            C[n, n_max:n_max + n + 1] += np.vecdot(wvc[:n + 1, cols], p)
+            C[n, n_max - n:n_max] += np.vecdot(wvs[n:0:-1, cols], p[n:0:-1])
+    C *= 0.5
     GM = R_quad * C[0, n_max]
     if GM <= 0:
         raise ValueError("non-positive recovered GM; potential is not a "
                          "positive mass potential on this sphere")
     # rescale: integrals are (GM/R)(R/R_quad)^(n+1) C_{n,m}
-    nvals = np.arange(n_max + 1)
-    scale = (R / GM) * (R_quad / R) ** (nvals + 1)
+    scale = (R / GM) * (R_quad / R) ** (orders + 1)
     C *= scale[:, None]
     return SHECoefficients(R, GM, n_max, C)
 
@@ -320,37 +360,49 @@ def direction_coefficient_table(c, thetas, phis):
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    n_max = c.n_max
-    u, s = np.cos(thetas), np.sin(thetas)
-    b = np.zeros((len(thetas), n_max + 1))
-    for m in range(n_max + 1):
-        cols = _pbar_column(m, n_max, u, s)          # (n-m+1, k)
-        cm = np.cos(m * phis)
-        sm = np.sin(m * phis) if m > 0 else None
-        for n in range(m, n_max + 1):
-            b[:, n] += c.coeffs[n, n_max + m] * cols[n - m] * cm
-            if m > 0:
-                b[:, n] += c.coeffs[n, n_max - m] * cols[n - m] * sm
+    n_max, C = c.n_max, c.coeffs
+    orders = np.arange(n_max + 1)
+    b = np.empty((len(thetas), n_max + 1))
+    for cols, degrees in _legendre_blocks(np.cos(thetas), np.sin(thetas),
+                                          n_max):
+        mphi = np.outer(orders, phis[cols])
+        cosm, sinm = np.cos(mphi), np.sin(mphi, out=mphi)
+        work = np.empty_like(cosm)
+        for n, p in degrees:
+            t = np.multiply(p, cosm[:n + 1], out=work[:n + 1])
+            bn = C[n, n_max:n_max + n + 1] @ t
+            t = np.multiply(p[n:0:-1], sinm[n:0:-1], out=work[:n])
+            b[cols, n] = bn + C[n, n_max - n:n_max] @ t
     return b
 
 
 def direction_term_sequence(c, d, r):
-    """Series terms t_n = (GM/R) (R/r)^(n+1) b_n(d) for n = 0..n_max."""
-    r = float(r)
-    if not r > 0:
+    """Series terms t_n = (GM/R) (R/r)^(n+1) b_n(d) for n = 0..n_max.
+
+    r may be an array of radii: the result then has one row per radius,
+    all from one direction table.
+    """
+    r = np.asarray(r, dtype=float)
+    if not np.all(r > 0):
         raise ValueError("radius must be positive")
     b = direction_coefficient_table(c, [d.theta], [d.phi])[0]
     nvals = np.arange(c.n_max + 1)
-    return (c.GM / c.ref_radius) * (c.ref_radius / r) ** (nvals + 1) * b
+    return ((c.GM / c.ref_radius) * (c.ref_radius / r[..., None]) ** (nvals + 1)
+            * b)
 
 
 def evaluate_partial_sum(c, N, r, d):
-    """Truncated series value through degree N, compensated summation."""
+    """Truncated series value through degree N, compensated summation.
+
+    An array of radii gives an array of values.
+    """
     N = int(N)
     if not 0 <= N <= c.n_max:
         raise ValueError("N must lie in [0, n_max]")
-    t = direction_term_sequence(c, d, r)
-    return float(math.fsum(t[:N + 1]))
+    t = direction_term_sequence(c, d, r)[..., :N + 1]
+    if t.ndim == 1:
+        return float(math.fsum(t))
+    return np.array([math.fsum(row) for row in t])
 
 
 def partial_sum_sequence(c, d, r, N_max=None):

@@ -267,3 +267,27 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     conf.write_text(json.dumps({"gamma_frm": 0.2}))
     assert run(["--config", conf, "snowman-scan"]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_config_with_descent_positional(tmp_path, capsys):
+    # the subcommand's positional must not be demanded again when the
+    # config defaults are read
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"gamma": 0.3, "n_max": 60, "directions": 8}))
+    assert run(["--config", conf, "descent", "snowman"]) == 0
+    fields = dict(tok.split("=") for tok in capsys.readouterr().out.split())
+    assert float(fields["R"]) == pytest.approx(2.3)
+    assert fields["descends"] == "false"
+
+
+def test_config_with_rc(tmp_path, capsys):
+    pm = tmp_path / "pm.txt"
+    pm.write_text("0 0 0.8 2.0\n")
+    csv = tmp_path / "rc.csv"
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"n_max": 120, "directions": 8,
+                                "window": "30,120", "out": str(csv)}))
+    assert run(["--config", conf, "rc", "--points", pm]) == 0
+    rc = float(capsys.readouterr().out.split("Rc=")[1])
+    assert rc == pytest.approx(0.8, rel=0.02)
+    assert len(csv.read_text().splitlines()) == 1 + 8

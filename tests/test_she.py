@@ -3,17 +3,22 @@
 import math
 import warnings
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import lpmv
 
+from gravharm import she
 from gravharm import (Direction, PointMass, SHECoefficients,
                       coeffs_from_point_masses, coeffs_from_sphere_quadrature,
                       evaluate_partial_sum, fibonacci_directions, legendre_p,
                       partial_sum_sequence, potential_point_masses, ynm_bar,
                       ynm_table)
 from gravharm.she import direction_coefficient_table, direction_term_sequence
+
+from conftest import random_point_masses
 
 
 def ynm_oracle(n, m, theta, phi):
@@ -92,6 +97,67 @@ def test_addition_theorem_diagonal_small():
     for n in range(n_max + 1):
         total = float(np.sum(Y[n] ** 2))
         assert total == pytest.approx(2 * n + 1, rel=1e-12)
+
+
+def _loop_pbar_column(m, n_max, u, s, ratio=1.0):
+    """ratio^n Pbar_{n,m}(u) for n = m..n_max, one order at a time: the
+    loop the degree-stepping kernel replaced, kept as its reference."""
+    pmm = np.ones_like(u)
+    for k in range(1, m + 1):
+        f = math.sqrt(3.0) if k == 1 else math.sqrt((2 * k + 1) / (2 * k))
+        pmm = pmm * (ratio * s) * f
+    out = [pmm]
+    p_prev, p_prev2 = pmm, np.zeros_like(u)
+    for n in range(m + 1, n_max + 1):
+        a = math.sqrt((2 * n - 1) * (2 * n + 1) / ((n - m) * (n + m)))
+        b = -math.sqrt((2 * n + 1) * (n + m - 1) * (n - m - 1)
+                       / ((n - m) * (n + m) * (2 * n - 3)))
+        p = a * (ratio * u) * p_prev + b * (ratio * ratio) * p_prev2
+        out.append(p)
+        p_prev2, p_prev = p_prev, p
+    return np.array(out)
+
+
+def _kernel_table(u, s, n_max, ratio=1.0):
+    P = np.zeros((n_max + 1, n_max + 1, len(u)))
+    for cols, degrees in she._legendre_blocks(u, s, n_max, ratio):
+        for n, p in degrees:
+            P[n, :n + 1, cols] = p
+    return P
+
+
+@pytest.mark.parametrize("with_ratio", [False, True])
+def test_legendre_kernel_reproduces_loop_bit_for_bit(with_ratio):
+    theta = np.array([0.0, 0.01, 0.4, 1.3, math.pi / 2, 2.9, math.pi])
+    u, s = np.cos(theta), np.sin(theta)
+    ratio = np.linspace(0.1, 1.0, len(u)) if with_ratio else 1.0
+    n_max = 60
+    P = _kernel_table(u, s, n_max, ratio)
+    for m in range(n_max + 1):
+        assert np.array_equal(P[m:, m], _loop_pbar_column(m, n_max, u, s,
+                                                          ratio))
+
+
+def test_legendre_kernel_column_blocks_are_independent(monkeypatch):
+    theta = np.linspace(0.05, 3.0, 11)
+    u, s = np.cos(theta), np.sin(theta)
+    whole = _kernel_table(u, s, 20)
+    # blocks of 3, 3, 3 and 2 points
+    monkeypatch.setattr(she, "_BLOCK_ELEMENTS", 3 * 21)
+    assert np.array_equal(_kernel_table(u, s, 20), whole)
+
+
+def test_legendre_kernel_addition_theorem_through_degree_1800():
+    # the validated range stated in the module docstring
+    theta = np.radians([0.5, 1, 2, 5, 10, 20, 30, 45, 60, 75, 89.9])
+    n_top = 1800
+    for _, degrees in she._legendre_blocks(np.cos(theta), np.sin(theta),
+                                           n_top):
+        for n, p in degrees:
+            if n % 300 == 0:
+                sums = np.sum(p * p, axis=0)
+                assert np.max(np.abs(sums / (2 * n + 1) - 1)) <= 1e-11
+    assert n == n_top
 
 
 def test_orthonormality_by_quadrature_small():
@@ -236,6 +302,51 @@ def test_direction_term_sequence_geometric_in_radius():
     assert np.allclose(t2, t1 * 0.5 ** (n + 1), rtol=1e-13)
 
 
+def test_partial_sums_over_an_array_of_radii():
+    c = coeffs_from_point_masses([PointMass((0.2, 0, 0.3), 1.0),
+                                  PointMass((-0.1, 0.2, 0), 0.5)], 1.0, 20)
+    d = Direction(0.7, 2.0)
+    radii = np.array([1.1, 1.5, 3.0])
+    t = direction_term_sequence(c, d, radii)
+    v = evaluate_partial_sum(c, 15, radii, d)
+    assert t.shape == (3, 21) and v.shape == (3,)
+    for i, r in enumerate(radii):
+        assert np.allclose(t[i], direction_term_sequence(c, d, r),
+                           rtol=1e-14, atol=0)
+        assert v[i] == pytest.approx(evaluate_partial_sum(c, 15, r, d),
+                                     rel=1e-14)
+    with pytest.raises(ValueError):
+        evaluate_partial_sum(c, 15, np.array([1.0, 0.0]), d)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_degree_power_is_rotation_invariant(seed):
+    # sum_m C_{n,m}^2 depends only on the masses' radii and mutual angles
+    # (addition theorem), so a rotation leaves it unchanged whatever
+    # directions the harmonics are evaluated at
+    masses = random_point_masses(seed, max_count=6, radius=0.9)
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q *= np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] *= -1.0
+    rotated = [PointMass(q @ pm.position, pm.mass) for pm in masses]
+    n_max = 24
+    power = np.sum(coeffs_from_point_masses(masses, 1.0, n_max).coeffs ** 2,
+                   axis=1)
+    power_rot = np.sum(
+        coeffs_from_point_masses(rotated, 1.0, n_max).coeffs ** 2, axis=1)
+    # relative to the largest power the degree can carry,
+    # (sum_i w_i rho_i^n)^2 / (2n + 1), which is reached by a single mass
+    w = np.array([pm.mass for pm in masses])
+    w /= w.sum()
+    rho = np.array([np.linalg.norm(pm.position) for pm in masses])
+    n = np.arange(n_max + 1)
+    bound = (w @ rho[:, None] ** n) ** 2 / (2 * n + 1)
+    assert np.all(np.abs(power_rot - power) <= 1e-12 * bound)
+
+
 def test_direction_coefficient_table_matches_ynm():
     c = coeffs_from_point_masses([PointMass((0.2, 0.3, 0.1), 1.0)], 1.0, 8)
     d = Direction(0.9, 5.0)
@@ -258,6 +369,21 @@ def test_coefficients_save_load_round_trip(tmp_path):
     assert c2.ref_radius == c.ref_radius
     assert c2.GM == c.GM
     assert np.array_equal(c2.coeffs, c.coeffs)
+
+
+@pytest.mark.parametrize("rows,error", [
+    ("2,-5,0.5", "c.csv:4: order -5 exceeds degree 2"),
+    ("7,0,0.5", "c.csv:4: degree 7 outside [0, n_max=3]"),
+    ("-1,0,0.5", "c.csv:4: degree -1 outside [0, n_max=3]"),
+    ("1,1,0.5\n1,1,0.25", "c.csv:5: duplicate entry (1, 1)"),
+    ("1,1", "c.csv:4: expected 'n,m,C'"),
+    ("1,x,0.5", "c.csv:4: expected 'n,m,C'"),
+])
+def test_coefficients_load_rejects_bad_rows(tmp_path, rows, error):
+    path = tmp_path / "c.csv"
+    path.write_text("# R=1 GM=1 n_max=3\nn,m,C\n0,0,1\n" + rows + "\n")
+    with pytest.raises(ValueError, match=re.escape(error)):
+        SHECoefficients.load(path)
 
 
 def test_coefficients_threshold_drops_small_entries(tmp_path):
