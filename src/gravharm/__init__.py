@@ -28,11 +28,12 @@ from .convergence import (AllDirectionsInconclusive, ConvergenceReport,
                           DescentReport, PartialSumReport,
                           classify_partial_sums, epsilon_descent_check,
                           estimate_rc, estimate_rc_direction,
-                          estimate_rc_reports, rc_from_reports)
+                          estimate_rc_reports, pointmass_rc, rc_from_reports)
 from .construct import (ApproximationResult, ConstructionError,
                         FillingBudgetError, FillingParams, SnowmanParams,
                         SnowmanReport, SphericalFilling, build_snowman,
-                        snowman_descends_to_topography, snowman_waist_radius,
+                        snowman_clears, snowman_descends_to_topography,
+                        snowman_waist_radius,
                         spherical_filling, spma_approximate)
 
 __version__ = "0.1.0"

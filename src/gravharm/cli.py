@@ -9,23 +9,21 @@ inputs.  Exit codes: 0 success, 2 validation failure, 3 numeric failure
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
-from .density import GridDensity, load_spma, save_spma
-from .geometry import brillouin_radius, pointmass_brillouin_radius
-from .density import PointMass
-from .she import (SHECoefficients, coeffs_from_point_masses,
-                  coeffs_from_sphere_quadrature, Direction,
-                  evaluate_partial_sum)
+from .density import GridDensity, PointMass, load_spma, save_spma
+from .geometry import pointmass_brillouin_radius
+from .she import (Direction, coeffs_from_point_masses,
+                  coeffs_from_sphere_quadrature, evaluate_partial_sum)
 from .potential import potential_point_masses, potential_spma, potential_oracle
 from .convergence import (AllDirectionsInconclusive, epsilon_descent_check,
-                          estimate_rc_reports, rc_from_reports)
+                          pointmass_rc, rc_from_reports)
 from .construct import (ConstructionError, FillingBudgetError, FillingParams,
-                        SnowmanParams, build_snowman, snowman_waist_radius,
-                        snowman_descends_to_topography, spma_approximate)
+                        SnowmanParams, build_snowman, snowman_clears,
+                        snowman_waist_radius, snowman_descends_to_topography,
+                        spma_approximate)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -134,34 +132,21 @@ def cmd_descent(args):
         rep = snowman_descends_to_topography(
             SnowmanParams(args.gamma, args.m1, args.m2, args.profile),
             n_max=args.n_max, k=args.directions)
-        print("R=%s Rc=%s eps=%s descends=%s waist=%s"
-              % (_fmt(2.0 + args.gamma), _fmt(rep.rc_estimate), _fmt(0.0),
-                 str(rep.descends).lower(), _fmt(rep.waist_radius)))
-        if args.out:
-            spma = build_snowman(SnowmanParams(args.gamma, args.m1, args.m2,
-                                               args.profile))
-            pm = spma.as_point_masses()
-            c = coeffs_from_point_masses(pm, pointmass_brillouin_radius(pm),
-                                         args.n_max)
-            _write_rc_csv(args.out, estimate_rc_reports(c, k=args.directions))
-        return EXIT_OK
-    # subject == spma
-    if args.file is None or args.eps is None:
-        raise CliError("descent spma requires --file and --eps")
-    spma = load_spma(args.file)
-    rep = epsilon_descent_check(spma, args.eps, n_max=args.n_max,
-                                k=args.directions)
-    print("R=%s Rc=%s eps=%s descends=%s"
-          % (_fmt(rep.brillouin_radius), _fmt(rep.rc_estimate),
-             _fmt(rep.eps), str(rep.descends).lower()))
+        R, eps = rep.spma_radius, 0.0
+        waist = " waist=" + _fmt(rep.waist_radius)
+    else:
+        if args.file is None or args.eps is None:
+            raise CliError("descent spma requires --file and --eps")
+        rep = epsilon_descent_check(load_spma(args.file), args.eps,
+                                    n_max=args.n_max, k=args.directions)
+        R, eps, waist = rep.brillouin_radius, rep.eps, ""
+    print("R=%s Rc=%s eps=%s descends=%s%s"
+          % (_fmt(R), _fmt(rep.rc_estimate), _fmt(eps),
+             str(rep.descends).lower(), waist))
     if args.out:
-        pm = spma.as_point_masses()
-        c = coeffs_from_point_masses(pm, pointmass_brillouin_radius(pm),
-                                     args.n_max)
-        _write_rc_csv(args.out, estimate_rc_reports(c, k=args.directions))
-    if rep.inconclusive_rc:
-        raise CliError("coefficient decay inconclusive in every direction",
-                       EXIT_NUMERIC)
+        _write_rc_csv(args.out, rep.reports)
+    if args.subject == "spma" and rep.inconclusive_rc:
+        raise AllDirectionsInconclusive()
     return EXIT_OK
 
 
@@ -238,19 +223,25 @@ def cmd_potential(args):
 
 def cmd_rc(args):
     spma, masses = _masses_from_args(args)
-    R = pointmass_brillouin_radius(masses)
-    if not R > 0:
+    if not pointmass_brillouin_radius(masses) > 0:
         raise CliError("all masses at the origin: no expansion to analyze")
-    c = coeffs_from_point_masses(masses, R, args.n_max, G=args.G)
     window = None
     if args.window:
         lo, hi = (int(t) for t in args.window.split(","))
         window = (lo, hi)
-    reports = estimate_rc_reports(c, k=args.directions, window=window)
+    _, reports = pointmass_rc(masses, args.n_max, k=args.directions,
+                              window=window, G=args.G)
     if args.out:
         _write_rc_csv(args.out, reports)
     print("Rc=%s" % _fmt(rc_from_reports(reports)))
     return EXIT_OK
+
+
+def _snowman_verdict(gamma):
+    """Waist radius and descent verdict of the snowman at gamma."""
+    pm = build_snowman(SnowmanParams(gamma)).as_point_masses()
+    waist = snowman_waist_radius(gamma)
+    return waist, snowman_clears(waist, pointmass_brillouin_radius(pm))
 
 
 def cmd_snowman_scan(args):
@@ -262,24 +253,21 @@ def cmd_snowman_scan(args):
     try:
         out.write("gamma,waist_radius,descends\n")
         for g in gammas:
-            waist = snowman_waist_radius(g)
-            descends = waist > 1.0 + 1e-12
+            waist, descends = _snowman_verdict(g)
             out.write("%s,%s,%s\n" % (_fmt(g), _fmt(waist),
                                       str(descends).lower()))
         if args.bisect:
             lo, hi = args.gamma_from, args.gamma_to
-            flo = snowman_waist_radius(lo) - 1.0
-            fhi = snowman_waist_radius(hi) - 1.0
-            if flo * fhi > 0:
-                raise CliError("no sign change of (waist - 1) in the gamma "
-                               "range", EXIT_NUMERIC)
+            at_lo = _snowman_verdict(lo)[1]
+            if _snowman_verdict(hi)[1] == at_lo:
+                raise CliError("the descent verdict does not change in the "
+                               "gamma range", EXIT_NUMERIC)
             while hi - lo > args.tol:
                 mid = 0.5 * (lo + hi)
-                if (snowman_waist_radius(mid) - 1.0) * flo <= 0:
+                if _snowman_verdict(mid)[1] != at_lo:
                     hi = mid
                 else:
                     lo = mid
-                    flo = snowman_waist_radius(lo) - 1.0
             out.write("threshold_low=%s threshold_high=%s\n"
                       % (_fmt(lo), _fmt(hi)))
     finally:
@@ -373,7 +361,7 @@ def build_parser():
     p.add_argument("--gamma-to", type=float)
     p.add_argument("--steps", type=int, default=25)
     p.add_argument("--bisect", action="store_true",
-                   help="bisect the (waist - 1) sign change")
+                   help="bisect where the descent verdict flips")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out")
     p.set_defaults(func=cmd_snowman_scan)

@@ -22,14 +22,13 @@ from .geometry import (Ball, BallRegion, brillouin_radius,
                        pointmass_brillouin_radius)
 from .density import (GridDensity, SPMA, SmoothedPointMass, constant_taper,
                       quadratic_bump, cosine_bump, lp_metric)
-from .convergence import estimate_rc, AllDirectionsInconclusive
-from .she import coeffs_from_point_masses
+from .convergence import pointmass_rc
 
 __all__ = ["FillingParams", "SnowmanParams", "FillingBudgetError",
            "ConstructionError", "SphericalFilling", "spherical_filling",
            "spma_approximate", "ApproximationResult", "build_snowman",
-           "snowman_waist_radius", "snowman_descends_to_topography",
-           "SnowmanReport"]
+           "snowman_waist_radius", "snowman_clears",
+           "snowman_descends_to_topography", "SnowmanReport"]
 
 COVER_RADIUS_STEPS = 2     # covering-ball radius in grid steps
 
@@ -434,7 +433,8 @@ def _verify(g, spma, filling, params, nodes, fvals, meanf, mask, tags):
     # p2 / a3: every support point strictly inside some ball (each node
     # is the center of its own covering ball of radius 2h, so any support
     # point is within node distance sqrt(3)h < 2h of a center)
-    report["p2"] = {"pass": True, "note": "per-node covering blanket"}
+    report["p2"] = {"pass": True, "by_construction": True,
+                    "note": "per-node covering blanket"}
     report["a3"] = dict(report["p2"])
 
     # p3: measured L1 distance
@@ -460,7 +460,7 @@ def _verify(g, spma, filling, params, nodes, fvals, meanf, mask, tags):
 
     # p6 / a5: Brillouin radius agreement
     R_f = float(np.max(np.linalg.norm(nodes, axis=1)))
-    R_l = brillouin_radius(spma.support_region())
+    R_l = brillouin_radius(spma)
     report["p6"] = {"pass": bool(abs(R_f - R_l) < eps + tol),
                     "R_f": R_f, "R_lambda": R_l}
     report["a5"] = dict(report["p6"])
@@ -483,7 +483,7 @@ def _verify(g, spma, filling, params, nodes, fvals, meanf, mask, tags):
                     "bound": filling.a2_bound}
 
     # a6: supports equal the prescribed balls by construction
-    report["a6"] = {"pass": True}
+    report["a6"] = {"pass": True, "by_construction": True}
 
     # a7 in the product form: per filling ball, the L1 error against f
     # stays below var * |ball| plus a volume-proportional share of the
@@ -501,8 +501,8 @@ def _verify(g, spma, filling, params, nodes, fvals, meanf, mask, tags):
     slack_total = min(delta, eps) / 10.0
     worst = -np.inf
     worst_lit = -np.inf
-    stride = max(1, len(fill_balls) // 1024)
-    for j in range(0, len(fill_balls), stride):
+    sample = range(0, n_fill, max(1, n_fill // 1024))
+    for j in sample:
         b = fill_balls[j]
         sel = tree_nodes.query_ball_point(b.center, b.radius)
         if not sel:
@@ -519,6 +519,7 @@ def _verify(g, spma, filling, params, nodes, fvals, meanf, mask, tags):
             worst_lit = max(worst_lit, err_lit - (var * vols[j] + slack))
     report["a7"] = {"pass": bool(worst <= 0), "worst_excess": worst,
                     "worst_excess_component_alone": worst_lit,
+                    "balls_checked": len(sample), "balls_total": n_fill,
                     "note": "product form with volume-proportional slack"}
 
     # a8: covering amplitudes below the node average of f over the ball
@@ -595,6 +596,13 @@ def snowman_waist_radius(gamma):
     return math.sqrt((1.0 + gamma) ** 2 - 1.0)
 
 
+def snowman_clears(waist, pointmass_radius):
+    """The snowman verdict: the waist circle clears the point-mass
+    Brillouin sphere.  Strict: equality within 1e-12 relative (roundoff
+    in the waist formula) counts as not descending."""
+    return bool(waist > pointmass_radius * (1.0 + 1e-12))
+
+
 @dataclass(frozen=True)
 class SnowmanReport:
     descends: bool
@@ -603,25 +611,18 @@ class SnowmanReport:
     pointmass_radius: float
     spma_radius: float
     rc_estimate: float
+    reports: tuple = ()          # per-direction ConvergenceReports
 
 
 def snowman_descends_to_topography(p, n_max=300, k=32):
-    """True iff the waist circle clears the point-mass Brillouin sphere.
-
-    The decision is the geometric comparison, strict: equality (within
-    1e-12 relative, absorbing roundoff in the waist formula) counts as
-    not descending.  The array's estimated convergence radius is
-    attached for corroboration.
+    """True iff the waist circle clears the point-mass Brillouin sphere
+    (`snowman_clears`).  The array's estimated convergence radius and
+    its per-direction fits are attached for corroboration.
     """
     spma = build_snowman(p)
     waist = snowman_waist_radius(p.gamma)
     pm = spma.as_point_masses()
     R_pm = pointmass_brillouin_radius(pm)
-    coeffs = coeffs_from_point_masses(pm, R_pm, n_max)
-    try:
-        rc = estimate_rc(coeffs, k=k)
-    except AllDirectionsInconclusive:
-        rc = 0.0
-    descends = waist > R_pm * (1.0 + 1e-12)
-    return SnowmanReport(bool(descends), p.gamma, waist, R_pm,
-                         brillouin_radius(spma.support_region()), rc)
+    rc, reports = pointmass_rc(pm, n_max, k=k)
+    return SnowmanReport(snowman_clears(waist, R_pm), p.gamma, waist, R_pm,
+                         brillouin_radius(spma), rc, reports)

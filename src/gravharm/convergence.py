@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 from .geometry import brillouin_radius, pointmass_brillouin_radius
 from .she import (Direction, coeffs_from_point_masses,
-                  direction_coefficient_table, direction_term_sequence,
-                  fibonacci_directions)
+                  direction_coefficient_table, fibonacci_directions,
+                  partial_sum_sequence)
 
 __all__ = ["ConvergenceReport", "PartialSumReport", "DescentReport",
            "estimate_rc_direction", "estimate_rc", "estimate_rc_reports",
-           "rc_from_reports", "classify_partial_sums",
+           "rc_from_reports", "pointmass_rc", "classify_partial_sums",
            "epsilon_descent_check", "AllDirectionsInconclusive"]
 
 ABS_FLOOR = 1e-300
@@ -30,6 +30,10 @@ DEFAULT_GROWTH_FACTOR = 1e6
 
 class AllDirectionsInconclusive(RuntimeError):
     """No direction produced a usable coefficient-decay fit."""
+
+    def __init__(self):
+        super().__init__(
+            "coefficient decay inconclusive in every sampled direction")
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,7 @@ class DescentReport:
     rc_estimate: float
     eps: float
     inconclusive_rc: bool = False
+    reports: tuple = ()          # per-direction ConvergenceReports
 
 
 def _fit_report(b, d, window, ref_radius):
@@ -122,9 +127,21 @@ def rc_from_reports(reports):
     usable = [r.rc_estimate for r in reports
               if r.classification != "inconclusive"]
     if not usable:
-        raise AllDirectionsInconclusive(
-            "coefficient decay inconclusive in every sampled direction")
+        raise AllDirectionsInconclusive()
     return float(max(usable))
+
+
+def pointmass_rc(pms, n_max, k=DEFAULT_DIRECTIONS, window=None, G=1.0):
+    """(R_c, per-direction reports) of a point-mass array's expansion at
+    its own Brillouin radius (1.0 if every mass sits at the origin);
+    R_c is 0.0 when every direction is inconclusive."""
+    R_ref = pointmass_brillouin_radius(pms) or 1.0
+    c = coeffs_from_point_masses(pms, R_ref, n_max, G=G)
+    reports = tuple(estimate_rc_reports(c, k=k, window=window))
+    try:
+        return rc_from_reports(reports), reports
+    except AllDirectionsInconclusive:
+        return 0.0, reports
 
 
 def classify_partial_sums(c, r, d, N_max=None, growth_factor=DEFAULT_GROWTH_FACTOR,
@@ -145,8 +162,7 @@ def classify_partial_sums(c, r, d, N_max=None, growth_factor=DEFAULT_GROWTH_FACT
     N_max = c.n_max if N_max is None else int(N_max)
     if N_max > c.n_max:
         raise ValueError("N_max exceeds the available degrees")
-    t = direction_term_sequence(c, d, r)[:N_max + 1]
-    S = np.cumsum(t)
+    S, t = partial_sum_sequence(c, d, r, N_max)
     absS = np.abs(S)
     q = max(1, (N_max + 1) // 4)
     last = slice(len(S) - q, len(S))
@@ -179,16 +195,9 @@ def epsilon_descent_check(spma, eps, n_max=400, k=DEFAULT_DIRECTIONS,
     eps = float(eps)
     if not eps > 0:
         raise ValueError("eps must be positive")
-    R_support = brillouin_radius(spma.support_region())
-    pms = spma.as_point_masses()
-    R_ref = max(pointmass_brillouin_radius(pms), ABS_FLOOR)
-    if R_ref <= ABS_FLOOR:
-        R_ref = 1.0
-    coeffs = coeffs_from_point_masses(pms, R_ref, n_max, G=G)
-    inconclusive = False
-    try:
-        rc = estimate_rc(coeffs, k=k, window=window)
-    except AllDirectionsInconclusive:
-        rc, inconclusive = 0.0, True
+    R_support = brillouin_radius(spma)
+    rc, reports = pointmass_rc(spma.as_point_masses(), n_max, k=k,
+                               window=window, G=G)
+    inconclusive = all(r.classification == "inconclusive" for r in reports)
     return DescentReport(rc <= R_support - eps, R_support, rc, eps,
-                         inconclusive)
+                         inconclusive, reports)

@@ -2,11 +2,13 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from gravharm import SHECoefficients, load_spma
+from gravharm import (SHECoefficients, SnowmanParams, load_spma,
+                      snowman_descends_to_topography)
 from gravharm.cli import main
 
 from conftest import unit_ball_grid
@@ -106,6 +108,33 @@ def test_descent_spma_with_csv(tmp_path, snowman_file, capsys):
     lines = csv.read_text().splitlines()
     assert lines[0].startswith("direction_index,theta,phi,rc_estimate")
     assert len(lines) == 9
+
+
+@pytest.mark.parametrize("subject", ["snowman", "spma"])
+def test_descent_csv_is_the_rc_csv_of_its_one_fit(tmp_path, snowman_file,
+                                                  monkeypatch, subject):
+    # `descent --out` writes the fits behind its verdict: the same CSV as
+    # `rc --out`, from a single coefficient computation
+    if subject == "snowman":
+        descent = ["descent", "snowman", "--gamma", 0.5]
+        rc = ["rc", "--snowman-gamma", 0.5]
+    else:
+        descent = ["descent", "spma", "--file", snowman_file, "--eps", 0.3]
+        rc = ["rc", "--spma", snowman_file]
+    opts = ["--n-max", 120, "--directions", 8, "--out"]
+    calls = []
+    for name, module in list(sys.modules.items()):
+        original = getattr(module, "coeffs_from_point_masses", None)
+        if name.startswith("gravharm") and original is not None:
+            def counted(*a, _original=original, **kw):
+                calls.append(a)
+                return _original(*a, **kw)
+            monkeypatch.setattr(module, "coeffs_from_point_masses", counted)
+    a, b = tmp_path / "descent.csv", tmp_path / "rc.csv"
+    assert run(descent + opts + [a]) == 0
+    assert len(calls) == 1
+    assert run(rc + opts + [b]) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_descent_spma_requires_file_and_eps():
@@ -220,6 +249,16 @@ def test_snowman_scan_deterministic(tmp_path):
     lines = a.read_text().splitlines()
     assert lines[0] == "gamma,waist_radius,descends"
     assert len(lines) == 14
+
+
+@pytest.mark.parametrize("gamma", [0.3, math.sqrt(2.0) - 1.0, 0.5])
+def test_snowman_scan_verdict_is_the_descent_verdict(gamma, capsys):
+    assert run(["snowman-scan", "--gamma-from", gamma,
+                "--gamma-to", gamma + 1.0, "--steps", 2]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert float(row[0]) == gamma
+    rep = snowman_descends_to_topography(SnowmanParams(gamma), n_max=60, k=8)
+    assert row[2] == str(rep.descends).lower()
 
 
 def test_snowman_scan_bisect_brackets_threshold(tmp_path):

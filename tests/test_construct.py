@@ -112,6 +112,15 @@ def test_approximate_required_properties_pass(ball_approx):
         assert res.report[key]["pass"], res.report[key]
 
 
+def test_approximate_report_labels_what_it_does_not_measure(ball_approx):
+    _, res = ball_approx
+    for key in ("p2", "a3", "a6"):
+        assert res.report[key]["pass"] and res.report[key]["by_construction"]
+    a7, n_fill = res.report["a7"], len(res.filling.filling.balls)
+    assert a7["balls_total"] == n_fill
+    assert 0 < a7["balls_checked"] <= n_fill
+
+
 def test_approximate_center_norms_distinct(ball_approx):
     _, res = ball_approx
     norms = np.linalg.norm(res.spma.centers, axis=1)
