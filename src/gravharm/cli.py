@@ -55,10 +55,9 @@ def load_point_masses(path):
                                % (path, lineno, line))
             try:
                 x, y, z, m = (float(p) for p in parts)
-            except ValueError:
-                raise CliError("%s:%d: non-numeric field in %r"
-                               % (path, lineno, line))
-            masses.append(PointMass((x, y, z), m))
+                masses.append(PointMass((x, y, z), m))
+            except ValueError as exc:
+                raise CliError("%s:%d: %s in %r" % (path, lineno, exc, line))
     if not masses:
         raise CliError("%s: no point masses found" % path)
     return masses

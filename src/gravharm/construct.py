@@ -20,8 +20,8 @@ from scipy.spatial import cKDTree
 from .geometry import (Ball, BallRegion, brillouin_radius,
                        general_position_perturb, hausdorff_distance,
                        pointmass_brillouin_radius)
-from .density import (GridDensity, SPMA, SmoothedPointMass, constant_taper,
-                      quadratic_bump, cosine_bump, lp_metric)
+from .density import (QUADRATIC, SPMA, TABLE, GridDensity, constant_taper,
+                      cosine_bump, lp_metric, quadratic_bump)
 from .convergence import pointmass_rc
 
 __all__ = ["FillingParams", "SnowmanParams", "FillingBudgetError",
@@ -295,10 +295,11 @@ class ApproximationResult:
     filling: SphericalFilling
 
 
-def _fill_component(center, amp, radius, params):
-    tau = max(params.taper_fraction * radius, 1e-6 * radius)
-    return SmoothedPointMass(center,
-                             constant_taper(amp, radius, min(tau, 0.5 * radius)))
+# per component of the approximation while it is assembled: center,
+# outer radius, value at the center, taper or quadratic bump, and the
+# filling ball it stands for (-1: covering)
+_PART = np.dtype([("center", float, 3), ("radius", float), ("value", float),
+                  ("taper", bool), ("tag", np.intp)])
 
 
 def spma_approximate(f, params):
@@ -335,30 +336,24 @@ def spma_approximate(f, params):
             tgt = float(fvals[i] - lam_bg[i])
         fill_amp.append(max(tgt, amp_floor))
 
-    # assemble components; perturb all centers into general position
-    all_balls = list(filling.filling.balls) + list(filling.covering.balls)
-    centers = np.array([b.center for b in all_balls])
-    max_shift = min(1e-3 * h, 1e-3 * params.eps)
-    centers = general_position_perturb(centers, max_shift)
-
-    n_fill = len(filling.filling.balls)
-    comps, tags = [], []
-    for j, (b, ctr) in enumerate(zip(all_balls, centers)):
-        if j < n_fill:
-            comps.append(_fill_component(ctr, fill_amp[j], b.radius, params))
-            tags.append(j)
-        else:
-            comps.append(SmoothedPointMass(
-                ctr, quadratic_bump(float(cover_amp[j - n_fill]), b.radius)))
-            tags.append(-1)
+    # one part per ball; perturb all centers into general position
+    fill, cover = filling.filling, filling.covering
+    n_fill = len(fill.balls)
+    parts = np.zeros(n_fill + len(cover.balls), _PART)
+    parts["center"] = general_position_perturb(
+        np.vstack([fill.centers, cover.centers]), min(1e-3 * h, 1e-3 * params.eps))
+    parts["radius"] = np.concatenate([fill.radii, cover.radii])
+    parts["value"] = np.concatenate([fill_amp, cover_amp])
+    parts["taper"][:n_fill] = True
+    parts["tag"] = np.where(parts["taper"], np.arange(len(parts)), -1)
 
     # the extremal component must be smaller than eps/2; refine by local
     # re-filling at half step until it is
-    comps, tags = _shrink_extremal(comps, tags, params, h)
+    parts = _shrink_extremal(parts, params, h)
 
-    spma = SPMA(comps)
+    spma = _assemble(parts, params)
     report = _verify(g, spma, filling, params, nodes, fvals,
-                     meanf_grid[mask], mask, tags)
+                     meanf_grid[mask], mask, parts["tag"])
     failed = [k for k in ("p1", "p2", "p3", "p4", "p5", "p6", "p7")
               if not report[k]["pass"]]
     if failed:
@@ -367,36 +362,48 @@ def spma_approximate(f, params):
     return ApproximationResult(spma, report, filling)
 
 
-def _shrink_extremal(comps, tags, params, h):
-    """Replace the outermost component by a half-step packing until its
-    radius drops below eps/2."""
+def _assemble(parts, params):
+    """Constant-interior tapers (rim width taper_fraction of the radius)
+    and quadratic bumps, each at its part's value at the center."""
+    taper = parts["taper"]
+    r, v = parts["radius"][taper], parts["value"][taper]
+    tau = np.minimum(np.maximum(params.taper_fraction * r, 1e-6 * r), 0.5 * r)
+    tables = [(np.flatnonzero(taper), np.stack([np.zeros_like(r), r - tau, r], axis=1),
+               np.stack([v, v, np.zeros_like(v)], axis=1))]
+    return SPMA.from_arrays(parts["center"], parts["radius"],
+                            np.where(taper, TABLE, QUADRATIC), parts["value"],
+                            tables)
+
+
+def _shrink_extremal(parts, params, h):
+    """Replace the outermost part by a half-step packing of tapers until
+    its radius drops below eps/2."""
     limit = params.eps / 2.0
     for _ in range(12):
-        norms = np.array([np.linalg.norm(c.center) for c in comps])
-        i = int(np.argmax(norms))
-        big = comps[i]
-        if big.radius < limit:
-            return comps, tags
+        i = int(np.argmax(np.linalg.norm(parts["center"], axis=1)))
+        center, radius = parts["center"][i], parts["radius"][i]
+        if radius < limit:
+            return parts
         step = min(h / 2.0, 0.9 * limit)
-        n_side = max(2, int(math.floor(2 * big.radius / step)))
-        axes = [big.center[d] - big.radius + step * (np.arange(n_side) + 0.5)
+        n_side = max(2, int(math.floor(2 * radius / step)))
+        axes = [center[d] - radius + step * (np.arange(n_side) + 0.5)
                 for d in range(3)]
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-        d = np.linalg.norm(pts - big.center, axis=1)
-        keep = d <= big.radius - 0.5 * step
-        r_inside = np.minimum(big.radius - d[keep], 0.49 * step)
-        amp = float(big.profile(0.0))
-        sub = [_fill_component(ctr, amp, float(r), params)
-               for ctr, r in zip(pts[keep], r_inside) if r > 0.2 * step]
-        if not sub:
+        d = np.linalg.norm(pts - center, axis=1)
+        keep = d <= radius - 0.5 * step
+        r_inside = np.minimum(radius - d[keep], 0.49 * step)
+        sub = r_inside > 0.2 * step
+        if not sub.any():
             raise ConstructionError(
                 "cannot refine the extremal ball below eps/2")
-        comps = comps[:i] + sub + comps[i + 1:]
-        tags = tags[:i] + [tags[i]] * len(sub) + tags[i + 1:]
-        centers = general_position_perturb(
-            np.array([c.center for c in comps]), 1e-4 * h)
-        comps = [SmoothedPointMass(ctr, c.profile)
-                 for ctr, c in zip(centers, comps)]
+        # the sub-balls take part i's place, value and tag
+        k = int(sub.sum())
+        parts = parts[np.concatenate([np.arange(i), np.full(k, i),
+                                      np.arange(i + 1, len(parts))])]
+        parts["center"][i:i + k] = pts[keep][sub]
+        parts["radius"][i:i + k] = r_inside[sub]
+        parts["taper"][i:i + k] = True
+        parts["center"] = general_position_perturb(parts["center"], 1e-4 * h)
     raise ConstructionError("extremal ball refinement did not converge")
 
 
@@ -493,17 +500,16 @@ def _verify(g, spma, filling, params, nodes, fvals, meanf, mask, tags):
     lam_vals = evaluate_on_grid(spma, g.origin, g.spacing, g.shape)
     fdiff = np.abs(g.values - lam_vals)[mask]
     fill_balls = filling.filling.balls
-    comp_of = {}
-    for idx, t in enumerate(tags):
-        if t >= 0:
-            comp_of.setdefault(t, []).append(idx)
+    # the component of each filling ball that kept exactly one, else -1
+    filled = np.flatnonzero(tags >= 0)
+    own = np.full(n_fill, -1)
+    own[tags[filled]] = filled
+    own[np.bincount(tags[filled], minlength=n_fill) != 1] = -1
     vols = np.array([4.0 / 3.0 * np.pi * b.radius**3 for b in fill_balls])
     slack_total = min(delta, eps) / 10.0
     worst = -np.inf
     worst_lit = -np.inf
-    sample = range(0, n_fill, max(1, n_fill // 1024))
-    for j in sample:
-        b = fill_balls[j]
+    for j, b in enumerate(fill_balls):
         sel = tree_nodes.query_ball_point(b.center, b.radius)
         if not sel:
             continue
@@ -511,21 +517,19 @@ def _verify(g, spma, filling, params, nodes, fvals, meanf, mask, tags):
         slack = slack_total * vols[j] / vols.sum()
         err = float(fdiff[sel].sum() * cell)
         worst = max(worst, err - (var * vols[j] + slack))
-        own = comp_of.get(j, [])
-        if len(own) == 1:
-            comp = spma.components[own[0]]
-            d = np.linalg.norm(nodes[sel] - comp.center, axis=1)
-            err_lit = float(np.abs(fvals[sel] - comp.profile(d)).sum() * cell)
+        if own[j] >= 0:
+            d = np.linalg.norm(nodes[sel] - centers[own[j]], axis=1)
+            g_own = spma.profile(np.full(len(d), own[j]), d)
+            err_lit = float(np.abs(fvals[sel] - g_own).sum() * cell)
             worst_lit = max(worst_lit, err_lit - (var * vols[j] + slack))
     report["a7"] = {"pass": bool(worst <= 0), "worst_excess": worst,
                     "worst_excess_component_alone": worst_lit,
-                    "balls_checked": len(sample), "balls_total": n_fill,
+                    "balls_checked": n_fill, "balls_total": n_fill,
                     "note": "product form with volume-proportional slack"}
 
     # a8: covering amplitudes below the node average of f over the ball
-    cov_idx = [i for i, t in enumerate(tags) if t < 0]
-    cov_amp = np.array([float(spma.components[i].profile(0.0))
-                        for i in cov_idx])
+    cov_idx = np.flatnonzero(tags < 0)
+    cov_amp = spma.profile(cov_idx, np.zeros(len(cov_idx)))
     excess8 = float(np.max(cov_amp - meanf)) if len(cov_amp) == len(meanf) \
         else float(np.max(cov_amp) - float(np.min(meanf)))
     report["a8"] = {"pass": bool(excess8 < 0), "worst_excess": excess8}
@@ -576,12 +580,9 @@ def _profile_with_mass(kind, mass, outer_radius):
 def build_snowman(p):
     """Two overlapping smoothed point masses at (+-1, 0, 0)."""
     a = 1.0 + p.gamma
-    return SPMA([
-        SmoothedPointMass((1.0, 0.0, 0.0),
-                          _profile_with_mass(p.profile_kind, p.m1, a)),
-        SmoothedPointMass((-1.0, 0.0, 0.0),
-                          _profile_with_mass(p.profile_kind, p.m2, a)),
-    ])
+    return SPMA.from_profiles(
+        [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)],
+        [_profile_with_mass(p.profile_kind, m, a) for m in (p.m1, p.m2)])
 
 
 def snowman_waist_radius(gamma):

@@ -6,10 +6,14 @@ supported on a closed ball, vanishing on the ball's boundary.  Profiles
 come in three flavours: a quadratic bump, a cosine bump, and a sampled
 table with linear interpolation (the constant-interior taper is a
 three-knot table).  All profile integrals used downstream are exact
-closed forms, never numeric quadrature.
+closed forms, never numeric quadrature.  Each kind's formulas are
+written once, as array functions that a single RadialProfile and a
+whole SPMA both evaluate through.
 """
 
 import math
+import operator
+from functools import cached_property
 
 import numpy as np
 from dataclasses import dataclass, field
@@ -21,14 +25,118 @@ from .geometry import Ball, as_vec3
 __all__ = [
     "RadialProfile", "quadratic_bump", "cosine_bump", "constant_taper",
     "table_profile", "PointMass", "SmoothedPointMass", "SPMA",
+    "ComponentError", "QUADRATIC", "COSINE", "TABLE", "KIND_NAMES",
     "GridDensity", "WeightFn", "evaluate", "evaluate_on_grid",
     "total_mass", "lp_metric", "var_over", "mean_over",
     "density_bounding_box", "midpoint_nodes",
 ]
 
+QUADRATIC, COSINE, TABLE = 0, 1, 2          # profile kind codes
+KIND_NAMES = ("quadratic_bump", "cosine_bump", "table")
+_BLOCK = 2**15     # entries per batched step: temporaries of a few MB
+
 
 # ---------------------------------------------------------------------------
-# radial profiles
+# radial profiles: one array formula per kind.  `a` is the outer radius,
+# `p` a bump's amplitude or a table's (knots, values) with the knots
+# along the last axis; both broadcast against the radius.
+
+def _pow(x, n):
+    """x**n through C pow, as Python and numpy scalars compute it.
+
+    numpy's ** on a float array may take a SIMD pow that differs in the
+    last place.  Powers of a profile's own constants (a, pi / a, the
+    knots, and s = a in the total mass) go through _pow, powers of
+    evaluation radii through **: the split a single profile with scalar
+    constants and array radii makes, so evaluating in batches changes
+    no bits.
+    """
+    return np.float_power(x, n)
+
+
+def _value(kind, a, p, s):
+    """g(s), zero outside [0, a]; tables in np.interp's arithmetic."""
+    if kind == QUADRATIC:
+        g = p * (1.0 - (s / a) ** 2)
+    elif kind == COSINE:
+        g = 0.5 * p * (1.0 + np.cos(np.pi * s / a))
+    else:
+        (knots, values), x = p, np.clip(s, 0.0, a)
+        g = values[..., -1]
+        for i in range(knots.shape[-1] - 1):
+            k0, k1 = knots[..., i], knots[..., i + 1]
+            v0, v1 = values[..., i], values[..., i + 1]
+            g = np.where((x >= k0) & (x < k1),
+                         (v1 - v0) / (k1 - k0) * (x - k0) + v0, g)
+    return np.where((s >= 0) & (s <= a), np.maximum(g, 0.0), 0.0)
+
+
+def _mass_within(kind, a, p, s, pw=operator.pow):
+    """M(s) = 4 pi * integral_0^s t^2 g(t) dt, exact; pw raises s."""
+    s = np.clip(s, 0.0, a)
+    if kind == QUADRATIC:
+        val = p * (pw(s, 3) / 3.0 - pw(s, 5) / (5.0 * a * a))
+    elif kind == COSINE:
+        k = np.pi / a
+        trig = (s * s / k) * np.sin(k * s) + (2 * s / _pow(k, 2)) * np.cos(k * s) \
+            - (2 / _pow(k, 3)) * np.sin(k * s)
+        # the t^2 cos(kt) antiderivative vanishes at 0
+        val = 0.5 * p * (pw(s, 3) / 3.0 + trig)
+    else:
+        val = _table_moment(*p, s, power=2)
+    return 4.0 * np.pi * val
+
+
+def _tail_first_moment(kind, a, p, rho):
+    """integral_rho^a t g(t) dt, exact."""
+    rho = np.clip(rho, 0.0, a)
+    if kind == TABLE:
+        return _table_moment(*p, a, power=1) - _table_moment(*p, rho, power=1)
+    if kind == QUADRATIC:
+        F = lambda t, pw: p * (t * t / 2.0 - pw(t, 4) / (4.0 * a * a))
+    else:
+        k = np.pi / a
+        F = lambda t, pw: 0.5 * p * (
+            t * t / 2.0 + (t / k) * np.sin(k * t) + np.cos(k * t) / _pow(k, 2))
+    return F(a, _pow) - F(rho, operator.pow)
+
+
+def _table_moment(knots, values, s, power):
+    """integral_0^s t^power g(t) dt for piecewise-linear tables."""
+    s = np.asarray(s, dtype=float)
+    scalar = s.ndim == 0
+    s = np.atleast_1d(s)
+    out = np.zeros(np.broadcast(s, knots[..., 0]).shape)
+    p = power
+    for i in range(knots.shape[-1] - 1):
+        k0, k1 = knots[..., i], knots[..., i + 1]
+        v0, v1 = values[..., i], values[..., i + 1]
+        slope = (v1 - v0) / (k1 - k0)
+        alpha = v0 - slope * k0          # g(t) = alpha + slope * t on segment
+        hi = np.clip(s, k0, k1)
+        # hi is an array even for one profile, so ** on it is numpy's
+        # array pow; the knots are constants
+        out += (alpha * hi**(p + 1) / (p + 1) + slope * hi**(p + 2) / (p + 2)) \
+            - (alpha * _pow(k0, p + 1) / (p + 1) + slope * _pow(k0, p + 2) / (p + 2))
+    return out[0] if scalar else out
+
+
+def _problems(kind, a, p, mass, check_boundary):
+    """(failed, message) of each profile check, in the order they apply."""
+    out = [(~np.greater(a, 0), "outer radius must be positive")]
+    if kind == TABLE:
+        knots, values = p
+        out += [(~((knots[..., 0] == 0.0) & np.isclose(knots[..., -1], a)),
+                 "table knots must span [0, outer_radius]"),
+                (np.any(np.diff(knots) <= 0, axis=-1),
+                 "table knots must be strictly increasing"),
+                (np.any(values < 0, axis=-1), "profile values must be non-negative"),
+                (check_boundary & (values[..., -1] != 0.0),
+                 "profile must vanish at the outer radius")]
+    else:
+        out.append((~np.greater(p, 0), "amplitude must be positive"))
+    return out + [(~np.greater(mass, 0), "profile must carry positive mass")]
+
 
 class RadialProfile:
     """Radial rule g on [0, a], continuous with g(a) = 0.
@@ -41,100 +149,44 @@ class RadialProfile:
 
     def __init__(self, kind, outer_radius, amplitude=None, knots=None,
                  values=None, check_boundary=True):
-        self.kind = kind
-        self.outer_radius = a = float(outer_radius)
-        if not a > 0:
-            raise ValueError("outer radius must be positive")
-        if kind in ("quadratic_bump", "cosine_bump"):
-            self.amplitude = float(amplitude)
-            if not self.amplitude > 0:
-                raise ValueError("amplitude must be positive")
-            self.knots = self.values = None
-        elif kind == "table":
+        if kind not in KIND_NAMES:
+            raise ValueError("unknown profile kind %r" % kind)
+        self.kind, self._code = kind, KIND_NAMES.index(kind)
+        self.outer_radius = float(outer_radius)
+        self.amplitude = self.knots = self.values = None
+        if kind == "table":
             self.knots = np.asarray(knots, dtype=float)
             self.values = np.asarray(values, dtype=float)
             if self.knots.ndim != 1 or self.knots.shape != self.values.shape:
                 raise ValueError("knots and values must be matching 1-D arrays")
-            if self.knots[0] != 0.0 or not np.isclose(self.knots[-1], a):
-                raise ValueError("table knots must span [0, outer_radius]")
-            if np.any(np.diff(self.knots) <= 0):
-                raise ValueError("table knots must be strictly increasing")
-            if np.any(self.values < 0):
-                raise ValueError("profile values must be non-negative")
-            if check_boundary and self.values[-1] != 0.0:
-                raise ValueError("profile must vanish at the outer radius")
-            self.amplitude = None
+            self._params = (self.knots, self.values)
         else:
-            raise ValueError("unknown profile kind %r" % kind)
-        if not self.total_mass() > 0:
-            raise ValueError("profile must carry positive mass")
+            self.amplitude = self._params = float(amplitude)
+        with np.errstate(all="ignore"):
+            mass = self.total_mass()
+        for failed, message in _problems(self._code, self.outer_radius,
+                                         self._params, mass, check_boundary):
+            if failed:
+                raise ValueError(message)
+
+    def _at(self, formula, s):
+        return formula(self._code, self.outer_radius, self._params,
+                       np.asarray(s, dtype=float))
 
     def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        a = self.outer_radius
-        inside = (s >= 0) & (s <= a)
-        if self.kind == "quadratic_bump":
-            g = self.amplitude * (1.0 - (s / a) ** 2)
-        elif self.kind == "cosine_bump":
-            g = 0.5 * self.amplitude * (1.0 + np.cos(np.pi * s / a))
-        else:
-            g = np.interp(np.clip(s, 0.0, a), self.knots, self.values)
-        return np.where(inside, np.maximum(g, 0.0), 0.0)
-
-    # -- exact integrals ---------------------------------------------------
+        return self._at(_value, s)
 
     def mass_within(self, s):
         """M(s) = 4 pi * integral_0^s t^2 g(t) dt, exact."""
-        s = np.clip(np.asarray(s, dtype=float), 0.0, self.outer_radius)
-        a = self.outer_radius
-        if self.kind == "quadratic_bump":
-            val = self.amplitude * (s**3 / 3.0 - s**5 / (5.0 * a * a))
-        elif self.kind == "cosine_bump":
-            k = np.pi / a
-            trig = (s * s / k) * np.sin(k * s) + (2 * s / k**2) * np.cos(k * s) \
-                - (2 / k**3) * np.sin(k * s)
-            # the t^2 cos(kt) antiderivative vanishes at 0
-            val = 0.5 * self.amplitude * (s**3 / 3.0 + trig)
-        else:
-            val = self._table_moment(s, power=2)
-        return 4.0 * np.pi * val
+        return self._at(_mass_within, s)
 
     def total_mass(self):
-        return float(self.mass_within(self.outer_radius))
+        a = self.outer_radius
+        return float(_mass_within(self._code, a, self._params, a, _pow))
 
     def tail_first_moment(self, rho):
         """integral_rho^a t g(t) dt, exact."""
-        rho = np.clip(np.asarray(rho, dtype=float), 0.0, self.outer_radius)
-        a = self.outer_radius
-        if self.kind == "quadratic_bump":
-            F = lambda t: self.amplitude * (t * t / 2.0 - t**4 / (4.0 * a * a))
-            return F(a) - F(rho)
-        if self.kind == "cosine_bump":
-            k = np.pi / a
-            F = lambda t: 0.5 * self.amplitude * (
-                t * t / 2.0 + (t / k) * np.sin(k * t) + np.cos(k * t) / k**2)
-            return F(a) - F(rho)
-        return self._table_moment(a, power=1) - self._table_moment(rho, power=1)
-
-    def _table_moment(self, s, power):
-        """integral_0^s t^power g(t) dt for piecewise-linear tables."""
-        s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s)
-        out = np.zeros_like(s)
-        k0, k1 = self.knots[:-1], self.knots[1:]
-        v0, v1 = self.values[:-1], self.values[1:]
-        slope = (v1 - v0) / (k1 - k0)
-        alpha = v0 - slope * k0          # g(t) = alpha + slope * t on segment
-        p = power
-
-        def antider(t, al, sl):
-            return al * t**(p + 1) / (p + 1) + sl * t**(p + 2) / (p + 2)
-
-        for i in range(len(k0)):
-            hi = np.clip(s, k0[i], k1[i])
-            out += antider(hi, alpha[i], slope[i]) - antider(k0[i], alpha[i], slope[i])
-        return out[0] if scalar else out
+        return self._at(_tail_first_moment, rho)
 
 
 def quadratic_bump(amplitude, outer_radius):
@@ -171,8 +223,8 @@ class PointMass:
     def __post_init__(self):
         object.__setattr__(self, "position", as_vec3(self.position))
         object.__setattr__(self, "mass", float(self.mass))
-        if not self.mass > 0:
-            raise ValueError("point mass must be positive")
+        if not (self.mass > 0 and math.isfinite(self.mass)):
+            raise ValueError("point mass must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -200,30 +252,168 @@ class SmoothedPointMass:
         return PointMass(self.center, self.mass)
 
 
+class ComponentError(ValueError):
+    """An SPMA component fails a check; `index` is its position."""
+
+    def __init__(self, index, reason):
+        super().__init__("component %d: %s" % (index, reason))
+        self.index, self.reason = int(index), reason
+
+
+def _arrays(rows):
+    """SPMA.from_arrays arguments from (center, outer radius, kind code,
+    params) rows, params being [amplitude] or the knots then as many
+    values (the file format's order)."""
+    centers, radii, kinds, params = zip(*rows) if rows else ((),) * 4
+    tables = {}
+    for i, (code, q) in enumerate(zip(kinds, params)):
+        if code == TABLE:
+            tables.setdefault(len(q) // 2, []).append(i)
+    groups = []
+    for k, idx in tables.items():
+        q = np.array([params[i] for i in idx], dtype=float)
+        groups.append((idx, q[:, :k], q[:, k:]))
+    amplitudes = [np.nan if code == TABLE else q[0]
+                  for code, q in zip(kinds, params)]
+    return centers, radii, kinds, amplitudes, groups
+
+
+def _profile_rows(centers, profiles):
+    return [(c, p.outer_radius, p._code, [p.amplitude] if p.knots is None
+             else np.concatenate([p.knots, p.values]))
+            for c, p in zip(centers, profiles)]
+
+
 class SPMA:
-    """Finite, ordered sum of smoothed point masses."""
+    """Finite, ordered sum of smoothed point masses, stored as arrays.
+
+    `centers` (N, 3), `radii` and `masses` (N,) and a kind code per
+    component in `kinds`; the profile parameters sit in groups, one
+    amplitude array per bump kind and one (knots, values) pair of (M, K)
+    arrays per table knot count K, and each group evaluates through one
+    array formula (`profile`, `mass_within`, `tail_first_moment`).
+    Built from SmoothedPointMass objects, from arrays (`from_arrays`) or
+    from RadialProfiles (`from_profiles`); `components` builds the
+    objects when first read.
+    """
 
     def __init__(self, components):
         components = tuple(components)
-        if not components:
+        self._store(*_arrays(_profile_rows([c.center for c in components],
+                                           [c.profile for c in components])),
+                    check_boundary=False)
+        self.__dict__["components"] = components
+
+    @classmethod
+    def from_arrays(cls, centers, radii, kinds, amplitudes, tables=(),
+                    check_boundary=True):
+        """SPMA from per-component arrays.  `amplitudes` is read at the
+        bump components; `tables` is a list of (indices, knots, values)
+        groups, knots and values (M, K), covering the table components.
+        Every RadialProfile check runs on every component, and the first
+        failure raises ComponentError."""
+        spma = cls.__new__(cls)
+        spma._store(centers, radii, kinds, amplitudes, tables, check_boundary)
+        return spma
+
+    @classmethod
+    def from_profiles(cls, centers, profiles):
+        """SPMA of RadialProfiles placed at `centers`."""
+        return cls.from_arrays(*_arrays(_profile_rows(centers, profiles)),
+                               check_boundary=False)
+
+    def _store(self, centers, radii, kinds, amplitudes, tables,
+               check_boundary):
+        self.radii = np.asarray(radii, dtype=float)
+        n = len(self.radii)
+        if not n:
             raise ValueError("SPMA must have at least one component")
-        self.components = components
-        self.centers = np.array([c.center for c in components])
-        self.radii = np.array([c.radius for c in components])
-        self.masses = np.array([c.mass for c in components])
+        self.centers = np.asarray(centers, dtype=float).reshape(n, 3)
+        self.kinds = np.asarray(kinds, dtype=np.int8).reshape(n)
+        amplitudes = np.asarray(amplitudes, dtype=float)
+        self._groups = tuple(
+            [(code, i, amplitudes[i]) for code in (QUADRATIC, COSINE)
+             for i in [np.flatnonzero(self.kinds == code)] if i.size]
+            + [(TABLE, np.asarray(i, dtype=np.intp), (np.asarray(k, dtype=float),
+                                                     np.asarray(v, dtype=float)))
+               for i, k, v in tables if len(i)])
+        # each component's group and row there, for gathering parameters
+        self._group = np.full(n, -1, dtype=np.intp)
+        self._row = np.zeros(n, dtype=np.intp)
+        for g, (_, idx, _) in enumerate(self._groups):
+            self._group[idx], self._row[idx] = g, np.arange(len(idx))
+        if np.any(self._group < 0) or sum(len(g[1]) for g in self._groups) != n:
+            raise ValueError("each component needs a known kind and, if a "
+                             "table, exactly one table row")
+        with np.errstate(all="ignore"):
+            self.masses = self._by_kind(lambda *args: _mass_within(*args, _pow),
+                                        np.arange(n), self.radii)
+        bad = [(idx[np.argmax(f)], message) for code, idx, p in self._groups
+               for f, message in _problems(code, self.radii[idx], p,
+                                           self.masses[idx], check_boundary)
+               if np.any(f)]
+        f = ~np.all(np.isfinite(self.centers), axis=1)
+        if f.any():
+            bad.append((np.argmax(f), "vector components must be finite"))
+        if bad:
+            raise ComponentError(*min(bad, key=lambda b: b[0]))
+
+    def _by_kind(self, formula, index, s):
+        """formula(kind, a, p, s) at the entries (component index[e],
+        radius s[e]), one call per parameter group."""
+        index, s = np.asarray(index, dtype=np.intp), np.asarray(s, dtype=float)
+        out = np.empty(len(index))
+        group = self._group[index]
+        for g, (code, _, p) in enumerate(self._groups):
+            sel = np.flatnonzero(group == g)
+            if sel.size == 0:
+                continue
+            c = index[sel]
+            if c[0] == c[-1] and np.all(c == c[0]):
+                c = c[:1]           # one component: its parameters broadcast
+            rows = self._row[c]
+            out[sel] = formula(code, self.radii[c], (p[0][rows], p[1][rows])
+                               if code == TABLE else p[rows], s[sel])
+        return out
+
+    def profile(self, index, s):
+        """g(s) of component index[e] at radius s[e]."""
+        return self._by_kind(_value, index, s)
+
+    def mass_within(self, index, s):
+        """M(s) of component index[e] at radius s[e]."""
+        return self._by_kind(_mass_within, index, s)
+
+    def tail_first_moment(self, index, rho):
+        """integral_rho^a t g(t) dt of component index[e] at rho[e]."""
+        return self._by_kind(_tail_first_moment, index, rho)
+
+    def _rows(self):
+        """(center, outer radius, kind code, params) per component, the
+        inverse of _arrays."""
+        params = [None] * len(self)
+        for code, idx, p in self._groups:
+            for i, q in zip(idx, np.hstack(p) if code == TABLE else p[:, None]):
+                params[i] = q
+        return zip(self.centers, self.radii, self.kinds, params)
+
+    @cached_property
+    def components(self):
+        """The components as SmoothedPointMass objects, built on first read
+        (a bump reads q[0] as its amplitude, a table the halves of q)."""
+        return tuple(SmoothedPointMass(c, RadialProfile(
+            KIND_NAMES[code], a, q[0], q[:len(q) // 2], q[len(q) // 2:],
+            check_boundary=False)) for c, a, code, q in self._rows())
 
     def __len__(self):
-        return len(self.components)
-
-    def __iter__(self):
-        return iter(self.components)
+        return len(self.radii)
 
     def support_region(self):
         from .geometry import BallRegion
-        return BallRegion(tuple(c.support_ball() for c in self.components))
+        return BallRegion(tuple(Ball(c, r) for c, r in zip(self.centers, self.radii)))
 
     def as_point_masses(self):
-        return [c.as_point_mass() for c in self.components]
+        return [PointMass(c, m) for c, m in zip(self.centers, self.masses)]
 
     def bounding_box(self):
         r = self.radii[:, None]
@@ -332,11 +522,20 @@ def _is_zero(density):
     return isinstance(density, (int, float)) and density == 0
 
 
+def _blocks(total, width=1):
+    """Consecutive indices into range(total), about _BLOCK / width at a
+    time."""
+    step = max(1, _BLOCK // max(width, 1))
+    for start in range(0, total, step):
+        yield np.arange(start, min(start + step, total))
+
+
 def evaluate(density, x):
     """Density value at one point or an (n, 3) batch of points.
 
-    SPMA components superpose; grid densities interpolate trilinearly and
-    vanish outside their box.  For dense regular grids of points prefer
+    SPMA components superpose, each point taking its terms in component
+    order; grid densities interpolate trilinearly and vanish outside
+    their box.  For dense regular grids of points prefer
     :func:`evaluate_on_grid`.
     """
     pts = np.asarray(x, dtype=float)
@@ -348,11 +547,11 @@ def evaluate(density, x):
         out = density.profile(np.linalg.norm(pts - density.center, axis=1))
     elif isinstance(density, SPMA):
         out = np.zeros(len(pts))
-        for comp in density.components:
-            d = np.linalg.norm(pts - comp.center, axis=1)
-            m = d <= comp.radius
-            if m.any():
-                out[m] += comp.profile(d[m])
+        for pair in _blocks(len(density) * len(pts)):
+            c, p = np.divmod(pair, len(pts))
+            d = np.linalg.norm(pts[p] - density.centers[c], axis=1)
+            near = d <= density.radii[c]
+            np.add.at(out, p[near], density.profile(c[near], d[near]))
     elif isinstance(density, GridDensity):
         out = density._interp(pts)
     else:
@@ -364,38 +563,53 @@ def evaluate_on_grid(density, origin, spacing, shape):
     """Density sampled on a regular grid, component-scatter for SPMAs.
 
     origin is the first node, spacing a scalar or 3-vector, shape (nx,ny,nz).
-    Returns an array of that shape.  For arrays with many components this
-    touches only the nodes inside each support ball.
+    Returns an array of that shape.  An SPMA adds each component's
+    profile at the nodes of its support ball, a block of stencil nodes
+    at a time, and every node takes its terms in component order.
     """
+    return _grid_slab(density, origin, spacing, shape, 0, int(shape[0]))
+
+
+def _grid_slab(density, origin, spacing, shape, start, stop):
+    """Layers start..stop-1 along x of evaluate_on_grid's grid, at the
+    same node coordinates."""
     origin = as_vec3(origin)
     spacing = np.broadcast_to(np.asarray(spacing, dtype=float), (3,))
-    shape = tuple(int(n) for n in shape)
+    nx, ny, nz = (int(n) for n in shape)
     if _is_zero(density):
-        return np.zeros(shape)
-    if isinstance(density, SPMA):
-        out = np.zeros(shape)
-        for comp in density.components:
-            lo = np.ceil((comp.center - comp.radius - origin) / spacing).astype(int)
-            hi = np.floor((comp.center + comp.radius - origin) / spacing).astype(int)
-            lo = np.maximum(lo, 0)
-            hi = np.minimum(hi, np.array(shape) - 1)
-            if np.any(hi < lo):
-                continue
-            ax = [origin[d] + spacing[d] * np.arange(lo[d], hi[d] + 1)
-                  for d in range(3)]
-            dx = ax[0][:, None, None] - comp.center[0]
-            dy = ax[1][None, :, None] - comp.center[1]
-            dz = ax[2][None, None, :] - comp.center[2]
-            dist = np.sqrt(dx * dx + dy * dy + dz * dz)
-            mask = dist <= comp.radius
-            if mask.any():
-                block = out[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1, lo[2]:hi[2] + 1]
-                block[mask] += comp.profile(dist[mask])
-        return out
-    # grid densities and single SPMs: direct evaluation
-    ax = [origin[d] + spacing[d] * np.arange(shape[d]) for d in range(3)]
-    pts = np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1).reshape(-1, 3)
-    return evaluate(density, pts).reshape(shape)
+        return np.zeros((stop - start, ny, nz))
+    if not isinstance(density, SPMA):
+        # grid densities and single SPMs: direct evaluation
+        ax = [origin[d] + spacing[d] * np.arange(n) for d, n in enumerate((nx, ny, nz))]
+        ax[0] = ax[0][start:stop]
+        pts = np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1).reshape(-1, 3)
+        return evaluate(density, pts).reshape(stop - start, ny, nz)
+    out = np.zeros((stop - start) * ny * nz)
+    centers, radii = density.centers, density.radii
+    lo = np.maximum(np.ceil((centers - radii[:, None] - origin) / spacing)
+                    .astype(int), (start, 0, 0))
+    hi = np.minimum(np.floor((centers + radii[:, None] - origin) / spacing)
+                    .astype(int), (stop - 1, ny - 1, nz - 1))
+    ext = np.maximum(hi - lo + 1, 0)            # each component's node box
+    # the boxes as rows along z, one per (component, x, y), padded to the
+    # longest row
+    rows = ext[:, 0] * ext[:, 1] * (ext[:, 2] > 0)
+    end = np.cumsum(rows)
+    k = np.arange(ext[:, 2].max())
+    for row in _blocks(int(end[-1]), len(k)):
+        c = np.searchsorted(end, row, side="right")
+        q = row - end[c] + rows[c]
+        i, j = lo[c, 0] + q // ext[c, 1], lo[c, 1] + q % ext[c, 1]
+        dx = origin[0] + spacing[0] * i - centers[c, 0]
+        dy = origin[1] + spacing[1] * j - centers[c, 1]
+        kz = lo[c, 2][:, None] + k
+        dz = origin[2] + spacing[2] * kz - centers[c, 2][:, None]
+        dist = np.sqrt((dx * dx + dy * dy)[:, None] + dz * dz)
+        inside = (dist <= radii[c][:, None]) & (k < ext[c, 2][:, None])
+        flat = (((i - start) * ny + j) * nz)[:, None] + kz
+        np.add.at(out, flat[inside], density.profile(
+            np.repeat(c, inside.sum(axis=1)), dist[inside]))
+    return out.reshape(stop - start, ny, nz)
 
 
 def total_mass(density):
@@ -405,7 +619,7 @@ def total_mass(density):
     if isinstance(density, SmoothedPointMass):
         return density.mass
     if isinstance(density, SPMA):
-        return float(math.fsum(c.mass for c in density.components))
+        return float(math.fsum(density.masses))
     if isinstance(density, GridDensity):
         return float(math.fsum(np.ravel(density.values, order="F"))
                      * density.spacing**3)
@@ -506,46 +720,39 @@ def mean_over(f, K, resolution=32):
 
 
 # ---------------------------------------------------------------------------
-# SPMA file format: one component per line "cx cy cz a kind param..."
-
-def _profile_tokens(profile):
-    if profile.kind == "table":
-        return ["table"] + ["%.17g" % v for v in profile.knots] \
-            + ["%.17g" % v for v in profile.values]
-    return [profile.kind, "%.17g" % profile.amplitude]
-
+# SPMA file format: one component per line "cx cy cz a kind param...",
+# a table's params being its knots then as many values; # comments
 
 def save_spma(spma, path):
     with open(path, "w") as fh:
-        for c in spma.components:
-            fields = ["%.17g" % v for v in c.center] + \
-                ["%.17g" % c.radius] + _profile_tokens(c.profile)
-            fh.write(" ".join(fields) + "\n")
+        for c, a, code, q in spma._rows():
+            fh.write(" ".join(["%.17g" % v for v in (*c, a)] + [KIND_NAMES[code]]
+                              + ["%.17g" % v for v in q]) + "\n")
 
 
 def load_spma(path):
-    comps = []
+    """Read an SPMA file; a bad line raises ValueError naming it."""
+    rows, linenos = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
             tok = line.split()
+            if not tok or tok[0].startswith("#"):
+                continue
             try:
-                center = [float(v) for v in tok[:3]]
-                a = float(tok[3])
-                kind = tok[4]
-                if kind == "table":
-                    rest = np.array([float(v) for v in tok[5:]])
-                    if rest.size % 2:
-                        raise ValueError("odd table payload")
-                    half = rest.size // 2
-                    prof = RadialProfile("table", a, knots=rest[:half],
-                                         values=rest[half:],
-                                         check_boundary=False)
-                else:
-                    prof = RadialProfile(kind, a, amplitude=float(tok[5]))
+                if tok[4] not in KIND_NAMES:
+                    raise ValueError("unknown profile kind %r" % tok[4])
+                code = KIND_NAMES.index(tok[4])
+                q = [float(v) for v in tok[5:]]
+                if code != TABLE and len(q) != 1:
+                    raise ValueError("a %s takes one amplitude" % tok[4])
+                if code == TABLE and (len(q) % 2 or not q):
+                    raise ValueError("a table takes knots, then as many values")
+                rows.append(([float(v) for v in tok[:3]], float(tok[3]), code, q))
             except (IndexError, ValueError) as exc:
                 raise ValueError("bad SPMA file line %d: %s" % (lineno, exc))
-            comps.append(SmoothedPointMass(center, prof))
-    return SPMA(comps)
+            linenos.append(lineno)
+    try:
+        return SPMA.from_arrays(*_arrays(rows), check_boundary=False)
+    except ComponentError as exc:
+        raise ValueError("bad SPMA file line %d: %s"
+                         % (linenos[exc.index], exc.reason))

@@ -12,7 +12,8 @@ import math
 import numpy as np
 from dataclasses import dataclass
 
-from .density import GridDensity, SPMA, SmoothedPointMass, evaluate_on_grid
+from .density import (SPMA, SmoothedPointMass, _blocks, _grid_slab,
+                      evaluate_on_grid)
 
 __all__ = ["GravConfig", "potential_point_masses", "potential_spm",
            "potential_spma", "potential_oracle"]
@@ -48,47 +49,37 @@ def potential_point_masses(masses, x, cfg=DEFAULT_GRAV):
 
 def potential_spm(spm, x, cfg=DEFAULT_GRAV):
     """Potential of a single smoothed point mass, defined everywhere."""
-    pts = np.asarray(x, dtype=float)
-    scalar = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    rho = np.linalg.norm(pts - spm.center, axis=1)
-    a = spm.radius
-    out = np.empty(len(rho))
-    outside = rho >= a
-    if outside.any():
-        out[outside] = spm.mass / rho[outside]
-    inside = ~outside
-    if inside.any():
-        ri = rho[inside]
-        interior = np.empty(len(ri))
-        at_center = ri == 0.0
-        if at_center.any():
-            interior[at_center] = 4.0 * np.pi * spm.profile.tail_first_moment(0.0)
-        off = ~at_center
-        if off.any():
-            r = ri[off]
-            interior[off] = spm.profile.mass_within(r) / r \
-                + 4.0 * np.pi * spm.profile.tail_first_moment(r)
-        out[inside] = interior
-    out *= cfg.G
-    return float(out[0]) if scalar else out
+    return potential_spma(SPMA([spm]), x, cfg)
 
 
 def potential_spma(spma, x, cfg=DEFAULT_GRAV):
-    """Superposition of component potentials."""
+    """Superposition of component potentials, each point taking its terms
+    in component order: outside its ball a component acts as its point
+    mass, inside as interior mass over rho plus the outer shells."""
     pts = np.asarray(x, dtype=float)
     scalar = pts.ndim == 1
     pts = np.atleast_2d(pts)
     out = np.zeros(len(pts))
-    for comp in spma.components:
-        out += potential_spm(comp, pts, cfg)
+    for pair in _blocks(len(spma) * len(pts)):
+        c, p = np.divmod(pair, len(pts))
+        rho = np.linalg.norm(pts[p] - spma.centers[c], axis=1)
+        v = np.empty(len(pair))
+        outside = rho >= spma.radii[c]
+        v[outside] = spma.masses[c[outside]] / rho[outside]
+        inner, r = c[~outside], rho[~outside]
+        m = np.zeros(len(r))       # the interior mass term vanishes at the center
+        np.divide(spma.mass_within(inner, r), r, out=m, where=r > 0)
+        v[~outside] = m + 4.0 * np.pi * spma.tail_first_moment(inner, r)
+        np.add.at(out, p, cfg.G * v)
     return float(out[0]) if scalar else out
 
 
 def _support_distance(density, x):
-    if isinstance(density, (SPMA, SmoothedPointMass)):
-        comps = density.components if isinstance(density, SPMA) else [density]
-        return min(np.linalg.norm(x - c.center) - c.radius for c in comps)
+    if isinstance(density, SmoothedPointMass):
+        density = SPMA([density])
+    if isinstance(density, SPMA):
+        return float(np.min(np.linalg.norm(x - density.centers, axis=1)
+                            - density.radii))
     # grid: distance to the nearest node carrying mass
     nodes = density.node_coordinates()
     mask = np.ravel(density.values, order="C") > 0
@@ -130,12 +121,14 @@ def potential_oracle(density, x, cfg=DEFAULT_GRAV, resolution=128,
     origin = np.array([a[0] for a in axes])
     subcell = int(subcell)
     if subcell > 1:
-        fine_axes, _, fine_w = midpoint_nodes(lo, hi, resolution * subcell)
+        n, s = resolution, subcell
+        fine_axes, _, fine_w = midpoint_nodes(lo, hi, n * s)
         fine_origin = np.array([a[0] for a in fine_axes])
-        fine = evaluate_on_grid(density, fine_origin, fine_w,
-                                (resolution * subcell,) * 3)
-        vals = fine.reshape(resolution, subcell, resolution, subcell,
-                            resolution, subcell).mean(axis=(1, 3, 5))
+        vals = np.empty((n,) * 3)
+        for i in range(n):     # one slab of `subcell` fine layers at a time
+            fine = _grid_slab(density, fine_origin, fine_w, (n * s,) * 3,
+                              i * s, (i + 1) * s)
+            vals[i] = fine.reshape(s, n, s, n, s).mean(axis=(0, 2, 4))
     else:
         vals = evaluate_on_grid(density, origin, widths, (resolution,) * 3)
     mask = vals > 0

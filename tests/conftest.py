@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from gravharm import GridDensity, PointMass
+from gravharm import (GridDensity, PointMass, SPMA, SmoothedPointMass,
+                      constant_taper, cosine_bump, quadratic_bump,
+                      table_profile)
 
 
 def unit_ball_grid(n):
@@ -24,6 +26,26 @@ def random_point_masses(seed, max_count=10, radius=1.0):
             / np.linalg.norm(pts, axis=1))[:, None]
     ms = rng.uniform(0.1, 1.0, k)
     return [PointMass(p, m) for p, m in zip(pts, ms)]
+
+
+def mixed_spma():
+    """Every profile kind, 2-, 3- and 4-knot tables (one not vanishing at
+    its rim), overlapping supports, one overhanging and one missing the
+    box [-1, 1]^3."""
+    return SPMA([
+        SmoothedPointMass((0.0, 0.0, 0.0), quadratic_bump(1.0, 0.8)),
+        SmoothedPointMass((0.4, 0.2, 0.0), cosine_bump(1.5, 0.5)),
+        SmoothedPointMass((-0.3, 0.1, 0.35), constant_taper(2.0, 0.45, 0.1)),
+        SmoothedPointMass((0.1, -0.4, 0.2), table_profile([0.0, 0.3], [1.2, 0.0])),
+        SmoothedPointMass((-0.2, -0.2, -0.3), table_profile(
+            [0.0, 0.25], [0.7, 0.7], check_boundary=False)),
+        SmoothedPointMass((0.3, 0.3, -0.3), table_profile(
+            [0.0, 0.1, 0.2, 0.35], [0.5, 0.9, 0.4, 0.0])),
+        SmoothedPointMass((0.9, 0.0, 0.8), cosine_bump(0.8, 0.3)),
+        SmoothedPointMass((-0.95, 0.9, 0.0), constant_taper(1.0, 0.2, 0.05)),
+        SmoothedPointMass((3.0, 3.0, 3.0), quadratic_bump(2.0, 0.4)),
+        SmoothedPointMass((0.05, 0.0, -0.05), cosine_bump(0.3, 0.6)),
+    ])
 
 
 @pytest.fixture(scope="session")

@@ -76,9 +76,13 @@ def test_coeffs_missing_out_is_validation_error(capsys):
     assert "--out" in capsys.readouterr().err
 
 
-def test_point_mass_file_errors_carry_line_numbers(tmp_path, capsys):
+@pytest.mark.parametrize("line", ["1 2 3", "0 0 0 x", "0 0 0 -1", "0 0 0 inf",
+                                  "0 nan 0 1"],
+                         ids=["missing-field", "non-numeric", "negative-mass",
+                              "infinite-mass", "nonfinite-position"])
+def test_point_mass_file_errors_carry_line_numbers(tmp_path, capsys, line):
     path = tmp_path / "pm.txt"
-    path.write_text("0 0 0 1\n1 2 3\n")
+    path.write_text("0 0 0 1\n%s\n" % line)
     assert run(["coeffs", "--points", path, "--out", tmp_path / "c.csv"]) == 2
     assert ":2:" in capsys.readouterr().err
 

@@ -117,8 +117,7 @@ def test_approximate_report_labels_what_it_does_not_measure(ball_approx):
     for key in ("p2", "a3", "a6"):
         assert res.report[key]["pass"] and res.report[key]["by_construction"]
     a7, n_fill = res.report["a7"], len(res.filling.filling.balls)
-    assert a7["balls_total"] == n_fill
-    assert 0 < a7["balls_checked"] <= n_fill
+    assert a7["balls_checked"] == a7["balls_total"] == n_fill
 
 
 def test_approximate_center_norms_distinct(ball_approx):

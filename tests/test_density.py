@@ -14,6 +14,8 @@ from gravharm import (GridDensity, PointMass, SPMA, SmoothedPointMass,
                       var_over)
 from gravharm.geometry import Ball
 
+from conftest import mixed_spma
+
 
 # ---------------------------------------------------------------------------
 # profiles: closed-form integrals against quadrature oracles
@@ -227,8 +229,123 @@ def test_spma_save_load_round_trip(tmp_path):
     assert np.allclose(arr2.masses, arr.masses, rtol=1e-15)
 
 
-def test_load_spma_reports_line_numbers(tmp_path):
+@pytest.mark.parametrize("line", [
+    "0 0 0 1 bogus_kind 1",
+    "inf 0 0 1 quadratic_bump 1",
+    "0 0 0 0.1 quadratic_bump 1 7 7",
+    "0 0 0 1 cosine_bump",
+    "0 0 0 -1 quadratic_bump 1",
+    "0 0 0 1 cosine_bump -2",
+    "0 0 0 1 table 0 1 1",
+    "0 0 0 1 table 0.1 1 1 0",
+    "0 0 0 1 table 0 0.6 0.5 1 1 1 1 0",
+    "0 0 0 1 table 0 1 -1 0",
+    "0 0 0 1 table 0 1 0 0",
+], ids=["unknown-kind", "nonfinite-center", "extra-tokens", "no-amplitude",
+        "negative-radius", "negative-amplitude", "odd-table", "knots-span",
+        "knots-decrease", "negative-value", "no-mass"])
+def test_load_spma_reports_line_numbers(tmp_path, line):
     path = tmp_path / "bad.spma"
-    path.write_text("0 0 0 1 quadratic_bump 1\n0 0 0 1 bogus_kind 1\n")
+    path.write_text("0 0 0 1 quadratic_bump 1\n%s\n0 0 0 1 cosine_bump 1\n"
+                    % line)
     with pytest.raises(ValueError, match="line 2"):
         load_spma(path)
+
+
+# ---------------------------------------------------------------------------
+# the batched SPMA code against the per-component loops it replaced, kept
+# here as references: results must agree bit for bit
+
+def _loop_evaluate(spma, pts):
+    out = np.zeros(len(pts))
+    for comp in spma.components:
+        d = np.linalg.norm(pts - comp.center, axis=1)
+        m = d <= comp.radius
+        if m.any():
+            out[m] += comp.profile(d[m])
+    return out
+
+
+def _loop_evaluate_on_grid(spma, origin, spacing, shape):
+    origin = np.asarray(origin, dtype=float)
+    spacing = np.broadcast_to(np.asarray(spacing, dtype=float), (3,))
+    out = np.zeros(shape)
+    for comp in spma.components:
+        lo = np.ceil((comp.center - comp.radius - origin) / spacing).astype(int)
+        hi = np.floor((comp.center + comp.radius - origin) / spacing).astype(int)
+        lo = np.maximum(lo, 0)
+        hi = np.minimum(hi, np.array(shape) - 1)
+        if np.any(hi < lo):
+            continue
+        ax = [origin[d] + spacing[d] * np.arange(lo[d], hi[d] + 1)
+              for d in range(3)]
+        dx = ax[0][:, None, None] - comp.center[0]
+        dy = ax[1][None, :, None] - comp.center[1]
+        dz = ax[2][None, None, :] - comp.center[2]
+        dist = np.sqrt(dx * dx + dy * dy + dz * dz)
+        mask = dist <= comp.radius
+        if mask.any():
+            block = out[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1, lo[2]:hi[2] + 1]
+            block[mask] += comp.profile(dist[mask])
+    return out
+
+
+def _loop_save(spma, path):
+    with open(path, "w") as fh:
+        for c in spma.components:
+            p = c.profile
+            tokens = (["table"] + ["%.17g" % v for v in p.knots]
+                      + ["%.17g" % v for v in p.values] if p.kind == "table"
+                      else [p.kind, "%.17g" % p.amplitude])
+            fields = ["%.17g" % v for v in c.center] + ["%.17g" % c.radius]
+            fh.write(" ".join(fields + tokens) + "\n")
+
+
+@pytest.fixture(params=["objects", "loaded"])
+def mixed(request, tmp_path):
+    """The mixed SPMA built from objects, or read back from its file (its
+    components then built from the arrays)."""
+    spma = mixed_spma()
+    if request.param == "loaded":
+        save_spma(spma, tmp_path / "m.spma")
+        spma = load_spma(tmp_path / "m.spma")
+    return spma
+
+
+def test_masses_match_component_loop(mixed):
+    assert np.array_equal(mixed.masses, [c.mass for c in mixed.components])
+    assert total_mass(mixed) == math.fsum(c.mass for c in mixed.components)
+
+
+def test_evaluate_matches_component_loop(mixed):
+    rng = np.random.default_rng(3)
+    pts = np.vstack([rng.uniform(-1.2, 1.2, (4000, 3)), mixed.centers])
+    assert np.array_equal(evaluate(mixed, pts), _loop_evaluate(mixed, pts))
+
+
+@pytest.mark.parametrize("spacing, shape", [
+    (0.05, (41, 41, 41)), ((0.07, 0.05, 0.09), (30, 37, 25))])
+def test_evaluate_on_grid_matches_component_loop(mixed, spacing, shape):
+    origin = (-1.0, -0.95, -1.05)
+    assert np.array_equal(evaluate_on_grid(mixed, origin, spacing, shape),
+                          _loop_evaluate_on_grid(mixed, origin, spacing, shape))
+
+
+def test_save_matches_component_loop_and_round_trips(mixed, tmp_path):
+    save_spma(mixed, tmp_path / "a.spma")
+    _loop_save(mixed, tmp_path / "b.spma")
+    text = (tmp_path / "a.spma").read_bytes()
+    assert text == (tmp_path / "b.spma").read_bytes()
+    save_spma(load_spma(tmp_path / "a.spma"), tmp_path / "c.spma")
+    assert (tmp_path / "c.spma").read_bytes() == text
+
+
+def test_table_values_are_np_interp():
+    rng = np.random.default_rng(5)
+    knots = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 6))])
+    values = rng.uniform(0.0, 2.0, 7)
+    s = np.concatenate([rng.uniform(-0.1, 1.1 * knots[-1], 2000), knots])
+    inside = (s >= 0) & (s <= knots[-1])
+    expect = np.where(inside, np.interp(np.clip(s, 0, knots[-1]), knots, values), 0)
+    p = table_profile(knots, values, check_boundary=False)
+    assert np.array_equal(p(s), expect)

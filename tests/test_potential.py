@@ -7,9 +7,12 @@ import pytest
 from scipy.integrate import quad
 
 from gravharm import (GravConfig, PointMass, SPMA, SmoothedPointMass,
-                      cosine_bump, potential_oracle, potential_point_masses,
-                      potential_spm, potential_spma, quadratic_bump,
-                      table_profile)
+                      cosine_bump, evaluate_on_grid, potential_oracle,
+                      potential_point_masses, potential_spm, potential_spma,
+                      quadratic_bump, table_profile)
+from gravharm.density import midpoint_nodes
+
+from conftest import mixed_spma
 
 
 def interior_oracle(profile, rho, G=1.0):
@@ -119,6 +122,65 @@ def test_spma_exterior_equals_point_mass_array():
     x = np.array([0.0, 3.0, 0.0])
     assert potential_spma(arr, x) == pytest.approx(
         potential_point_masses(arr.as_point_masses(), x), rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the batched code against the per-component loops it replaced, kept here
+# as references: results must agree bit for bit
+
+def _loop_potential_spma(spma, pts, G):
+    out = np.zeros(len(pts))
+    for spm in spma.components:
+        rho = np.linalg.norm(pts - spm.center, axis=1)
+        v = np.empty(len(rho))
+        outside = rho >= spm.radius
+        v[outside] = spm.mass / rho[outside]
+        ri = rho[~outside]
+        interior = np.empty(len(ri))
+        at_center = ri == 0.0
+        interior[at_center] = 4.0 * np.pi * spm.profile.tail_first_moment(0.0)
+        r = ri[~at_center]
+        interior[~at_center] = spm.profile.mass_within(r) / r \
+            + 4.0 * np.pi * spm.profile.tail_first_moment(r)
+        v[~outside] = interior
+        out += v * G
+    return out
+
+
+def _loop_oracle(density, x, resolution, subcell):
+    """The oracle averaging subcells over the whole fine grid at once."""
+    lo, hi = density.bounding_box()
+    axes, cellvol, _ = midpoint_nodes(lo, hi, resolution)
+    fine_axes, _, fine_w = midpoint_nodes(lo, hi, resolution * subcell)
+    fine = evaluate_on_grid(density, [a[0] for a in fine_axes], fine_w,
+                            (resolution * subcell,) * 3)
+    vals = fine.reshape(resolution, subcell, resolution, subcell,
+                        resolution, subcell).mean(axis=(1, 3, 5))
+    mask = vals > 0
+    xx, yy, zz = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([xx[mask], yy[mask], zz[mask]], axis=-1)
+    return np.array([cellvol * math.fsum(vals[mask] / np.linalg.norm(
+        pts - xe, axis=1)) for xe in x])
+
+
+def test_spma_potential_matches_component_loop():
+    spma = mixed_spma()
+    rng = np.random.default_rng(11)
+    pts = np.vstack([rng.uniform(-1.2, 1.2, (4000, 3)), spma.centers,
+                     spma.centers + spma.radii[:, None] * [1.0, 0.0, 0.0]])
+    for G in (1.0, 0.37):
+        assert np.array_equal(potential_spma(spma, pts, GravConfig(G)),
+                              _loop_potential_spma(spma, pts, G))
+    spm = spma.components[2]
+    assert np.array_equal(potential_spm(spm, pts),
+                          _loop_potential_spma(SPMA([spm]), pts, 1.0))
+
+
+def test_oracle_subcell_slabs_match_whole_fine_grid():
+    spma = SPMA(mixed_spma().components[:8])
+    x = np.array([[2.0, -1.5, 0.0], [-2.2, 2.0, -1.5], [0.0, 0.1, 2.4]])
+    assert np.array_equal(potential_oracle(spma, x, resolution=24, subcell=3),
+                          _loop_oracle(spma, x, 24, 3))
 
 
 # ---------------------------------------------------------------------------
