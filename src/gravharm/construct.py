@@ -8,6 +8,8 @@ below its budget.  The covering is a blanket of radius-2h balls, one per
 support node; their amplitudes are fitted so the summed background
 tracks a fixed fraction of f across the whole support, and each filling
 ball then carries the local mean of what the background leaves over.
+Fillings and coverings are `BallRegion`s, center and radius arrays, and
+the approximation reuses the filling's grid and support nodes.
 """
 
 import math
@@ -17,11 +19,11 @@ from dataclasses import dataclass
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .geometry import (Ball, BallRegion, brillouin_radius,
+from .geometry import (BallRegion, brillouin_radius,
                        general_position_perturb, hausdorff_distance,
                        pointmass_brillouin_radius)
-from .density import (QUADRATIC, SPMA, TABLE, GridDensity, constant_taper,
-                      cosine_bump, lp_metric, quadratic_bump)
+from .density import (QUADRATIC, SPMA, TABLE, GridDensity, _pow,
+                      constant_taper, cosine_bump, lp_metric, quadratic_bump)
 from .convergence import pointmass_rc
 
 __all__ = ["FillingParams", "SnowmanParams", "FillingBudgetError",
@@ -31,6 +33,9 @@ __all__ = ["FillingParams", "SnowmanParams", "FillingBudgetError",
            "snowman_descends_to_topography", "SnowmanReport"]
 
 COVER_RADIUS_STEPS = 2     # covering-ball radius in grid steps
+BACKGROUND_FRACTION = 0.95  # share of f the covering background carries
+TAPER_FRACTION = 0.02      # filling-taper rim width over its radius
+MAX_BALLS = 200_000        # filling balls before the budget counts as lost
 
 
 class FillingBudgetError(RuntimeError):
@@ -49,20 +54,16 @@ class FillingParams:
     eps: float                   # geometric budget for the set distances
     grid_resolution: int = 0     # 0: fill on the density's own grid
     min_ball_radius: float = 0.0  # 0: 1e-3 of the grid step
-    background_fraction: float = 0.95
-    taper_fraction: float = 0.02
-    max_balls: int = 200_000
 
     def __post_init__(self):
         if not (self.delta > 0 and self.eps > 0):
             raise ValueError("delta and eps must be positive")
-        if not 0 <= self.background_fraction < 1:
-            raise ValueError("background fraction must lie in [0, 1)")
 
 
 @dataclass
 class SphericalFilling:
-    """Result of the greedy filling: disjoint balls plus a ball cover."""
+    """Result of the greedy filling on `grid`: disjoint balls plus a cover
+    of one ball per support node, in `np.argwhere` order."""
 
     filling: BallRegion
     covering: BallRegion
@@ -70,8 +71,7 @@ class SphericalFilling:
     a1_bound: float
     a2_bound: float
     max_ball_var: float
-    grid_step: float
-    support_volume: float
+    grid: GridDensity
 
 
 def _filling_grid(f, params):
@@ -97,20 +97,19 @@ def _support_arrays(g, safety):
     nodes = g.origin + g.spacing * np.argwhere(mask)
     fvals = g.values[mask]
     r_sup = (edt[mask] - safety) * g.spacing * (1.0 - 1e-9)
-    return nodes, fvals, r_sup, mask
+    return nodes, fvals, r_sup
 
 
 def _var_capped_radius(r, center, tree, fvals, bound, step):
-    """Shrink r until the node oscillation of f inside the ball is < bound."""
+    """Shrink r until the node oscillation of f inside the ball is < bound;
+    returns the radius and that oscillation (0 below one step)."""
     while r >= step:
         sel = tree.query_ball_point(center, r)
-        if not sel:
-            return r
-        vals = fvals[sel]
-        if vals.max() - vals.min() < bound:
-            return r
+        var = float(np.ptp(fvals[sel])) if sel else 0.0
+        if var < bound:
+            return r, var
         r -= step
-    return r
+    return r, 0.0
 
 
 def spherical_filling(f, params):
@@ -131,7 +130,7 @@ def spherical_filling(f, params):
     cannot be met at this resolution.
     """
     g, safety = _filling_grid(f, params)
-    nodes, fvals, r_sup, mask = _support_arrays(g, safety)
+    nodes, fvals, r_sup = _support_arrays(g, safety)
     h = g.spacing
     n_nodes = len(nodes)
     cell = h**3
@@ -155,7 +154,7 @@ def spherical_filling(f, params):
 
     active = np.arange(n_nodes)
     gap = np.full(n_nodes, np.inf)
-    balls = []
+    centers, radii = [], []
     max_ball_var = 0.0
     residual = total_mass
 
@@ -166,12 +165,13 @@ def spherical_filling(f, params):
         residual -= float(fvals[active[covered]].sum() * cell)
         gap[active] = np.minimum(gap[active], d - r)
         active = active[~covered]
-        balls.append(Ball(center, r))
+        centers.append(center)
+        radii.append(r)
 
     # phase 1: quantized greedy, largest admissible ball first; packing
     # continues past the residual budget because every covered cell also
     # improves the metric fit later on
-    while len(balls) < params.max_balls:
+    while len(radii) < MAX_BALLS:
         if active.size == 0:
             break
         avail = np.minimum(r_sup[active], gap[active])
@@ -181,42 +181,34 @@ def spherical_filling(f, params):
             break
         center = nodes[active[i]]
         if need_var_cap:
-            r = _var_capped_radius(r, center, tree, fvals, a2_bound, step)
+            r, var = _var_capped_radius(r, center, tree, fvals, a2_bound, step)
             if r < step:
                 # this node only admits sub-step balls; retire it to the
                 # endgame by pinning its gap
                 gap[active[i]] = min(gap[active[i]], step * (1 - 1e-12))
                 continue
-            sel = tree.query_ball_point(center, r)
-            if sel:
-                v = fvals[sel]
-                max_ball_var = max(max_ball_var, float(v.max() - v.min()))
+            max_ball_var = max(max_ball_var, var)
         place(center, r)
 
     # phase 2: batched sub-step endgame; radii capped below half the node
     # spacing so the new balls are mutually interior-disjoint by spacing
-    if active.size:
-        r_e = np.minimum(np.minimum(r_sup[active], gap[active]),
-                         0.495 * h) * 0.99
-        keep = r_e >= min_r
-        if keep.any():
-            residual -= float(fvals[active[keep]].sum() * cell)
-            for c, r in zip(nodes[active[keep]], r_e[keep]):
-                balls.append(Ball(c, float(r)))
-            active = active[~keep]
+    r_e = np.minimum(np.minimum(r_sup[active], gap[active]), 0.495 * h) * 0.99
+    keep = r_e >= min_r
+    residual -= float(fvals[active[keep]].sum() * cell)
 
     if residual >= a1_bound:
         raise FillingBudgetError(
             "a1: residual mass %.3g exceeds budget %.3g at grid step %.3g; "
             "refine the grid or lower min_ball_radius" % (residual, a1_bound, h))
-    if len(balls) >= params.max_balls:
+    if len(radii) + keep.sum() >= MAX_BALLS:
         raise FillingBudgetError("ball budget exhausted before meeting a1")
 
-    r_cov = COVER_RADIUS_STEPS * h
-    cover = [Ball(c, r_cov) for c in nodes]
-    return SphericalFilling(BallRegion(tuple(balls)), BallRegion(tuple(cover)),
-                            residual, a1_bound, a2_bound, max_ball_var, h,
-                            support_volume)
+    filling = BallRegion(np.vstack([np.reshape(centers, (-1, 3)),
+                                    nodes[active[keep]]]),
+                         np.concatenate([radii, r_e[keep]]))
+    cover = BallRegion(nodes, np.full(n_nodes, COVER_RADIUS_STEPS * h))
+    return SphericalFilling(filling, cover, residual, a1_bound, a2_bound,
+                            max_ball_var, g)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +298,7 @@ def spma_approximate(f, params):
     """Approximate a grid density by a smoothed point-mass array.
 
     One component per filling and covering ball.  The covering blanket
-    carries a fitted background at `background_fraction` of f; each
+    carries a fitted background at BACKGROUND_FRACTION of f; each
     filling ball carries a constant-interior taper at the local mean of
     what the background leaves over.  Centers are nudged into general
     position (pairwise-distinct norms) at the end.  Verifies the
@@ -314,32 +306,35 @@ def spma_approximate(f, params):
     first failed one; the filling conditions are measured and reported.
     """
     filling = spherical_filling(f, params)
-    g, safety = _filling_grid(f, params)
-    nodes, fvals, r_sup, mask = _support_arrays(g, safety)
+    fill, cover = filling.filling, filling.covering
+    g = filling.grid
     h = g.spacing
+    mask, nodes, fvals = _support(filling)
     tree = cKDTree(nodes)
+    # the support nodes in each filling ball, for the plateaus and a7;
+    # unsorted keeps each list in the order of a single-point query
+    in_ball = tree.query_ball_point(fill.centers, fill.radii,
+                                    return_sorted=False)
     amp_floor = 1e-12 * max(float(fvals.max()), 1.0)
 
     w_grid, bg_grid, meanf_grid = _fit_background(
-        g.values, mask, params.background_fraction)
+        g.values, mask, BACKGROUND_FRACTION)
     cover_amp = np.maximum(w_grid[mask], amp_floor)
     lam_bg = bg_grid[mask]
 
     # filling plateaus on top of the background
     fill_amp = []
-    for b in filling.filling.balls:
-        sel = tree.query_ball_point(b.center, b.radius)
+    for center, sel in zip(fill.centers, in_ball):
         if sel:
             tgt = float(np.mean(fvals[sel] - lam_bg[sel]))
         else:
-            i = tree.query(b.center)[1]
+            i = tree.query(center)[1]
             tgt = float(fvals[i] - lam_bg[i])
         fill_amp.append(max(tgt, amp_floor))
 
     # one part per ball; perturb all centers into general position
-    fill, cover = filling.filling, filling.covering
-    n_fill = len(fill.balls)
-    parts = np.zeros(n_fill + len(cover.balls), _PART)
+    n_fill = len(fill)
+    parts = np.zeros(n_fill + len(cover), _PART)
     parts["center"] = general_position_perturb(
         np.vstack([fill.centers, cover.centers]), min(1e-3 * h, 1e-3 * params.eps))
     parts["radius"] = np.concatenate([fill.radii, cover.radii])
@@ -351,9 +346,9 @@ def spma_approximate(f, params):
     # re-filling at half step until it is
     parts = _shrink_extremal(parts, params, h)
 
-    spma = _assemble(parts, params)
-    report = _verify(g, spma, filling, params, nodes, fvals,
-                     meanf_grid[mask], mask, parts["tag"])
+    spma = _assemble(parts)
+    report = _verify(spma, filling, params, tree, in_ball, meanf_grid[mask],
+                     parts["tag"])
     failed = [k for k in ("p1", "p2", "p3", "p4", "p5", "p6", "p7")
               if not report[k]["pass"]]
     if failed:
@@ -362,12 +357,19 @@ def spma_approximate(f, params):
     return ApproximationResult(spma, report, filling)
 
 
-def _assemble(parts, params):
-    """Constant-interior tapers (rim width taper_fraction of the radius)
+def _support(filling):
+    """Support mask, nodes and values of f on the filling grid; the nodes
+    are the covering's centers."""
+    mask = filling.grid.values > 0
+    return mask, filling.covering.centers, filling.grid.values[mask]
+
+
+def _assemble(parts):
+    """Constant-interior tapers (rim width TAPER_FRACTION of the radius)
     and quadratic bumps, each at its part's value at the center."""
     taper = parts["taper"]
     r, v = parts["radius"][taper], parts["value"][taper]
-    tau = np.minimum(np.maximum(params.taper_fraction * r, 1e-6 * r), 0.5 * r)
+    tau = np.minimum(np.maximum(TAPER_FRACTION * r, 1e-6 * r), 0.5 * r)
     tables = [(np.flatnonzero(taper), np.stack([np.zeros_like(r), r - tau, r], axis=1),
                np.stack([v, v, np.zeros_like(v)], axis=1))]
     return SPMA.from_arrays(parts["center"], parts["radius"],
@@ -412,10 +414,14 @@ def _boundary_voxels(mask, origin, h):
     return origin + h * np.argwhere(edge)
 
 
-def _verify(g, spma, filling, params, nodes, fvals, meanf, mask, tags):
+def _verify(spma, filling, params, tree_nodes, in_ball, meanf, tags):
+    """The p1-p7 / a1-a8 report; `in_ball` is the support-node query of
+    each filling ball on `tree_nodes`, `tags` as in _PART."""
     from .density import evaluate_on_grid
 
     delta, eps = params.delta, params.eps
+    g = filling.grid
+    mask, nodes, fvals = _support(filling)
     h = g.spacing
     cell = h**3
     report = {}
@@ -423,7 +429,7 @@ def _verify(g, spma, filling, params, nodes, fvals, meanf, mask, tags):
     centers = spma.centers
     radii = spma.radii
     norms = np.linalg.norm(centers, axis=1)
-    n_fill = len(filling.filling.balls)
+    n_fill = len(filling.filling)
 
     # voxelization of the array's support at grid scale: the covering
     # blanket puts a radius-2h ball on every support node, so the support
@@ -437,11 +443,13 @@ def _verify(g, spma, filling, params, nodes, fvals, meanf, mask, tags):
     report["p1"] = {"pass": bool(n_comp == 1 and np.all(spma.masses > 0)),
                     "support_components": n_comp}
 
-    # p2 / a3: every support point strictly inside some ball (each node
-    # is the center of its own covering ball of radius 2h, so any support
-    # point is within node distance sqrt(3)h < 2h of a center)
-    report["p2"] = {"pass": True, "by_construction": True,
-                    "note": "per-node covering blanket"}
+    # p2 / a3: every support node strictly inside some ball.  Every
+    # amplitude is at least amp_floor > 0 and every profile is positive
+    # strictly inside its ball, so that holds exactly where lambda > 0
+    lam_vals = evaluate_on_grid(spma, g.origin, g.spacing, g.shape)
+    uncovered = int(np.count_nonzero(~(lam_vals[mask] > 0)))
+    report["p2"] = {"pass": uncovered == 0, "nodes_checked": len(nodes),
+                    "nodes_uncovered": uncovered}
     report["a3"] = dict(report["p2"])
 
     # p3: measured L1 distance
@@ -458,7 +466,6 @@ def _verify(g, spma, filling, params, nodes, fvals, meanf, mask, tags):
                     "sampling_tol": tol}
     # K_f sits inside the blanket; the set distance is how far the
     # blanket extends beyond the support
-    tree_nodes = cKDTree(nodes)
     pts_lam = g.origin + h * np.argwhere(mask_lam)
     d_set = float(np.max(tree_nodes.query(pts_lam, k=1)[0]))
     report["p4"] = {"pass": bool(d_set < eps + tol), "set_distance": d_set}
@@ -497,20 +504,17 @@ def _verify(g, spma, filling, params, nodes, fvals, meanf, mask, tags):
     # residual budget; also reported with the component alone, which must
     # fail whenever f is locally constant (var = 0 but the error of any
     # continuous profile vanishing on the rim is positive)
-    lam_vals = evaluate_on_grid(spma, g.origin, g.spacing, g.shape)
     fdiff = np.abs(g.values - lam_vals)[mask]
-    fill_balls = filling.filling.balls
     # the component of each filling ball that kept exactly one, else -1
     filled = np.flatnonzero(tags >= 0)
     own = np.full(n_fill, -1)
     own[tags[filled]] = filled
     own[np.bincount(tags[filled], minlength=n_fill) != 1] = -1
-    vols = np.array([4.0 / 3.0 * np.pi * b.radius**3 for b in fill_balls])
+    vols = 4.0 / 3.0 * np.pi * _pow(filling.filling.radii, 3)
     slack_total = min(delta, eps) / 10.0
     worst = -np.inf
     worst_lit = -np.inf
-    for j, b in enumerate(fill_balls):
-        sel = tree_nodes.query_ball_point(b.center, b.radius)
+    for j, sel in enumerate(in_ball):
         if not sel:
             continue
         var = float(fvals[sel].max() - fvals[sel].min())
@@ -537,7 +541,7 @@ def _verify(g, spma, filling, params, nodes, fvals, meanf, mask, tags):
     report["summary"] = {
         "components": len(spma),
         "filling_balls": n_fill,
-        "covering_balls": len(filling.covering.balls),
+        "covering_balls": len(filling.covering),
         "mu1": mu1,
         "boundary_hausdorff": d_boundary,
         "set_distance": d_set,

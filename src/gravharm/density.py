@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from scipy import ndimage
 from scipy.interpolate import RegularGridInterpolator
 
-from .geometry import Ball, as_vec3
+from .geometry import Ball, BallRegion, as_vec3
 
 __all__ = [
     "RadialProfile", "quadratic_bump", "cosine_bump", "constant_taper",
@@ -409,8 +409,7 @@ class SPMA:
         return len(self.radii)
 
     def support_region(self):
-        from .geometry import BallRegion
-        return BallRegion(tuple(Ball(c, r) for c, r in zip(self.centers, self.radii)))
+        return BallRegion(self.centers, self.radii)
 
     def as_point_masses(self):
         return [PointMass(c, m) for c, m in zip(self.centers, self.masses)]

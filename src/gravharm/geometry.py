@@ -1,7 +1,7 @@
 """Points, balls, unions of balls, Brillouin radii and set distances."""
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from scipy.spatial import cKDTree
 
 
@@ -34,31 +34,27 @@ class Ball:
         return d < self.radius if strict else d <= self.radius
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BallRegion:
-    """Finite union of closed balls."""
+    """Finite union of closed balls: (N, 3) centers and (N,) radii."""
 
-    balls: tuple = field(default_factory=tuple)
+    centers: np.ndarray
+    radii: np.ndarray
 
     def __post_init__(self):
-        balls = tuple(self.balls)
-        if not balls:
-            raise ValueError("BallRegion must contain at least one ball")
-        if not all(isinstance(b, Ball) for b in balls):
-            balls = tuple(b if isinstance(b, Ball) else Ball(*b) for b in balls)
-        object.__setattr__(self, "balls", balls)
+        c = np.asarray(self.centers, dtype=float)
+        r = np.asarray(self.radii, dtype=float)
+        if r.ndim != 1 or not len(r) or c.shape != (len(r), 3):
+            raise ValueError("BallRegion needs N >= 1 balls: (N, 3) centers "
+                             "and N radii, got %s and %s" % (c.shape, r.shape))
+        if not (np.all(np.isfinite(c)) and np.all((r > 0) & np.isfinite(r))):
+            raise ValueError("ball centers must be finite and radii "
+                             "positive and finite")
+        object.__setattr__(self, "centers", c)
+        object.__setattr__(self, "radii", r)
 
-    @property
-    def centers(self):
-        return np.array([b.center for b in self.balls])
-
-    @property
-    def radii(self):
-        return np.array([b.radius for b in self.balls])
-
-    def bounding_box(self):
-        c, r = self.centers, self.radii[:, None]
-        return (c - r).min(axis=0), (c + r).max(axis=0)
+    def __len__(self):
+        return len(self.radii)
 
 
 def brillouin_radius(region):
@@ -126,7 +122,6 @@ def boundary_sample(region, target_spacing):
     target_spacing = float(target_spacing)
     if not target_spacing > 0:
         raise ValueError("target_spacing must be positive")
-    balls = region.balls
     centers, radii = region.centers, region.radii
     out = []
     # split the occlusion test: few large balls checked densely, the
@@ -136,9 +131,9 @@ def boundary_sample(region, target_spacing):
     tree = cKDTree(centers[small]) if small.size else None
     r_small_max = radii[small].max() if small.size else 0.0
     eps = 1e-12
-    for i, b in enumerate(balls):
-        pts = b.center + b.radius * fibonacci_sphere(
-            _sphere_sample_count(b.radius, target_spacing)
+    for i, (center, radius) in enumerate(zip(centers, radii)):
+        pts = center + radius * fibonacci_sphere(
+            _sphere_sample_count(radius, target_spacing)
         )
         keep = np.ones(len(pts), dtype=bool)
         for j in big:
@@ -192,13 +187,10 @@ def general_position_perturb(centers, max_shift):
         shifts = np.arange(n) * scale
         new_norms = norms + shifts
         if len(np.unique(new_norms)) == n:
+            move = shifts != 0.0
+            scale, origin = move & (norms > 0), move & ~(norms > 0)
             out = centers.copy()
-            for i in range(n):
-                if shifts[i] == 0.0:
-                    continue
-                if norms[i] > 0:
-                    out[i] = centers[i] * (new_norms[i] / norms[i])
-                else:
-                    out[i] = np.array([shifts[i], 0.0, 0.0])
+            out[scale] *= (new_norms[scale] / norms[scale])[:, None]
+            out[origin] = shifts[origin, None] * np.array([1.0, 0.0, 0.0])
             return out
     raise RuntimeError("could not separate center norms deterministically")

@@ -12,6 +12,8 @@ from gravharm import (ConstructionError, FillingBudgetError, FillingParams,
                       snowman_descends_to_topography, snowman_waist_radius,
                       spherical_filling, spma_approximate)
 
+from gravharm import density as density_module
+
 from conftest import unit_ball_grid
 
 
@@ -77,7 +79,7 @@ def test_covering_is_a_support_blanket(ball_filling):
     nodes = g.node_coordinates()
     pos = np.ravel(g.values, order="C") > 0
     # one covering ball of radius 2h per support node, centered there
-    assert len(fill.covering.balls) == int(pos.sum())
+    assert len(fill.covering) == int(pos.sum())
     assert np.all(fill.covering.radii == 2 * g.spacing)
     tree = cKDTree(fill.covering.centers)
     d = tree.query(nodes[pos], k=1)[0]
@@ -93,8 +95,6 @@ def test_filling_budget_error_for_tiny_budget():
 def test_filling_params_validation():
     with pytest.raises(ValueError):
         FillingParams(delta=0.0, eps=0.1)
-    with pytest.raises(ValueError):
-        FillingParams(delta=0.1, eps=0.1, background_fraction=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +113,31 @@ def test_approximate_required_properties_pass(ball_approx):
 
 
 def test_approximate_report_labels_what_it_does_not_measure(ball_approx):
-    _, res = ball_approx
-    for key in ("p2", "a3", "a6"):
-        assert res.report[key]["pass"] and res.report[key]["by_construction"]
-    a7, n_fill = res.report["a7"], len(res.filling.filling.balls)
+    g, res = ball_approx
+    n_support = int(np.count_nonzero(g.values > 0))
+    for key in ("p2", "a3"):
+        rep = res.report[key]
+        assert rep["pass"] and "by_construction" not in rep
+        assert rep["nodes_checked"] == n_support
+        assert rep["nodes_uncovered"] == 0
+    assert res.report["a6"]["pass"] and res.report["a6"]["by_construction"]
+    a7, n_fill = res.report["a7"], len(res.filling.filling)
     assert a7["balls_checked"] == a7["balls_total"] == n_fill
+
+
+def test_approximate_evaluates_a_resampled_density_once(monkeypatch):
+    # the filling grid is built once and shared with the approximation
+    g = unit_ball_grid(16)
+    calls = []
+
+    def counting(density, x):
+        calls.append(density is g)
+        return evaluate(density, x)
+    monkeypatch.setattr(density_module, "evaluate", counting)
+    res = spma_approximate(g, FillingParams(delta=0.7, eps=0.7,
+                                           grid_resolution=20))
+    assert calls.count(True) == 1
+    assert res.filling.grid.shape == (20, 20, 20)
 
 
 def test_approximate_center_norms_distinct(ball_approx):

@@ -35,9 +35,17 @@ def test_ball_contains_closed_vs_strict():
     assert not b.contains(on_rim, strict=True)[0]
 
 
-def test_ball_region_requires_a_ball():
+@pytest.mark.parametrize("centers, radii", [
+    (np.empty((0, 3)), np.empty(0)),
+    ([[0.0, np.nan, 0.0]], [1.0]),
+    ([[0.0, 0.0, 0.0]], [0.0]),
+    ([[0.0, 0.0, 0.0]], [-1.0]),
+    ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [1.0]),
+], ids=["empty", "nan-center", "zero-radius", "negative-radius",
+        "mismatched-shapes"])
+def test_ball_region_requires_a_ball(centers, radii):
     with pytest.raises(ValueError):
-        BallRegion(())
+        BallRegion(centers, radii)
 
 
 # ---------------------------------------------------------------------------
@@ -45,13 +53,14 @@ def test_ball_region_requires_a_ball():
 
 def test_brillouin_radius_two_balls():
     # [TRIVIAL] max over balls of ||center|| + radius
-    reg = BallRegion((Ball((1, 0, 0), 1.5), Ball((-1, 0, 0), 1.5)))
+    reg = BallRegion([(1, 0, 0), (-1, 0, 0)], [1.5, 1.5])
+    assert len(reg) == 2
     assert brillouin_radius(reg) == 2.5
 
 
 def test_brillouin_radius_off_axis():
     # [DERIVED] ||(3,4,0)|| + 2 = 7
-    reg = BallRegion((Ball((3, 4, 0), 2.0),))
+    reg = BallRegion([(3, 4, 0)], [2.0])
     assert brillouin_radius(reg) == pytest.approx(7.0, abs=1e-15)
 
 
@@ -106,7 +115,7 @@ def test_fibonacci_sphere_unit_norms_and_determinism():
 
 
 def test_boundary_sample_single_ball_on_sphere():
-    reg = BallRegion((Ball((0.5, 0, 0), 2.0),))
+    reg = BallRegion([(0.5, 0, 0)], [2.0])
     pts = boundary_sample(reg, 0.2)
     d = np.linalg.norm(pts - np.array([0.5, 0, 0]), axis=1)
     assert np.allclose(d, 2.0, atol=1e-12)
@@ -114,7 +123,7 @@ def test_boundary_sample_single_ball_on_sphere():
 
 def test_boundary_sample_occlusion():
     # points strictly inside the other ball must be discarded
-    reg = BallRegion((Ball((0, 0, 0), 1.0), Ball((1.0, 0, 0), 1.0)))
+    reg = BallRegion([(0, 0, 0), (1.0, 0, 0)], [1.0, 1.0])
     pts = boundary_sample(reg, 0.1)
     d0 = np.linalg.norm(pts - np.array([0.0, 0, 0]), axis=1)
     d1 = np.linalg.norm(pts - np.array([1.0, 0, 0]), axis=1)
@@ -143,6 +152,44 @@ def test_general_position_perturb_noop_when_separated():
     centers = np.array([[1.0, 0, 0], [2.0, 0, 0], [3.0, 0, 0]])
     out = general_position_perturb(centers, 1e-3)
     assert np.array_equal(out, centers)
+
+
+def _perturb_loop(centers, max_shift):
+    """Reference: the per-center rescaling loop general_position_perturb
+    replaced by one masked array step."""
+    centers = np.atleast_2d(np.asarray(centers, dtype=float)).copy()
+    n = len(centers)
+    norms = np.linalg.norm(centers, axis=1)
+    if n > 1:
+        if np.all(np.diff(np.sort(norms)) > 2 * max_shift):
+            return centers
+    elif n == 1:
+        return centers
+    eta = max_shift / (n + 1)
+    for attempt in range(64):
+        shifts = np.arange(n) * (eta / np.pi**attempt)
+        new_norms = norms + shifts
+        if len(np.unique(new_norms)) == n:
+            out = centers.copy()
+            for i in range(n):
+                if shifts[i] == 0.0:
+                    continue
+                if norms[i] > 0:
+                    out[i] = centers[i] * (new_norms[i] / norms[i])
+                else:
+                    out[i] = np.array([shifts[i], 0.0, 0.0])
+            return out
+    raise RuntimeError("could not separate center norms deterministically")
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(2, 40))
+def test_general_position_perturb_matches_loop_bit_for_bit(seed, n):
+    rng = np.random.default_rng(seed)
+    centers = np.round(rng.normal(size=(n, 3)), 1)   # many norm collisions
+    centers[rng.integers(n, size=2)] = 0.0            # origin, maybe twice
+    out = general_position_perturb(centers, 1e-3)
+    assert out.tobytes() == _perturb_loop(centers, 1e-3).tobytes()
 
 
 def test_general_position_perturb_origin_moves_along_x():
