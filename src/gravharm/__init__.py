@@ -8,15 +8,15 @@ spherical-filling approximation of a grid density and the two-ball
 topography.
 """
 
-from .geometry import (Ball, BallRegion, as_vec3, boundary_sample,
+from .geometry import (BallRegion, as_vec3, boundary_sample,
                        brillouin_radius, fibonacci_sphere,
                        general_position_perturb, hausdorff_distance,
                        pointmass_brillouin_radius)
-from .density import (GridDensity, PointMass, RadialProfile, SPMA,
-                      SmoothedPointMass, WeightFn, constant_taper,
+from .density import (GridDensity, PointMass, PointMasses, RadialProfile,
+                      SPMA, SmoothedPointMass, WeightFn, constant_taper,
                       cosine_bump, evaluate, evaluate_on_grid, load_spma,
-                      lp_metric, mean_over, quadratic_bump, save_spma,
-                      table_profile, total_mass, var_over)
+                      lp_metric, quadratic_bump, save_spma, table_profile,
+                      total_mass)
 from .potential import (GravConfig, potential_oracle, potential_point_masses,
                         potential_spm, potential_spma)
 from .she import (Direction, SHECoefficients, coeffs_from_point_masses,
@@ -27,8 +27,8 @@ from .she import (Direction, SHECoefficients, coeffs_from_point_masses,
 from .convergence import (AllDirectionsInconclusive, ConvergenceReport,
                           DescentReport, PartialSumReport,
                           classify_partial_sums, epsilon_descent_check,
-                          estimate_rc, estimate_rc_direction,
-                          estimate_rc_reports, pointmass_rc, rc_from_reports)
+                          estimate_rc, estimate_rc_reports, pointmass_rc,
+                          rc_from_reports)
 from .construct import (ApproximationResult, ConstructionError,
                         FillingBudgetError, FillingParams, SnowmanParams,
                         SnowmanReport, SphericalFilling, build_snowman,

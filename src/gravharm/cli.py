@@ -13,7 +13,8 @@ import sys
 
 import numpy as np
 
-from .density import GridDensity, PointMass, load_spma, save_spma
+from .density import (ComponentError, GridDensity, PointMasses, load_spma,
+                      save_spma)
 from .geometry import pointmass_brillouin_radius
 from .she import (Direction, coeffs_from_point_masses,
                   coeffs_from_sphere_quadrature, evaluate_partial_sum)
@@ -42,8 +43,11 @@ class CliError(Exception):
 
 
 def load_point_masses(path):
-    """Point-mass file: one `x y z m` line per mass; # comments allowed."""
-    masses = []
+    """Point-mass file: one `x y z m` line per mass; # comments allowed.
+
+    Returns a PointMasses; a bad row raises CliError naming path:line.
+    """
+    rows, linenos = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -54,13 +58,17 @@ def load_point_masses(path):
                 raise CliError("%s:%d: expected 'x y z m', got %r"
                                % (path, lineno, line))
             try:
-                x, y, z, m = (float(p) for p in parts)
-                masses.append(PointMass((x, y, z), m))
+                rows.append([float(p) for p in parts])
             except ValueError as exc:
                 raise CliError("%s:%d: %s in %r" % (path, lineno, exc, line))
-    if not masses:
+            linenos.append(lineno)
+    if not rows:
         raise CliError("%s: no point masses found" % path)
-    return masses
+    rows = np.array(rows)
+    try:
+        return PointMasses(rows[:, :3], rows[:, 3])
+    except ComponentError as exc:
+        raise CliError("%s:%d: %s" % (path, linenos[exc.index], exc.reason))
 
 
 def _require(args, *names):
@@ -103,23 +111,24 @@ def _write_rc_csv(path, reports):
 def cmd_coeffs(args):
     _require(args, "out")
     spma, masses = _masses_from_args(args)
-    R = args.R if args.R is not None else pointmass_brillouin_radius(masses)
+    R_pm = pointmass_brillouin_radius(masses)
+    R = args.R if args.R is not None else R_pm
     if not R > 0:
         raise CliError("reference radius must be positive (all masses at "
                        "the origin? pass --R)")
     c = coeffs_from_point_masses(masses, R, args.n_max, G=args.G)
+    if args.dual_path:          # before writing: a rejected path writes no file
+        R_quad = args.quad_radius
+        if R_quad is None:
+            R_quad = 1.2 * R_pm
+        pot = lambda pts: potential_point_masses(masses, pts)
+        cq = coeffs_from_sphere_quadrature(
+            pot, R_quad, R, args.n_max, brillouin_radius=R_pm,
+            oversample=args.oversample)
     c.save(args.out, threshold=args.threshold)
     print("wrote %s (n_max=%d R=%s GM=%s)"
           % (args.out, c.n_max, _fmt(c.ref_radius), _fmt(c.GM)))
     if args.dual_path:
-        R_quad = args.quad_radius
-        if R_quad is None:
-            R_quad = 1.2 * pointmass_brillouin_radius(masses)
-        pot = lambda pts: potential_point_masses(masses, pts)
-        cq = coeffs_from_sphere_quadrature(
-            pot, R_quad, R, args.n_max,
-            brillouin_radius=pointmass_brillouin_radius(masses),
-            oversample=args.oversample)
         qpath = args.out + ".quad"
         cq.save(qpath, threshold=args.threshold)
         print("wrote %s (quadrature radius %s)" % (qpath, _fmt(R_quad)))

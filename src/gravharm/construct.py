@@ -16,8 +16,6 @@ import math
 
 import numpy as np
 from dataclasses import dataclass
-from scipy import ndimage
-from scipy.spatial import cKDTree
 
 from .geometry import (BallRegion, brillouin_radius,
                        general_position_perturb, hausdorff_distance,
@@ -90,6 +88,7 @@ def _filling_grid(f, params):
 
 def _support_arrays(g, safety):
     """Support nodes, values and a conservative inside-support radius."""
+    from scipy import ndimage
     mask = g.values > 0
     # distance (in steps) to the nearest zero node; balls of radius up to
     # edt*h around a positive node stay inside the trilinear support
@@ -129,6 +128,8 @@ def spherical_filling(f, params):
     FillingBudgetError naming the violated condition when the budgets
     cannot be met at this resolution.
     """
+    from scipy.spatial import cKDTree
+
     g, safety = _filling_grid(f, params)
     nodes, fvals, r_sup = _support_arrays(g, safety)
     h = g.spacing
@@ -250,6 +251,7 @@ def _fit_background(vals, mask, beta, iterations=80, relax=1.0):
     ball.  Returns (amplitudes, background, node-average of f), all on
     the node grid, with the first two zero off the support.
     """
+    from scipy import ndimage
     from scipy.signal import fftconvolve
 
     K1 = _cover_kernel(COVER_RADIUS_STEPS)
@@ -305,6 +307,8 @@ def spma_approximate(f, params):
     required properties p1-p7 and raises ConstructionError naming the
     first failed one; the filling conditions are measured and reported.
     """
+    from scipy.spatial import cKDTree
+
     filling = spherical_filling(f, params)
     fill, cover = filling.filling, filling.covering
     g = filling.grid
@@ -410,6 +414,7 @@ def _shrink_extremal(parts, params, h):
 
 
 def _boundary_voxels(mask, origin, h):
+    from scipy import ndimage
     edge = mask & ~ndimage.binary_erosion(mask)
     return origin + h * np.argwhere(edge)
 
@@ -417,6 +422,7 @@ def _boundary_voxels(mask, origin, h):
 def _verify(spma, filling, params, tree_nodes, in_ball, meanf, tags):
     """The p1-p7 / a1-a8 report; `in_ball` is the support-node query of
     each filling ball on `tree_nodes`, `tags` as in _PART."""
+    from scipy import ndimage
     from .density import evaluate_on_grid
 
     delta, eps = params.delta, params.eps

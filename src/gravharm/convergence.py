@@ -12,13 +12,14 @@ import math
 import numpy as np
 from dataclasses import dataclass
 
+from .density import PointMasses
 from .geometry import brillouin_radius, pointmass_brillouin_radius
 from .she import (Direction, coeffs_from_point_masses,
                   direction_coefficient_table, fibonacci_directions,
                   partial_sum_sequence)
 
 __all__ = ["ConvergenceReport", "PartialSumReport", "DescentReport",
-           "estimate_rc_direction", "estimate_rc", "estimate_rc_reports",
+           "estimate_rc", "estimate_rc_reports",
            "rc_from_reports", "pointmass_rc", "classify_partial_sums",
            "epsilon_descent_check", "AllDirectionsInconclusive"]
 
@@ -94,12 +95,6 @@ def _fit_report(b, d, window, ref_radius):
                              "convergent_at")
 
 
-def estimate_rc_direction(c, d, window):
-    """Root-test convergence-radius estimate along one direction."""
-    b = direction_coefficient_table(c, [d.theta], [d.phi])[0]
-    return _fit_report(b, d, window, c.ref_radius)
-
-
 def estimate_rc(c, k=DEFAULT_DIRECTIONS, window=None):
     """Max per-direction estimate over a Fibonacci direction sample."""
     return rc_from_reports(estimate_rc_reports(c, k=k, window=window))
@@ -135,6 +130,7 @@ def pointmass_rc(pms, n_max, k=DEFAULT_DIRECTIONS, window=None, G=1.0):
     """(R_c, per-direction reports) of a point-mass array's expansion at
     its own Brillouin radius (1.0 if every mass sits at the origin);
     R_c is 0.0 when every direction is inconclusive."""
+    pms = PointMasses.of(pms)
     R_ref = pointmass_brillouin_radius(pms) or 1.0
     c = coeffs_from_point_masses(pms, R_ref, n_max, G=G)
     reports = tuple(estimate_rc_reports(c, k=k, window=window))

@@ -16,19 +16,16 @@ import operator
 from functools import cached_property
 
 import numpy as np
-from dataclasses import dataclass, field
-from scipy import ndimage
-from scipy.interpolate import RegularGridInterpolator
+from dataclasses import dataclass
 
-from .geometry import Ball, BallRegion, as_vec3
+from .geometry import BallRegion, as_vec3
 
 __all__ = [
     "RadialProfile", "quadratic_bump", "cosine_bump", "constant_taper",
-    "table_profile", "PointMass", "SmoothedPointMass", "SPMA",
-    "ComponentError", "QUADRATIC", "COSINE", "TABLE", "KIND_NAMES",
+    "table_profile", "PointMass", "PointMasses", "SmoothedPointMass",
+    "SPMA", "ComponentError", "QUADRATIC", "COSINE", "TABLE", "KIND_NAMES",
     "GridDensity", "WeightFn", "evaluate", "evaluate_on_grid",
-    "total_mass", "lp_metric", "var_over", "mean_over",
-    "density_bounding_box", "midpoint_nodes",
+    "total_mass", "lp_metric", "density_bounding_box", "midpoint_nodes",
 ]
 
 QUADRATIC, COSINE, TABLE = 0, 1, 2          # profile kind codes
@@ -227,6 +224,42 @@ class PointMass:
             raise ValueError("point mass must be positive and finite")
 
 
+@dataclass(frozen=True, eq=False)
+class PointMasses:
+    """Point-mass array: (N, 3) positions and (N,) masses, N >= 1; the
+    first invalid mass raises ComponentError with its index."""
+
+    positions: np.ndarray
+    masses: np.ndarray
+
+    def __post_init__(self):
+        x = np.asarray(self.positions, dtype=float)
+        m = np.asarray(self.masses, dtype=float)
+        if m.ndim != 1 or not len(m) or x.shape != (len(m), 3):
+            raise ValueError("PointMasses needs N >= 1 masses: (N, 3) "
+                             "positions and N masses, got %s and %s"
+                             % (x.shape, m.shape))
+        bad = ~(np.all(np.isfinite(x), axis=1) & (m > 0) & np.isfinite(m))
+        if bad.any():
+            raise ComponentError(np.argmax(bad), "point mass needs a finite "
+                                 "position and a positive, finite mass")
+        object.__setattr__(self, "positions", x)
+        object.__setattr__(self, "masses", m)
+
+    def __len__(self):
+        return len(self.masses)
+
+    @classmethod
+    def of(cls, masses):
+        """`masses` itself if a PointMasses, else the array of a sequence
+        of PointMass objects."""
+        if isinstance(masses, cls):
+            return masses
+        masses = list(masses)
+        return cls(np.reshape([m.position for m in masses], (-1, 3)),
+                   [m.mass for m in masses])
+
+
 @dataclass(frozen=True)
 class SmoothedPointMass:
     """Radially symmetric density supported on a closed ball."""
@@ -245,15 +278,10 @@ class SmoothedPointMass:
     def mass(self):
         return self.profile.total_mass()
 
-    def support_ball(self):
-        return Ball(self.center, self.radius)
-
-    def as_point_mass(self):
-        return PointMass(self.center, self.mass)
-
 
 class ComponentError(ValueError):
-    """An SPMA component fails a check; `index` is its position."""
+    """A component of an SPMA or a point-mass array fails a check;
+    `index` is its position."""
 
     def __init__(self, index, reason):
         super().__init__("component %d: %s" % (index, reason))
@@ -412,7 +440,8 @@ class SPMA:
         return BallRegion(self.centers, self.radii)
 
     def as_point_masses(self):
-        return [PointMass(c, m) for c, m in zip(self.centers, self.masses)]
+        """The equivalent point masses, sharing `centers` and `masses`."""
+        return PointMasses(self.centers, self.masses)
 
     def bounding_box(self):
         r = self.radii[:, None]
@@ -439,6 +468,8 @@ class GridDensity:
         support = self.values > 0
         if not support.any():
             raise ValueError("grid support is empty")
+        from scipy import ndimage
+        from scipy.interpolate import RegularGridInterpolator
         _, ncomp = ndimage.label(support)
         if ncomp != 1:
             raise ValueError("grid support must be 6-connected (found %d components)" % ncomp)
@@ -542,8 +573,6 @@ def evaluate(density, x):
     pts = np.atleast_2d(pts)
     if _is_zero(density):
         out = np.zeros(len(pts))
-    elif isinstance(density, SmoothedPointMass):
-        out = density.profile(np.linalg.norm(pts - density.center, axis=1))
     elif isinstance(density, SPMA):
         out = np.zeros(len(pts))
         for pair in _blocks(len(density) * len(pts)):
@@ -578,7 +607,7 @@ def _grid_slab(density, origin, spacing, shape, start, stop):
     if _is_zero(density):
         return np.zeros((stop - start, ny, nz))
     if not isinstance(density, SPMA):
-        # grid densities and single SPMs: direct evaluation
+        # grid densities: direct evaluation
         ax = [origin[d] + spacing[d] * np.arange(n) for d, n in enumerate((nx, ny, nz))]
         ax[0] = ax[0][start:stop]
         pts = np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -615,8 +644,6 @@ def total_mass(density):
     """Total mass, exact closed forms for profiles, node sum for grids."""
     if _is_zero(density):
         return 0.0
-    if isinstance(density, SmoothedPointMass):
-        return density.mass
     if isinstance(density, SPMA):
         return float(math.fsum(density.masses))
     if isinstance(density, GridDensity):
@@ -631,9 +658,6 @@ def total_mass(density):
 def density_bounding_box(density):
     if _is_zero(density):
         return None
-    if isinstance(density, SmoothedPointMass):
-        c, r = density.center, density.radius
-        return c - r, c + r
     return density.bounding_box()
 
 
@@ -695,27 +719,6 @@ def lp_metric(f, g, p=1, w=None, trunc_N=None, resolution=64):
         terms = flat**p if wv is None else flat**p * wv
     total = math.fsum(terms) * cellvol
     return float(total if p == 1 else total ** (1.0 / p))
-
-
-def _ball_nodes(K, resolution):
-    lo, hi = K.center - K.radius, K.center + K.radius
-    axes, cellvol, widths = midpoint_nodes(lo, hi, resolution)
-    xx, yy, zz = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=-1)
-    inside = np.linalg.norm(pts - K.center, axis=1) <= K.radius
-    return pts[inside]
-
-
-def var_over(f, K, resolution=32):
-    """Oscillation (max - min) of f over quadrature nodes in the ball K."""
-    vals = evaluate(f, _ball_nodes(K, resolution))
-    return float(vals.max() - vals.min())
-
-
-def mean_over(f, K, resolution=32):
-    """Node average of f over the ball K (equal-volume cells)."""
-    vals = evaluate(f, _ball_nodes(K, resolution))
-    return float(np.mean(vals))
 
 
 # ---------------------------------------------------------------------------

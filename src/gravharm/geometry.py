@@ -1,8 +1,7 @@
-"""Points, balls, unions of balls, Brillouin radii and set distances."""
+"""Points, unions of balls, Brillouin radii and set distances."""
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.spatial import cKDTree
 
 
 def as_vec3(x):
@@ -13,25 +12,6 @@ def as_vec3(x):
     if not np.all(np.isfinite(v)):
         raise ValueError("vector components must be finite")
     return v
-
-
-@dataclass(frozen=True)
-class Ball:
-    """Closed ball with a strictly positive radius."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_vec3(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
-        if not self.radius > 0:
-            raise ValueError("ball radius must be strictly positive")
-
-    def contains(self, points, strict=False):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d = np.linalg.norm(pts - self.center, axis=1)
-        return d < self.radius if strict else d <= self.radius
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,14 +47,10 @@ def brillouin_radius(region):
 
 
 def pointmass_brillouin_radius(masses):
-    """Max position norm over a non-empty list of point masses.
-
-    Accepts PointMass objects (anything with .position) or raw 3-vectors.
-    """
-    masses = list(masses)
-    if not masses:
-        raise ValueError("empty point-mass list")
-    pos = np.array([getattr(m, "position", m) for m in masses], dtype=float)
+    """Max position norm of a point-mass array (PointMasses, or a
+    non-empty sequence of PointMass objects)."""
+    from .density import PointMasses
+    pos = PointMasses.of(masses).positions
     return float(np.max(np.linalg.norm(pos, axis=1)))
 
 
@@ -88,6 +64,7 @@ def hausdorff_distance(a, b):
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
         raise ValueError("point samples must be non-empty")
+    from scipy.spatial import cKDTree
     ta, tb = cKDTree(a), cKDTree(b)
     d_ab = np.max(tb.query(a, k=1)[0])
     d_ba = np.max(ta.query(b, k=1)[0])
@@ -122,6 +99,7 @@ def boundary_sample(region, target_spacing):
     target_spacing = float(target_spacing)
     if not target_spacing > 0:
         raise ValueError("target_spacing must be positive")
+    from scipy.spatial import cKDTree
     centers, radii = region.centers, region.radii
     out = []
     # split the occlusion test: few large balls checked densely, the

@@ -12,8 +12,7 @@ import math
 import numpy as np
 from dataclasses import dataclass
 
-from .density import (SPMA, SmoothedPointMass, _blocks, _grid_slab,
-                      evaluate_on_grid)
+from .density import SPMA, PointMasses, _blocks, _grid_slab, evaluate_on_grid
 
 __all__ = ["GravConfig", "potential_point_masses", "potential_spm",
            "potential_spma", "potential_oracle"]
@@ -34,16 +33,20 @@ DEFAULT_GRAV = GravConfig()
 
 
 def potential_point_masses(masses, x, cfg=DEFAULT_GRAV):
-    """G * sum m_i / ||x - x_i||; raises at a mass position."""
-    pos = np.array([m.position for m in masses])
-    mval = np.array([m.mass for m in masses])
+    """G * sum m_i / ||x - x_i||; raises at a mass position.  A block of
+    points at a time against all masses (PointMasses or PointMass
+    objects): each point's sum is one np.sum whatever the block."""
+    pms = PointMasses.of(masses)
     pts = np.asarray(x, dtype=float)
     scalar = pts.ndim == 1
     pts = np.atleast_2d(pts)
-    d = np.linalg.norm(pts[:, None, :] - pos[None, :, :], axis=2)
-    if np.any(d == 0.0):
-        raise ZeroDivisionError("potential evaluated at a point-mass position")
-    out = cfg.G * np.sum(mval[None, :] / d, axis=1)
+    out = np.empty(len(pts))
+    for p in _blocks(len(pts), len(pms)):
+        d = np.linalg.norm(pts[p, None, :] - pms.positions, axis=2)
+        if np.any(d == 0.0):
+            raise ZeroDivisionError("potential evaluated at a point-mass "
+                                    "position")
+        out[p] = cfg.G * np.sum(pms.masses / d, axis=1)
     return float(out[0]) if scalar else out
 
 
@@ -75,8 +78,6 @@ def potential_spma(spma, x, cfg=DEFAULT_GRAV):
 
 
 def _support_distance(density, x):
-    if isinstance(density, SmoothedPointMass):
-        density = SPMA([density])
     if isinstance(density, SPMA):
         return float(np.min(np.linalg.norm(x - density.centers, axis=1)
                             - density.radii))

@@ -20,6 +20,8 @@ import warnings
 import numpy as np
 from dataclasses import dataclass
 
+from .density import PointMasses
+
 __all__ = ["Direction", "SHECoefficients", "legendre_p", "ynm_bar",
            "ynm_table", "coeffs_from_point_masses",
            "coeffs_from_sphere_quadrature", "evaluate_partial_sum",
@@ -249,25 +251,28 @@ class SHECoefficients:
         return cls(R, GM, n_max, C)
 
 
+def _nonnegative(name, value):
+    value = int(value)
+    if value < 0:
+        raise ValueError("%s must be non-negative, got %d" % (name, value))
+    return value
+
+
 def coeffs_from_point_masses(masses, R, n_max, G=1.0):
-    """Analytic expansion coefficients of a finite point-mass array.
+    """Analytic expansion coefficients of a finite point-mass array
+    (PointMasses, or a sequence of PointMass objects).
 
     C_{n,m} = (1/(M (2n+1))) sum_i m_i (||x_i||/R)^n Ybar_{n,m}(x_i_hat),
     with GM = G * sum m_i.  Exact path, no surface quadrature.  Warns when
     a mass sits outside the reference sphere.
     """
-    masses = list(masses)
-    if not masses:
-        raise ValueError("empty point-mass list")
+    pms = PointMasses.of(masses)
     R = float(R)
     if not R > 0:
         raise ValueError("reference radius must be positive")
-    n_max = int(n_max)
-    pos = np.array([m.position for m in masses])
-    mval = np.array([m.mass for m in masses])
+    n_max = _nonnegative("n_max", n_max)
+    pos, mval = pms.positions, pms.masses
     M = float(mval.sum())
-    if M <= 0:
-        raise ValueError("total mass must be positive")
     d = np.linalg.norm(pos, axis=1)
     if np.any(d > R):
         warnings.warn("point mass outside the reference sphere; coefficient "
@@ -315,19 +320,19 @@ def coeffs_from_sphere_quadrature(potential_fn, R_quad, R, n_max,
     if brillouin_radius is not None and R_quad < brillouin_radius:
         warnings.warn("quadrature sphere lies inside the Brillouin sphere; "
                       "recovered coefficients are unreliable", stacklevel=2)
-    n_band = n_max + int(oversample)
+    n_max = _nonnegative("n_max", n_max)
+    n_band = n_max + _nonnegative("oversample", oversample)
     n_theta = n_band + 1
     n_phi = 2 * n_band + 2
     x_gl, w_gl = np.polynomial.legendre.leggauss(n_theta)
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
     sin_t = np.sqrt(np.maximum(0.0, 1.0 - x_gl * x_gl))
-    # sample the potential on the full product grid
-    V = np.empty((n_theta, n_phi))
-    for j in range(n_theta):
-        pts = R_quad * np.column_stack([
-            sin_t[j] * np.cos(phis), sin_t[j] * np.sin(phis),
-            np.full(n_phi, x_gl[j])])
-        V[j] = np.asarray(potential_fn(pts), dtype=float)
+    # sample the potential in one call on the full product grid, one
+    # latitude after another
+    pts = R_quad * np.stack(np.broadcast_arrays(
+        sin_t[:, None] * np.cos(phis), sin_t[:, None] * np.sin(phis),
+        x_gl[:, None]), axis=-1).reshape(-1, 3)
+    V = np.asarray(potential_fn(pts), dtype=float).reshape(n_theta, n_phi)
     # phi transform, the Gauss-Legendre weights folded in:
     # wvc[m, j] = w_j * mean over phi of V(x_j, phi) cos(m phi)
     orders = np.arange(n_max + 1)

@@ -28,6 +28,16 @@ def random_point_masses(seed, max_count=10, radius=1.0):
     return [PointMass(p, m) for p, m in zip(pts, ms)]
 
 
+def unblocked_potential_point_masses(masses, x, G=1.0):
+    """potential_point_masses before it ran in point blocks, kept as the
+    reference: one (n_points, N, 3) difference array for all points."""
+    pos = np.array([m.position for m in masses])
+    mval = np.array([m.mass for m in masses])
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    d = np.linalg.norm(pts[:, None, :] - pos[None, :, :], axis=2)
+    return G * np.sum(mval[None, :] / d, axis=1)
+
+
 def mixed_spma():
     """Every profile kind, 2-, 3- and 4-knot tables (one not vanishing at
     its rim), overlapping supports, one overhanging and one missing the

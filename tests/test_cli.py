@@ -2,14 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from gravharm import (SHECoefficients, SnowmanParams, load_spma,
-                      snowman_descends_to_topography)
-from gravharm.cli import main
+from gravharm import (PointMass, PointMasses, SHECoefficients, SnowmanParams,
+                      build_snowman, load_spma, snowman_descends_to_topography)
+from gravharm.cli import load_point_masses, main
 
 from conftest import unit_ball_grid
 
@@ -85,6 +87,51 @@ def test_point_mass_file_errors_carry_line_numbers(tmp_path, capsys, line):
     path.write_text("0 0 0 1\n%s\n" % line)
     assert run(["coeffs", "--points", path, "--out", tmp_path / "c.csv"]) == 2
     assert ":2:" in capsys.readouterr().err
+
+
+def test_point_mass_file_builds_the_array_record(tmp_path, monkeypatch):
+    def no_objects(self):
+        raise AssertionError("a PointMass object was built")
+
+    monkeypatch.setattr(PointMass, "__post_init__", no_objects)
+    path = tmp_path / "pm.txt"
+    path.write_text("# two masses\n0 0 1 2\n\n1 0 0 0.5\n")
+    pms = load_point_masses(path)
+    assert isinstance(pms, PointMasses)
+    assert np.array_equal(pms.positions, [[0, 0, 1], [1, 0, 0]])
+    assert np.array_equal(pms.masses, [2.0, 0.5])
+    assert len(build_snowman(SnowmanParams(0.5)).as_point_masses()) == 2
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["coeffs", "--snowman-gamma", 0.5, "--n-max", -1, "--out", "c.csv"],
+     "n_max"),
+    (["coeffs", "--snowman-gamma", 0.5, "--n-max", 8, "--dual-path",
+      "--oversample", -20, "--out", "c.csv"], "oversample"),
+    (["rc", "--snowman-gamma", 0.5, "--n-max", -1], "n_max"),
+    (["descent", "snowman", "--n-max", -1], "n_max"),
+    (["potential", "--snowman-gamma", 0.5, "--r-from", 3, "--r-to", 4,
+      "--samples", 2, "--n-max", -1], "n_max"),
+], ids=["coeffs", "coeffs-oversample", "rc", "descent-snowman", "potential"])
+def test_negative_degree_arguments_name_the_parameter(tmp_path, monkeypatch,
+                                                      capsys, argv, name):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    assert name in capsys.readouterr().err
+    assert not os.listdir(tmp_path)           # no output file written
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # coeffs, rc, descent and snowman-scan use no scipy: importing it
+    # lazily keeps their start-up short
+    import gravharm
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gravharm.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, gravharm.cli; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        check=True).stdout
+    assert out.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

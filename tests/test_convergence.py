@@ -9,8 +9,9 @@ from gravharm import (AllDirectionsInconclusive, Direction, PointMass, SPMA,
                       SmoothedPointMass, SnowmanParams, build_snowman,
                       classify_partial_sums, coeffs_from_point_masses,
                       epsilon_descent_check, estimate_rc,
-                      estimate_rc_direction, estimate_rc_reports,
-                      quadratic_bump)
+                      estimate_rc_reports, quadratic_bump)
+from gravharm.convergence import _fit_report
+from gravharm.she import direction_coefficient_table
 
 
 def axis_mass_coeffs(d=0.8, n_max=200, R=1.0):
@@ -29,7 +30,8 @@ def test_estimate_rc_single_off_center_mass():
 
 def test_estimate_rc_direction_on_axis():
     c = axis_mass_coeffs(0.6)
-    rep = estimate_rc_direction(c, Direction(0.0, 0.0), (50, 200))
+    b = direction_coefficient_table(c, [0.0], [0.0])[0]
+    rep = _fit_report(b, Direction(0.0, 0.0), (50, 200), c.ref_radius)
     assert rep.classification == "convergent_at"
     assert rep.rc_estimate == pytest.approx(0.6, rel=0.02)
     assert rep.method == "root_test"

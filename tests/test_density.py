@@ -7,12 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from gravharm import (GridDensity, PointMass, SPMA, SmoothedPointMass,
-                      WeightFn, constant_taper, cosine_bump, evaluate,
-                      evaluate_on_grid, load_spma, lp_metric, mean_over,
-                      quadratic_bump, save_spma, table_profile, total_mass,
-                      var_over)
-from gravharm.geometry import Ball
+from gravharm import (GridDensity, PointMass, PointMasses, SPMA,
+                      SmoothedPointMass, WeightFn, constant_taper, cosine_bump,
+                      evaluate, evaluate_on_grid, load_spma, lp_metric,
+                      quadratic_bump, save_spma, table_profile, total_mass)
 
 from conftest import mixed_spma
 
@@ -86,10 +84,11 @@ def test_mass_within_is_monotone():
 
 def test_spm_mass_and_point_mass_equivalent():
     spm = SmoothedPointMass((1, 2, 3), quadratic_bump(1.0, 1.0))
-    pm = spm.as_point_mass()
-    assert pm.mass == pytest.approx(8.0 * math.pi / 15.0)
-    assert np.array_equal(pm.position, spm.center)
-    assert spm.support_ball().radius == 1.0
+    pm = SPMA([spm]).as_point_masses()
+    assert len(pm) == 1
+    assert pm.masses[0] == spm.mass == pytest.approx(8.0 * math.pi / 15.0)
+    assert np.array_equal(pm.positions[0], spm.center)
+    assert spm.radius == 1.0
 
 
 def test_point_mass_must_be_positive():
@@ -97,12 +96,51 @@ def test_point_mass_must_be_positive():
         PointMass((0, 0, 0), 0.0)
 
 
+@pytest.mark.parametrize("positions, masses", [
+    (np.empty((0, 3)), np.empty(0)),
+    ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [1.0]),
+    ([[0.0, 0.0, 0.0], [0.0, np.nan, 0.0]], [1.0, 1.0]),
+    ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [1.0, 0.0]),
+    ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [1.0, -1.0]),
+    ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [1.0, np.inf]),
+], ids=["empty", "mismatched-shapes", "nan-position", "zero-mass",
+        "negative-mass", "infinite-mass"])
+def test_point_masses_require_a_valid_mass(positions, masses):
+    with pytest.raises(ValueError):
+        PointMasses(positions, masses)
+
+
+def test_point_masses_name_the_first_bad_mass():
+    with pytest.raises(ValueError, match="component 1: point mass needs"
+                       ) as info:
+        PointMasses([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, np.inf]],
+                    [1.0, -1.0, 1.0])
+    assert info.value.index == 1
+
+
+def test_point_masses_of_objects_and_arrays():
+    objs = [PointMass((0.6, 0.0, 0.0), 1.0), PointMass((0.0, -0.8, 0.0), 2.0)]
+    pms = PointMasses.of(objs)
+    assert len(pms) == 2
+    assert np.array_equal(pms.positions, [o.position for o in objs])
+    assert np.array_equal(pms.masses, [1.0, 2.0])
+    assert PointMasses.of(pms) is pms
+
+
+def test_spma_point_masses_share_its_arrays():
+    spma = mixed_spma()
+    pms = spma.as_point_masses()
+    assert pms.positions is spma.centers and pms.masses is spma.masses
+    assert len(pms) == len(spma)
+
+
 def test_spma_superposition_pointwise():
     a = SmoothedPointMass((0, 0, 0), quadratic_bump(1.0, 1.0))
     b = SmoothedPointMass((0.5, 0, 0), cosine_bump(2.0, 1.0))
     arr = SPMA([a, b])
     x = np.array([0.3, 0.1, -0.2])
-    assert evaluate(arr, x) == pytest.approx(evaluate(a, x) + evaluate(b, x))
+    assert evaluate(arr, x) == pytest.approx(
+        evaluate(SPMA([a]), x) + evaluate(SPMA([b]), x))
     assert total_mass(arr) == pytest.approx(a.mass + b.mass)
 
 
@@ -202,14 +240,6 @@ def test_lp_metric_amplitude_linearity(amp, a):
     unit = SPMA([SmoothedPointMass((0, 0, 0), quadratic_bump(1.0, a))])
     assert lp_metric(f, 0, resolution=24) == pytest.approx(
         amp * lp_metric(unit, 0, resolution=24), rel=1e-10)
-
-
-def test_var_and_mean_over_constant_region():
-    f = SPMA([SmoothedPointMass(
-        (0, 0, 0), constant_taper(2.0, 1.0, 0.1))])
-    K = Ball((0, 0, 0), 0.4)           # inside the constant plateau
-    assert var_over(f, K) == pytest.approx(0.0, abs=1e-14)
-    assert mean_over(f, K) == pytest.approx(2.0, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

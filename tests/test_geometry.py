@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gravharm import (Ball, BallRegion, as_vec3, boundary_sample,
+from gravharm import (BallRegion, as_vec3, boundary_sample,
                       brillouin_radius, fibonacci_sphere,
                       general_position_perturb, hausdorff_distance,
-                      pointmass_brillouin_radius, PointMass)
+                      pointmass_brillouin_radius, PointMass, PointMasses)
 
 
 # ---------------------------------------------------------------------------
@@ -19,20 +19,6 @@ def test_as_vec3_rejects_bad_shapes_and_nonfinite():
     with pytest.raises(ValueError):
         as_vec3([1.0, np.nan, 0.0])
     assert as_vec3((1, 2, 3)).tolist() == [1.0, 2.0, 3.0]
-
-
-def test_ball_requires_positive_radius():
-    with pytest.raises(ValueError):
-        Ball((0, 0, 0), 0.0)
-    with pytest.raises(ValueError):
-        Ball((0, 0, 0), -1.0)
-
-
-def test_ball_contains_closed_vs_strict():
-    b = Ball((0, 0, 0), 1.0)
-    on_rim = np.array([1.0, 0.0, 0.0])
-    assert b.contains(on_rim)[0]
-    assert not b.contains(on_rim, strict=True)[0]
 
 
 @pytest.mark.parametrize("centers, radii", [
@@ -67,6 +53,8 @@ def test_brillouin_radius_off_axis():
 def test_pointmass_brillouin_radius():
     masses = [PointMass((0.6, 0, 0), 1.0), PointMass((0, -0.8, 0), 2.0)]
     assert pointmass_brillouin_radius(masses) == pytest.approx(0.8)
+    assert pointmass_brillouin_radius(PointMasses.of(masses)) == \
+        pointmass_brillouin_radius(masses)
     with pytest.raises(ValueError):
         pointmass_brillouin_radius([])
 

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gravharm import (GravConfig, PointMass, SPMA, SmoothedPointMass,
-                      cosine_bump, evaluate_on_grid, potential_oracle,
-                      potential_point_masses, potential_spm, potential_spma,
-                      quadratic_bump, table_profile)
-from gravharm.density import midpoint_nodes
+from gravharm import (GravConfig, PointMass, PointMasses, SPMA,
+                      SmoothedPointMass, cosine_bump, evaluate_on_grid,
+                      potential_oracle, potential_point_masses, potential_spm,
+                      potential_spma, quadratic_bump, table_profile)
+from gravharm.density import _BLOCK, midpoint_nodes
 
-from conftest import mixed_spma
+from conftest import mixed_spma, unblocked_potential_point_masses
 
 
 def interior_oracle(profile, rho, G=1.0):
@@ -48,6 +48,39 @@ def test_point_mass_potential_singularity():
     masses = [PointMass((1, 2, 3), 1.0)]
     with pytest.raises(ZeroDivisionError):
         potential_point_masses(masses, np.array([1.0, 2.0, 3.0]))
+
+
+def _random_masses(rng, n):
+    return [PointMass(p, m) for p, m in
+            zip(rng.uniform(-1, 1, (n, 3)), rng.uniform(0.1, 2.0, n))]
+
+
+@pytest.mark.parametrize("n_masses", [1, 7, 1337])
+def test_point_mass_blocks_match_unblocked_sum(n_masses):
+    # 1337 masses: 24 points per block, the last block partial
+    assert _BLOCK % n_masses or n_masses == 1
+    rng = np.random.default_rng(n_masses)
+    masses = _random_masses(rng, n_masses)
+    pts = rng.uniform(-3, 3, (1000, 3))
+    for G in (1.0, 0.37):
+        expect = unblocked_potential_point_masses(masses, pts, G)
+        assert np.array_equal(
+            potential_point_masses(masses, pts, GravConfig(G)), expect)
+        assert np.array_equal(
+            potential_point_masses(PointMasses.of(masses), pts,
+                                   GravConfig(G)), expect)
+    v = potential_point_masses(masses, pts[17])
+    assert isinstance(v, float)
+    assert v == unblocked_potential_point_masses(masses, pts[17])[0]
+
+
+def test_point_mass_singularity_in_a_later_block():
+    rng = np.random.default_rng(3)
+    masses = _random_masses(rng, 100)
+    pts = rng.uniform(2, 3, (2000, 3))
+    pts[1500] = masses[42].position          # block 4 of 327-point blocks
+    with pytest.raises(ZeroDivisionError):
+        potential_point_masses(masses, pts)
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import lpmv
 
 from gravharm import she
-from gravharm import (Direction, PointMass, SHECoefficients,
+from gravharm import (Direction, PointMass, PointMasses, SHECoefficients,
                       coeffs_from_point_masses, coeffs_from_sphere_quadrature,
                       evaluate_partial_sum, fibonacci_directions, legendre_p,
-                      partial_sum_sequence, potential_point_masses, ynm_bar,
-                      ynm_table)
+                      partial_sum_sequence, pointmass_brillouin_radius,
+                      potential_point_masses, ynm_bar, ynm_table)
 from gravharm.she import direction_coefficient_table, direction_term_sequence
 
-from conftest import random_point_masses
+from conftest import random_point_masses, unblocked_potential_point_masses
 
 
 def ynm_oracle(n, m, theta, phi):
@@ -234,6 +234,14 @@ def test_coeffs_match_direct_formula():
             assert c.get(n, m) == pytest.approx(acc, rel=1e-10, abs=1e-12)
 
 
+def test_coeffs_from_objects_and_array_record_are_identical():
+    masses = random_point_masses(7)
+    c_list = coeffs_from_point_masses(masses, 1.0, 40)
+    c_arr = coeffs_from_point_masses(PointMasses.of(masses), 1.0, 40)
+    assert np.array_equal(c_list.coeffs, c_arr.coeffs)
+    assert c_list.GM == c_arr.GM
+
+
 def test_coeffs_warns_outside_reference_sphere():
     with pytest.warns(UserWarning):
         coeffs_from_point_masses([PointMass((0, 0, 2.0), 1.0)], 1.0, 4)
@@ -264,6 +272,58 @@ def test_sphere_quadrature_recovers_analytic_coeffs():
         brillouin_radius=R, oversample=60)
     assert np.max(np.abs(ca.coeffs - cq.coeffs)) < 1e-11
     assert cq.GM == pytest.approx(ca.GM, rel=1e-12)
+
+
+def _per_latitude_samples(potential_fn, R_quad, n_band):
+    """The sampling loop the quadrature ran before it sampled in one call:
+    one potential_fn call per Gauss-Legendre latitude."""
+    n_theta, n_phi = n_band + 1, 2 * n_band + 2
+    x_gl, _ = np.polynomial.legendre.leggauss(n_theta)
+    phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    sin_t = np.sqrt(np.maximum(0.0, 1.0 - x_gl * x_gl))
+    pts, V = [], np.empty((n_theta, n_phi))
+    for j in range(n_theta):
+        p = R_quad * np.column_stack([
+            sin_t[j] * np.cos(phis), sin_t[j] * np.sin(phis),
+            np.full(n_phi, x_gl[j])])
+        pts.append(p)
+        V[j] = potential_fn(p)
+    return np.vstack(pts), V
+
+
+@pytest.mark.parametrize("seed", [1000, 1007, 1019])
+def test_sphere_quadrature_samples_match_per_latitude_loop(seed):
+    # criterion 5's setup: n_max 32, oversample 80, R_quad = 1.2 R
+    masses = random_point_masses(seed)
+    R = pointmass_brillouin_radius(masses)
+    calls = []
+
+    def potential(pts):
+        calls.append((pts, potential_point_masses(masses, pts)))
+        return calls[-1][1]
+
+    coeffs_from_sphere_quadrature(potential, 1.2 * R, R, 32,
+                                  brillouin_radius=R, oversample=80)
+    pts, V = _per_latitude_samples(
+        lambda p: unblocked_potential_point_masses(masses, p), 1.2 * R,
+        32 + 80)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0][0], pts)
+    assert np.array_equal(calls[0][1], V.ravel())
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"n_max": -1}, "n_max"), ({"n_max": 8, "oversample": -20}, "oversample"),
+])
+def test_negative_degree_arguments_are_named(kwargs, name):
+    masses = [PointMass((0.3, 0.2, -0.1), 1.0)]
+    if "oversample" not in kwargs:
+        with pytest.raises(ValueError, match=name):
+            coeffs_from_point_masses(masses, 1.0, **kwargs)
+    with pytest.raises(ValueError, match=name):
+        coeffs_from_sphere_quadrature(
+            lambda pts: potential_point_masses(masses, pts), 1.0, 0.5,
+            **kwargs)
 
 
 def test_sphere_quadrature_warns_inside_brillouin():
