@@ -8,17 +8,16 @@ spherical-filling approximation of a grid density and the two-ball
 topography.
 """
 
-from .geometry import (BallRegion, as_vec3, boundary_sample,
-                       brillouin_radius, fibonacci_sphere,
-                       general_position_perturb, hausdorff_distance,
-                       pointmass_brillouin_radius)
+from .geometry import (BallRegion, as_vec3, brillouin_radius,
+                       fibonacci_sphere, general_position_perturb,
+                       hausdorff_distance, pointmass_brillouin_radius)
 from .density import (GridDensity, PointMass, PointMasses, RadialProfile,
                       SPMA, SmoothedPointMass, WeightFn, constant_taper,
                       cosine_bump, evaluate, evaluate_on_grid, load_spma,
                       lp_metric, quadratic_bump, save_spma, table_profile,
                       total_mass)
-from .potential import (GravConfig, potential_oracle, potential_point_masses,
-                        potential_spm, potential_spma)
+from .potential import (oracle_clear, potential_oracle,
+                        potential_point_masses, potential_spm, potential_spma)
 from .she import (Direction, SHECoefficients, coeffs_from_point_masses,
                   coeffs_from_sphere_quadrature, direction_coefficient_table,
                   direction_term_sequence, evaluate_partial_sum,

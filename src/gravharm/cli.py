@@ -18,7 +18,8 @@ from .density import (ComponentError, GridDensity, PointMasses, load_spma,
 from .geometry import pointmass_brillouin_radius
 from .she import (Direction, coeffs_from_point_masses,
                   coeffs_from_sphere_quadrature, evaluate_partial_sum)
-from .potential import potential_point_masses, potential_spma, potential_oracle
+from .potential import (_point_mass_sums, oracle_clear, potential_oracle,
+                        potential_point_masses, potential_spma)
 from .convergence import (AllDirectionsInconclusive, epsilon_descent_check,
                           pointmass_rc, rc_from_reports)
 from .construct import (ConstructionError, FillingBudgetError, FillingParams,
@@ -121,7 +122,7 @@ def cmd_coeffs(args):
         R_quad = args.quad_radius
         if R_quad is None:
             R_quad = 1.2 * R_pm
-        pot = lambda pts: potential_point_masses(masses, pts)
+        pot = lambda pts: potential_point_masses(masses, pts, G=args.G)
         cq = coeffs_from_sphere_quadrature(
             pot, R_quad, R, args.n_max, brillouin_radius=R_pm,
             oversample=args.oversample)
@@ -188,41 +189,37 @@ def cmd_potential(args):
         raise CliError("--direction must be a nonzero x,y,z triple")
     d = d / np.linalg.norm(d)
     radii = np.linspace(args.r_from, args.r_to, args.samples)
+    x = radii[:, None] * d
     # all masses at the origin: any reference radius expands exactly
     R = pointmass_brillouin_radius(masses) or 1.0
     c = coeffs_from_point_masses(masses, R, args.n_max, G=args.G)
-    # one direction table for the whole ray; r <= 0 has no series value
-    series = np.full(len(radii), np.nan)
+    # each column for the whole ray, with the rows it has a value for:
+    # a point-mass potential has none at a mass, the series none at r <= 0
+    if spma is not None:
+        exact = potential_spma(spma, x, G=args.G)
+    else:
+        exact = _point_mass_sums(masses, x, G=args.G)
     positive = radii > 0
+    series = np.full(len(radii), np.nan)
     series[positive] = evaluate_partial_sum(
         c, args.n_max, radii[positive], Direction.from_vector(d))
-    rows = []
-    for r, v_series in zip(radii, series):
-        x = r * d
-        cells = ["%s,%s,%s" % (_fmt(x[0]), _fmt(x[1]), _fmt(x[2]))]
-        try:
-            if spma is not None:
-                v_exact = potential_spma(spma, x)
-            else:
-                v_exact = potential_point_masses(masses, x)
-            cells.append(_fmt(v_exact))
-        except ZeroDivisionError:
-            cells.append("ERROR")
-        cells.append(_fmt(v_series) if r > 0 else "ERROR")
-        if args.oracle_resolution > 0 and spma is not None:
-            try:
-                cells.append(_fmt(potential_oracle(
-                    spma, x, resolution=args.oracle_resolution)))
-            except ValueError:
-                cells.append("ERROR")
-        else:
-            cells.append("")
-        rows.append(",".join(cells))
+    columns = [(exact, ~np.isnan(exact)), (series, positive)]
+    if args.oracle_resolution > 0 and spma is not None:
+        clear = oracle_clear(spma, x, args.oracle_resolution)
+        oracle = np.full(len(radii), np.nan)
+        if clear.any():
+            oracle[clear] = potential_oracle(
+                spma, x[clear], G=args.G, resolution=args.oracle_resolution)
+        columns.append((oracle, clear))
     out = sys.stdout if args.out is None else open(args.out, "w")
     try:
         out.write("x,y,z,V_exact,V_partial_sum_N,V_oracle\n")
-        for row in rows:
-            out.write(row + "\n")
+        for i, xi in enumerate(x):
+            cells = [_fmt(t) for t in xi]
+            cells += [_fmt(v[i]) if ok[i] else "ERROR" for v, ok in columns]
+            if len(columns) == 2:
+                cells.append("")
+            out.write(",".join(cells) + "\n")
     finally:
         if out is not sys.stdout:
             out.close()
@@ -235,10 +232,15 @@ def cmd_rc(args):
         raise CliError("all masses at the origin: no expansion to analyze")
     window = None
     if args.window:
-        lo, hi = (int(t) for t in args.window.split(","))
-        window = (lo, hi)
+        try:
+            window = tuple(int(t) for t in args.window.split(","))
+        except ValueError:
+            window = ()
+        if len(window) != 2:
+            raise CliError("--window must be n_lo,n_hi (two integers), got %r"
+                           % args.window)
     _, reports = pointmass_rc(masses, args.n_max, k=args.directions,
-                              window=window, G=args.G)
+                              window=window)
     if args.out:
         _write_rc_csv(args.out, reports)
     print("Rc=%s" % _fmt(rc_from_reports(reports)))
@@ -292,7 +294,6 @@ def _add_mass_model(p):
     p.add_argument("--points", help="point-mass file (x y z m per line)")
     p.add_argument("--snowman-gamma", type=float,
                    help="use the two-ball snowman with this gamma")
-    p.add_argument("--G", type=float, default=1.0)
 
 
 def build_parser():
@@ -306,6 +307,8 @@ def build_parser():
 
     p = sub.add_parser("coeffs", help="expansion coefficients to CSV")
     _add_mass_model(p)
+    p.add_argument("--G", type=float, default=1.0,
+                   help="gravitational constant (scales every potential)")
     p.add_argument("--R", type=float, help="reference radius "
                                            "(default: mass array radius)")
     p.add_argument("--n-max", type=int, default=60)
@@ -345,6 +348,8 @@ def build_parser():
 
     p = sub.add_parser("potential", help="potential along a ray to CSV")
     _add_mass_model(p)
+    p.add_argument("--G", type=float, default=1.0,
+                   help="gravitational constant (scales every potential)")
     p.add_argument("--direction", default="0,0,1")
     p.add_argument("--r-from", type=float)
     p.add_argument("--r-to", type=float)

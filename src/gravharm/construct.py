@@ -56,6 +56,12 @@ class FillingParams:
     def __post_init__(self):
         if not (self.delta > 0 and self.eps > 0):
             raise ValueError("delta and eps must be positive")
+        if not (self.grid_resolution == 0 or self.grid_resolution >= 2):
+            raise ValueError("grid_resolution must be 0 (the density's own "
+                             "grid) or at least 2, got %r" % self.grid_resolution)
+        if not self.min_ball_radius >= 0:
+            raise ValueError("min_ball_radius must be non-negative, got %r"
+                             % self.min_ball_radius)
 
 
 @dataclass
@@ -291,7 +297,8 @@ class ApproximationResult:
 
 # per component of the approximation while it is assembled: center,
 # outer radius, value at the center, taper or quadratic bump, and the
-# filling ball it stands for (-1: covering)
+# ball it stands for: filling ball j as j, the covering ball of support
+# node k as -1 - k
 _PART = np.dtype([("center", float, 3), ("radius", float), ("value", float),
                   ("taper", bool), ("tag", np.intp)])
 
@@ -344,7 +351,8 @@ def spma_approximate(f, params):
     parts["radius"] = np.concatenate([fill.radii, cover.radii])
     parts["value"] = np.concatenate([fill_amp, cover_amp])
     parts["taper"][:n_fill] = True
-    parts["tag"] = np.where(parts["taper"], np.arange(len(parts)), -1)
+    parts["tag"] = np.concatenate([np.arange(n_fill),
+                                   -1 - np.arange(len(cover))])
 
     # the extremal component must be smaller than eps/2; refine by local
     # re-filling at half step until it is
@@ -537,11 +545,11 @@ def _verify(spma, filling, params, tree_nodes, in_ball, meanf, tags):
                     "balls_checked": n_fill, "balls_total": n_fill,
                     "note": "product form with volume-proportional slack"}
 
-    # a8: covering amplitudes below the node average of f over the ball
+    # a8: covering amplitudes below the node average of f over their
+    # node's ball, split parts included
     cov_idx = np.flatnonzero(tags < 0)
     cov_amp = spma.profile(cov_idx, np.zeros(len(cov_idx)))
-    excess8 = float(np.max(cov_amp - meanf)) if len(cov_amp) == len(meanf) \
-        else float(np.max(cov_amp) - float(np.min(meanf)))
+    excess8 = float(np.max(cov_amp - meanf[-1 - tags[cov_idx]]))
     report["a8"] = {"pass": bool(excess8 < 0), "worst_excess": excess8}
 
     report["summary"] = {

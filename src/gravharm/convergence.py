@@ -126,13 +126,13 @@ def rc_from_reports(reports):
     return float(max(usable))
 
 
-def pointmass_rc(pms, n_max, k=DEFAULT_DIRECTIONS, window=None, G=1.0):
+def pointmass_rc(pms, n_max, k=DEFAULT_DIRECTIONS, window=None):
     """(R_c, per-direction reports) of a point-mass array's expansion at
     its own Brillouin radius (1.0 if every mass sits at the origin);
     R_c is 0.0 when every direction is inconclusive."""
     pms = PointMasses.of(pms)
     R_ref = pointmass_brillouin_radius(pms) or 1.0
-    c = coeffs_from_point_masses(pms, R_ref, n_max, G=G)
+    c = coeffs_from_point_masses(pms, R_ref, n_max)
     reports = tuple(estimate_rc_reports(c, k=k, window=window))
     try:
         return rc_from_reports(reports), reports
@@ -179,7 +179,7 @@ def classify_partial_sums(c, r, d, N_max=None, growth_factor=DEFAULT_GROWTH_FACT
 
 
 def epsilon_descent_check(spma, eps, n_max=400, k=DEFAULT_DIRECTIONS,
-                          window=None, G=1.0):
+                          window=None):
     """Does the array's expansion reach eps below its Brillouin sphere?
 
     Outside its support the array's potential is exactly that of the
@@ -193,7 +193,7 @@ def epsilon_descent_check(spma, eps, n_max=400, k=DEFAULT_DIRECTIONS,
         raise ValueError("eps must be positive")
     R_support = brillouin_radius(spma)
     rc, reports = pointmass_rc(spma.as_point_masses(), n_max, k=k,
-                               window=window, G=G)
+                               window=window)
     inconclusive = all(r.classification == "inconclusive" for r in reports)
     return DescentReport(rc <= R_support - eps, R_support, rc, eps,
                          inconclusive, reports)

@@ -504,14 +504,23 @@ class GridDensity:
 
     @classmethod
     def load(cls, path):
+        """Read a grid file; a malformed header or value raises
+        ValueError naming path:line."""
         with open(path) as fh:
-            header = fh.readline().split()
-            if len(header) != 7:
-                raise ValueError("bad grid header (expected 'nx ny nz h ox oy oz')")
-            nx, ny, nz = (int(v) for v in header[:3])
-            h = float(header[3])
-            origin = [float(v) for v in header[4:]]
-            flat = np.array(fh.read().split(), dtype=float)
+            lineno, chunks = 1, [np.empty(0)]
+            try:
+                header = fh.readline().split()
+                if len(header) != 7:
+                    raise ValueError("bad grid header (expected "
+                                     "'nx ny nz h ox oy oz')")
+                nx, ny, nz = (int(v) for v in header[:3])
+                h = float(header[3])
+                origin = [float(v) for v in header[4:]]
+                for lineno, line in enumerate(fh, 2):
+                    chunks.append(np.array(line.split(), dtype=float))
+            except ValueError as exc:
+                raise ValueError("%s:%d: %s" % (path, lineno, exc))
+        flat = np.concatenate(chunks)
         if flat.size != nx * ny * nz:
             raise ValueError("grid file has %d values, expected %d"
                              % (flat.size, nx * ny * nz))

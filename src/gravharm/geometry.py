@@ -84,60 +84,6 @@ def fibonacci_sphere(n):
     return np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
 
 
-def _sphere_sample_count(radius, target_spacing):
-    return max(4, int(np.ceil(4.0 * np.pi * radius**2 / target_spacing**2)))
-
-
-def boundary_sample(region, target_spacing):
-    """Quasi-uniform point sample of the boundary of a union of balls.
-
-    Each sphere is sampled on a Fibonacci lattice at roughly
-    `target_spacing` spacing; points strictly inside any other ball are
-    discarded.  Deterministic given the inputs; documented tolerance for
-    distances computed from the sample is 2 * target_spacing.
-    """
-    target_spacing = float(target_spacing)
-    if not target_spacing > 0:
-        raise ValueError("target_spacing must be positive")
-    from scipy.spatial import cKDTree
-    centers, radii = region.centers, region.radii
-    out = []
-    # split the occlusion test: few large balls checked densely, the
-    # rest through a KD-tree on centers
-    big = np.nonzero(radii > 8 * np.median(radii))[0]
-    small = np.nonzero(radii <= 8 * np.median(radii))[0]
-    tree = cKDTree(centers[small]) if small.size else None
-    r_small_max = radii[small].max() if small.size else 0.0
-    eps = 1e-12
-    for i, (center, radius) in enumerate(zip(centers, radii)):
-        pts = center + radius * fibonacci_sphere(
-            _sphere_sample_count(radius, target_spacing)
-        )
-        keep = np.ones(len(pts), dtype=bool)
-        for j in big:
-            if j == i:
-                continue
-            keep &= np.linalg.norm(pts - centers[j], axis=1) >= radii[j] - eps
-        if tree is not None and np.any(keep):
-            idx_lists = tree.query_ball_point(pts[keep], r_small_max)
-            sub = np.nonzero(keep)[0]
-            for k, lst in zip(sub, idx_lists):
-                for jj in lst:
-                    j = small[jj]
-                    if j == i:
-                        continue
-                    if np.linalg.norm(pts[k] - centers[j]) < radii[j] - eps:
-                        keep[k] = False
-                        break
-        if np.any(keep):
-            out.append(pts[keep])
-    if not out:
-        # fully occluded spheres cannot all occur: the extremal ball always
-        # contributes; guard anyway
-        raise RuntimeError("boundary sample came out empty")
-    return np.vstack(out)
-
-
 def general_position_perturb(centers, max_shift):
     """Nudge centers radially so all norms are pairwise distinct.
 

@@ -10,55 +10,55 @@ radial integrals come from the exact profile closed forms.
 import math
 
 import numpy as np
-from dataclasses import dataclass
 
-from .density import SPMA, PointMasses, _blocks, _grid_slab, evaluate_on_grid
+from .density import (SPMA, PointMasses, _blocks, _grid_slab,
+                      density_bounding_box, midpoint_nodes)
 
-__all__ = ["GravConfig", "potential_point_masses", "potential_spm",
-           "potential_spma", "potential_oracle"]
-
-
-@dataclass(frozen=True)
-class GravConfig:
-    """Gravitational constant, 1 in model units."""
-
-    G: float = 1.0
-
-    def __post_init__(self):
-        if not self.G > 0:
-            raise ValueError("G must be positive")
+__all__ = ["potential_point_masses", "potential_spm", "potential_spma",
+           "potential_oracle", "oracle_clear"]
 
 
-DEFAULT_GRAV = GravConfig()
+def _check_G(G):
+    if not G > 0:
+        raise ValueError("G must be positive")
 
 
-def potential_point_masses(masses, x, cfg=DEFAULT_GRAV):
+def _point_mass_sums(masses, x, G=1.0):
+    """G * sum m_i / ||x - x_i|| at each point of an (n, 3) batch, NaN
+    at a mass position (no other point gives NaN)."""
+    pms = PointMasses.of(masses)
+    _check_G(G)
+    out = np.empty(len(x))
+    for p in _blocks(len(x), len(pms)):
+        d = np.linalg.norm(x[p, None, :] - pms.positions, axis=2)
+        with np.errstate(divide="ignore"):
+            out[p] = G * np.sum(pms.masses / d, axis=1)
+        out[p[np.any(d == 0.0, axis=1)]] = np.nan
+    return out
+
+
+def potential_point_masses(masses, x, G=1.0):
     """G * sum m_i / ||x - x_i||; raises at a mass position.  A block of
     points at a time against all masses (PointMasses or PointMass
     objects): each point's sum is one np.sum whatever the block."""
-    pms = PointMasses.of(masses)
     pts = np.asarray(x, dtype=float)
-    scalar = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    out = np.empty(len(pts))
-    for p in _blocks(len(pts), len(pms)):
-        d = np.linalg.norm(pts[p, None, :] - pms.positions, axis=2)
-        if np.any(d == 0.0):
-            raise ZeroDivisionError("potential evaluated at a point-mass "
-                                    "position")
-        out[p] = cfg.G * np.sum(pms.masses / d, axis=1)
-    return float(out[0]) if scalar else out
+    out = _point_mass_sums(masses, np.atleast_2d(pts), G)
+    if np.isnan(out).any():
+        raise ZeroDivisionError("potential evaluated at a point-mass "
+                                "position")
+    return float(out[0]) if pts.ndim == 1 else out
 
 
-def potential_spm(spm, x, cfg=DEFAULT_GRAV):
+def potential_spm(spm, x, G=1.0):
     """Potential of a single smoothed point mass, defined everywhere."""
-    return potential_spma(SPMA([spm]), x, cfg)
+    return potential_spma(SPMA([spm]), x, G)
 
 
-def potential_spma(spma, x, cfg=DEFAULT_GRAV):
+def potential_spma(spma, x, G=1.0):
     """Superposition of component potentials, each point taking its terms
     in component order: outside its ball a component acts as its point
     mass, inside as interior mass over rho plus the outer shells."""
+    _check_G(G)
     pts = np.asarray(x, dtype=float)
     scalar = pts.ndim == 1
     pts = np.atleast_2d(pts)
@@ -73,28 +73,40 @@ def potential_spma(spma, x, cfg=DEFAULT_GRAV):
         m = np.zeros(len(r))       # the interior mass term vanishes at the center
         np.divide(spma.mass_within(inner, r), r, out=m, where=r > 0)
         v[~outside] = m + 4.0 * np.pi * spma.tail_first_moment(inner, r)
-        np.add.at(out, p, cfg.G * v)
+        np.add.at(out, p, G * v)
     return float(out[0]) if scalar else out
 
 
-def _support_distance(density, x):
+def oracle_clear(density, x, resolution=128):
+    """Which points of an (n, 3) batch `potential_oracle` at `resolution`
+    evaluates: those farther than 2 quadrature cells from the support,
+    so that 1/r is resolved.  Every point clears a zero density."""
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    box = density_bounding_box(density)
+    if box is None:
+        return np.ones(len(pts), dtype=bool)
+    h = float(np.max(midpoint_nodes(*box, resolution)[2]))
     if isinstance(density, SPMA):
-        return float(np.min(np.linalg.norm(x - density.centers, axis=1)
-                            - density.radii))
-    # grid: distance to the nearest node carrying mass
-    nodes = density.node_coordinates()
-    mask = np.ravel(density.values, order="C") > 0
-    return float(np.min(np.linalg.norm(nodes[mask] - x, axis=1)))
+        centers, radii = density.centers, density.radii
+    else:
+        # grid: distance to the nearest node carrying mass
+        centers = density.origin + density.spacing * np.argwhere(
+            density.values > 0)
+        radii = 0.0
+    dist = np.empty(len(pts))
+    for p in _blocks(len(pts), len(centers)):
+        dist[p] = np.min(np.linalg.norm(pts[p, None, :] - centers, axis=2)
+                         - radii, axis=1)
+    return dist > 2.0 * h
 
 
-def potential_oracle(density, x, cfg=DEFAULT_GRAV, resolution=128,
-                     subcell=1):
+def potential_oracle(density, x, G=1.0, resolution=128, subcell=1):
     """Brute-force midpoint quadrature of G * int f(y)/||x-y|| dy.
 
     Independent of the shell-theorem code path.  `x` may be one point or
     an (n, 3) batch sharing the voxelization.  Every evaluation point must
-    stay clear of the support (distance > 2 cells) so the 1/r factor is
-    resolved; quadrature error is O(h^2) away from the support.
+    pass `oracle_clear` (distance > 2 cells from the support) so the 1/r
+    factor is resolved; quadrature error is O(h^2) away from the support.
 
     `subcell` refines the density factor only: each cell carries the
     average of f over subcell^3 interior midpoints while 1/r is still
@@ -104,41 +116,33 @@ def potential_oracle(density, x, cfg=DEFAULT_GRAV, resolution=128,
     harmonic away from the support, so its midpoint error is already
     high-order.
     """
-    from .density import density_bounding_box, midpoint_nodes
-
+    _check_G(G)
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 1
     pts_x = np.atleast_2d(x)
+    if not np.all(oracle_clear(density, pts_x, resolution)):
+        raise ValueError("evaluation point too close to the support "
+                         "(need clearance > 2 quadrature cells)")
     box = density_bounding_box(density)
     if box is None:
         return 0.0 if scalar else np.zeros(len(pts_x))
-    lo, hi = box
-    axes, cellvol, widths = midpoint_nodes(lo, hi, resolution)
-    h = float(np.max(widths))
-    for xe in pts_x:
-        if _support_distance(density, xe) <= 2.0 * h:
-            raise ValueError("evaluation point too close to the support "
-                             "(need clearance > 2 quadrature cells)")
-    origin = np.array([a[0] for a in axes])
-    subcell = int(subcell)
-    if subcell > 1:
-        n, s = resolution, subcell
-        fine_axes, _, fine_w = midpoint_nodes(lo, hi, n * s)
-        fine_origin = np.array([a[0] for a in fine_axes])
-        vals = np.empty((n,) * 3)
-        for i in range(n):     # one slab of `subcell` fine layers at a time
-            fine = _grid_slab(density, fine_origin, fine_w, (n * s,) * 3,
-                              i * s, (i + 1) * s)
-            vals[i] = fine.reshape(s, n, s, n, s).mean(axis=(0, 2, 4))
-    else:
-        vals = evaluate_on_grid(density, origin, widths, (resolution,) * 3)
+    n, s = int(resolution), int(subcell)
+    axes, cellvol, _ = midpoint_nodes(*box, n)
+    fine_axes, _, fine_w = midpoint_nodes(*box, n * s)
+    fine_origin = np.array([a[0] for a in fine_axes])
+    vals = np.empty((n,) * 3)
+    for i in range(n):         # one slab of `subcell` fine layers at a time
+        fine = _grid_slab(density, fine_origin, fine_w, (n * s,) * 3,
+                          i * s, (i + 1) * s)
+        vals[i] = fine.reshape(s, n, s, n, s).mean(axis=(0, 2, 4))
     mask = vals > 0
     if not mask.any():
         return 0.0 if scalar else np.zeros(len(pts_x))
     xx, yy, zz = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([xx[mask], yy[mask], zz[mask]], axis=-1)
+    weights = vals[mask]
     out = np.empty(len(pts_x))
     for i, xe in enumerate(pts_x):
         dist = np.linalg.norm(pts - xe, axis=1)
-        out[i] = cfg.G * cellvol * math.fsum(vals[mask] / dist)
+        out[i] = G * cellvol * math.fsum(weights / dist)
     return float(out[0]) if scalar else out

@@ -37,6 +37,13 @@ def origin_mass_file(tmp_path):
     return path
 
 
+@pytest.fixture()
+def two_mass_file(tmp_path):
+    path = tmp_path / "pm2.txt"
+    path.write_text("0 0 0.5 2.0\n0.4 0 0 1.0\n")
+    return path
+
+
 # ---------------------------------------------------------------------------
 # coeffs
 
@@ -64,6 +71,16 @@ def test_coeffs_dual_path_agreement(tmp_path):
     ca = SHECoefficients.load(out)
     cq = SHECoefficients.load(str(out) + ".quad")
     assert np.max(np.abs(ca.coeffs - cq.coeffs)) < 1e-10
+
+
+def test_coeffs_dual_path_scales_both_files_with_g(tmp_path, two_mass_file):
+    out = tmp_path / "c.csv"
+    assert run(["coeffs", "--points", two_mass_file, "--n-max", 16, "--G", 2,
+                "--out", out, "--dual-path"]) == 0
+    ca = SHECoefficients.load(out)
+    cq = SHECoefficients.load(str(out) + ".quad")
+    assert ca.GM == 6.0
+    assert abs(cq.GM - ca.GM) < 1e-10
 
 
 def test_coeffs_requires_exactly_one_model(tmp_path, origin_mass_file):
@@ -255,8 +272,86 @@ def test_potential_error_marker_at_singularity(tmp_path, origin_mass_file):
     assert lines[3].split(",")[3] != "ERROR"
 
 
+def _ray(path):
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    return [[float(c) if c not in ("", "ERROR") else c for c in row]
+            for row in rows]
+
+
+def test_potential_g_scales_every_column(tmp_path, two_mass_file,
+                                         snowman_file):
+    for model, oracle in (["--points", two_mass_file], []), \
+            (["--spma", snowman_file], ["--oracle-resolution", 32]):
+        ray = {}
+        for G in (1, 2):
+            out = tmp_path / ("pot%d.csv" % G)
+            assert run(["potential", *model, "--G", G, "--r-from", 2.5,
+                        "--r-to", 3, "--samples", 3, "--n-max", 60,
+                        *oracle, "--out", out]) == 0
+            ray[G] = _ray(out)
+        for one, two in zip(ray[1], ray[2]):
+            assert two[4] == pytest.approx(two[3], rel=1e-6)
+            assert two[3] == pytest.approx(2.0 * one[3], rel=1e-15)
+            if oracle:
+                assert two[5] == pytest.approx(2.0 * one[5], rel=1e-15)
+                assert two[5] == pytest.approx(two[3], rel=1e-2)
+            else:
+                assert two[5] == ""
+
+
+def test_potential_runs_the_oracle_once_for_the_whole_ray(
+        tmp_path, snowman_file, monkeypatch):
+    # one voxelization per command; rows the oracle cannot reach (here
+    # inside the support) are marked without calling it
+    calls = []
+    for name, module in list(sys.modules.items()):
+        original = getattr(module, "potential_oracle", None)
+        if name.startswith("gravharm") and original is not None:
+            def counted(density, x, *a, _original=original, **kw):
+                calls.append(len(x))
+                return _original(density, x, *a, **kw)
+            monkeypatch.setattr(module, "potential_oracle", counted)
+    out = tmp_path / "pot.csv"
+    assert run(["potential", "--spma", snowman_file, "--r-from", 0,
+                "--r-to", 3, "--samples", 7, "--n-max", 60,
+                "--oracle-resolution", 32, "--out", out]) == 0
+    oracle = [row[5] for row in _ray(out)]
+    assert calls == [sum(v != "ERROR" for v in oracle)]
+    assert oracle[:4] == ["ERROR"] * 4 and "ERROR" not in oracle[4:]
+
+
 def test_potential_requires_range(snowman_file):
     assert run(["potential", "--spma", snowman_file]) == 2
+
+
+# ---------------------------------------------------------------------------
+# bad inputs
+
+@pytest.mark.parametrize("argv, grid, message", [
+    (["rc", "--snowman-gamma", 0.5, "--window", "50"], None, "--window"),
+    (["rc", "--snowman-gamma", 0.5, "--window", "50,x"], None, "--window"),
+    (["approximate", "--resolution", 1], "ok", "grid_resolution"),
+    (["approximate", "--resolution", -5], "ok", "grid_resolution"),
+    (["approximate", "--min-ball-radius", -0.1], "ok", "min_ball_radius"),
+    (["approximate"], "2 2 x 1 0 0 0\n1 1 1 1\n", "ball.grid:1:"),
+    (["approximate"], "2 2 2 1 0 0\n1 1 1 1\n", "ball.grid:1:"),
+    (["approximate"], "2 2 2 1 0 0 0\n1 1 1 1\n1 1 x 1\n", "ball.grid:3:"),
+], ids=["window-one-value", "window-not-int", "resolution-1",
+        "resolution-negative", "min-ball-radius", "grid-header-value",
+        "grid-header-fields", "grid-value"])
+def test_bad_inputs_name_what_is_wrong(tmp_path, capsys, argv, grid,
+                                       message):
+    if grid is not None:
+        path = tmp_path / "ball.grid"
+        if grid == "ok":
+            unit_ball_grid(8).save(path)
+        else:
+            path.write_text(grid)
+        argv = argv + ["--density", path, "--delta", 0.5, "--eps", 0.5,
+                       "--out", tmp_path / "o.spma",
+                       "--report", tmp_path / "r.json"]
+    assert run(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

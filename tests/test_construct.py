@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from gravharm import (ConstructionError, FillingBudgetError, FillingParams,
@@ -13,6 +14,7 @@ from gravharm import (ConstructionError, FillingBudgetError, FillingParams,
                       spherical_filling, spma_approximate)
 
 from gravharm import density as density_module
+from gravharm.density import TABLE
 
 from conftest import unit_ball_grid
 
@@ -95,6 +97,10 @@ def test_filling_budget_error_for_tiny_budget():
 def test_filling_params_validation():
     with pytest.raises(ValueError):
         FillingParams(delta=0.0, eps=0.1)
+    for field, value in (("grid_resolution", 1), ("grid_resolution", -5),
+                         ("min_ball_radius", -1e-3)):
+        with pytest.raises(ValueError, match=field):
+            FillingParams(delta=0.1, eps=0.1, **{field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +177,29 @@ def test_approximate_deterministic(ball_approx):
     assert np.array_equal(res2.spma.centers, res.spma.centers)
     assert np.array_equal(res2.spma.radii, res.spma.radii)
     assert res2.report["summary"] == res.report["summary"]
+
+
+def test_a8_compares_each_covering_part_with_its_own_node():
+    # eps = 0.3 puts the extremal covering ball (radius 2h = 0.21) above
+    # eps / 2, so it is split into tapers that keep its node's amplitude
+    g = unit_ball_grid(20)
+    res = spma_approximate(g, FillingParams(delta=0.5, eps=0.3))
+    spma, n_nodes = res.spma, len(res.filling.covering)
+    cover = np.arange(len(res.filling.filling), len(spma))
+    q_split = np.flatnonzero(spma.kinds[cover] == TABLE)
+    assert len(q_split) > 1 and len(cover) == n_nodes + len(q_split) - 1
+    # the split parts stand in one block for one node, in node order
+    q = np.arange(len(cover))
+    node = q - np.clip(q - q_split[0], 0, len(q_split) - 1)
+    # node mean of f over the 3x3x3 stencil of a covering ball
+    mask = g.values > 0
+    meanf = ndimage.convolve(g.values, np.ones((3, 3, 3)),
+                             mode="constant")[mask] / 27.0
+    amp = spma.profile(cover, np.zeros(len(cover)))
+    a8 = res.report["a8"]
+    assert a8["pass"]
+    assert a8["worst_excess"] == pytest.approx(np.max(amp - meanf[node]),
+                                               abs=1e-12)
 
 
 def test_approximate_budget_error_propagates():

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gravharm import (BallRegion, as_vec3, boundary_sample,
-                      brillouin_radius, fibonacci_sphere,
+from gravharm import (BallRegion, as_vec3, brillouin_radius, fibonacci_sphere,
                       general_position_perturb, hausdorff_distance,
                       pointmass_brillouin_radius, PointMass, PointMasses)
 
@@ -100,25 +99,6 @@ def test_fibonacci_sphere_unit_norms_and_determinism():
     assert pts.shape == (200, 3)
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
     assert np.array_equal(pts, fibonacci_sphere(200))
-
-
-def test_boundary_sample_single_ball_on_sphere():
-    reg = BallRegion([(0.5, 0, 0)], [2.0])
-    pts = boundary_sample(reg, 0.2)
-    d = np.linalg.norm(pts - np.array([0.5, 0, 0]), axis=1)
-    assert np.allclose(d, 2.0, atol=1e-12)
-
-
-def test_boundary_sample_occlusion():
-    # points strictly inside the other ball must be discarded
-    reg = BallRegion([(0, 0, 0), (1.0, 0, 0)], [1.0, 1.0])
-    pts = boundary_sample(reg, 0.1)
-    d0 = np.linalg.norm(pts - np.array([0.0, 0, 0]), axis=1)
-    d1 = np.linalg.norm(pts - np.array([1.0, 0, 0]), axis=1)
-    assert np.all((d0 >= 1.0 - 1e-9) | (d1 >= 1.0 - 1e-9))
-    # Hausdorff distance from the sample to the analytic boundary is
-    # bounded by the documented 2 * spacing tolerance
-    assert np.all(np.minimum(np.abs(d0 - 1.0), np.abs(d1 - 1.0)) < 0.2)
 
 
 # ---------------------------------------------------------------------------

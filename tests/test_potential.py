@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gravharm import (GravConfig, PointMass, PointMasses, SPMA,
-                      SmoothedPointMass, cosine_bump, evaluate_on_grid,
+from gravharm import (PointMass, PointMasses, SPMA, SmoothedPointMass,
+                      cosine_bump, evaluate_on_grid, oracle_clear,
                       potential_oracle, potential_point_masses, potential_spm,
-                      potential_spma, quadratic_bump, table_profile)
+                      potential_spma, quadratic_bump, table_profile,
+                      total_mass)
 from gravharm.density import _BLOCK, midpoint_nodes
 
-from conftest import mixed_spma, unblocked_potential_point_masses
+from conftest import mixed_spma, unblocked_potential_point_masses, unit_ball_grid
 
 
 def interior_oracle(profile, rho, G=1.0):
@@ -40,7 +41,7 @@ def test_point_mass_potential_direct():
 def test_point_mass_potential_scales_with_g():
     masses = [PointMass((0, 0, 0), 1.0)]
     x = np.array([2.0, 0, 0])
-    assert potential_point_masses(masses, x, GravConfig(6.674e-11)) == \
+    assert potential_point_masses(masses, x, G=6.674e-11) == \
         pytest.approx(6.674e-11 * 0.5, rel=1e-15)
 
 
@@ -65,10 +66,10 @@ def test_point_mass_blocks_match_unblocked_sum(n_masses):
     for G in (1.0, 0.37):
         expect = unblocked_potential_point_masses(masses, pts, G)
         assert np.array_equal(
-            potential_point_masses(masses, pts, GravConfig(G)), expect)
+            potential_point_masses(masses, pts, G=G), expect)
         assert np.array_equal(
-            potential_point_masses(PointMasses.of(masses), pts,
-                                   GravConfig(G)), expect)
+            potential_point_masses(PointMasses.of(masses), pts, G=G),
+            expect)
     v = potential_point_masses(masses, pts[17])
     assert isinstance(v, float)
     assert v == unblocked_potential_point_masses(masses, pts[17])[0]
@@ -202,7 +203,7 @@ def test_spma_potential_matches_component_loop():
     pts = np.vstack([rng.uniform(-1.2, 1.2, (4000, 3)), spma.centers,
                      spma.centers + spma.radii[:, None] * [1.0, 0.0, 0.0]])
     for G in (1.0, 0.37):
-        assert np.array_equal(potential_spma(spma, pts, GravConfig(G)),
+        assert np.array_equal(potential_spma(spma, pts, G=G),
                               _loop_potential_spma(spma, pts, G))
     spm = spma.components[2]
     assert np.array_equal(potential_spm(spm, pts),
@@ -234,6 +235,56 @@ def test_oracle_rejects_points_near_support():
                          resolution=32)
 
 
-def test_grav_config_validation():
+def test_g_must_be_positive():
+    x = np.array([3.0, 0.0, 0.0])
+    calls = [
+        lambda G: potential_point_masses([PointMass((0, 0, 0), 1.0)], x, G=G),
+        lambda G: potential_spma(mixed_spma(), x, G=G),
+        lambda G: potential_spm(mixed_spma().components[0], x, G=G),
+        lambda G: potential_oracle(mixed_spma(), x, G=G, resolution=8),
+    ]
+    for call in calls:
+        for G in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="G must be positive"):
+                call(G)
+
+
+def test_oracle_clear_is_the_rule_the_oracle_enforces():
+    spm = SmoothedPointMass((0, 0, 0), quadratic_bump(1.0, 0.5))
+    spma = SPMA([spm])
+    # box width 1 at resolution 20: h = 0.05, clearance beyond 0.1
+    x = np.array([[0.59, 0, 0], [0.61, 0, 0], [0, 0, 2.0]])
+    assert oracle_clear(spma, x, resolution=20).tolist() == [False, True, True]
+    assert np.array_equal(potential_oracle(spma, x[1:], G=2.0, resolution=20),
+                          2.0 * potential_oracle(spma, x[1:], resolution=20))
     with pytest.raises(ValueError):
-        GravConfig(0.0)
+        potential_oracle(spma, x, resolution=20)
+
+
+# ---------------------------------------------------------------------------
+# the oracle on a grid density
+
+def test_oracle_on_a_grid_density_converges_at_second_order():
+    g = unit_ball_grid(24)
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=(6, 3))
+    x = rng.uniform(1.5, 2.5, (6, 1)) * v / np.linalg.norm(v, axis=1)[:, None]
+    exact = total_mass(g) / np.linalg.norm(x, axis=1)
+    err = [float(np.max(np.abs(potential_oracle(g, x, resolution=n) - exact)
+                        / exact)) for n in (32, 64)]
+    # measured 2.1e-3 and 2.7e-4: halving h cuts the error at least 3x
+    assert err[0] < 5e-3
+    assert err[1] < err[0] / 3.0
+    assert np.array_equal(potential_oracle(g, x, G=3.0, resolution=32),
+                          3.0 * potential_oracle(g, x, resolution=32))
+
+
+def test_oracle_on_a_grid_density_rejects_points_near_the_support():
+    g = unit_ball_grid(24)
+    nodes = g.origin + g.spacing * np.argwhere(g.values > 0)
+    top = nodes[np.argmax(nodes[:, 2])]
+    # h = 2 / 32: clearance needs more than 0.125 from every support node
+    x = top + np.array([[0, 0, 0.1], [0, 0, 0.2]])
+    assert oracle_clear(g, x, resolution=32).tolist() == [False, True]
+    with pytest.raises(ValueError):
+        potential_oracle(g, x[0], resolution=32)
