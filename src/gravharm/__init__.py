@@ -12,7 +12,7 @@ from .geometry import (BallRegion, as_vec3, brillouin_radius,
                        fibonacci_sphere, general_position_perturb,
                        hausdorff_distance, pointmass_brillouin_radius)
 from .density import (GridDensity, PointMass, PointMasses, RadialProfile,
-                      SPMA, SmoothedPointMass, WeightFn, constant_taper,
+                      SPMA, SmoothedPointMass, constant_taper,
                       cosine_bump, evaluate, evaluate_on_grid, load_spma,
                       lp_metric, quadratic_bump, save_spma, table_profile,
                       total_mass)

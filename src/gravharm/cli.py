@@ -258,6 +258,8 @@ def cmd_snowman_scan(args):
     _require(args, "gamma-from", "gamma-to")
     if not (args.gamma_from > 0 and args.gamma_to > args.gamma_from):
         raise CliError("need 0 < --gamma-from < --gamma-to")
+    if not args.tol > 0:
+        raise CliError("--tol must be positive")
     gammas = np.linspace(args.gamma_from, args.gamma_to, args.steps)
     out = sys.stdout if args.out is None else open(args.out, "w")
     try:
@@ -274,6 +276,8 @@ def cmd_snowman_scan(args):
                                "gamma range", EXIT_NUMERIC)
             while hi - lo > args.tol:
                 mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:       # lo and hi are adjacent floats
+                    break
                 if _snowman_verdict(mid)[1] != at_lo:
                     hi = mid
                 else:
@@ -396,11 +400,19 @@ def main(argv=None):
             # flags override the config file: only fill in values the
             # command line left at their defaults (read from the
             # subcommand's parser, which would demand its positionals if
-            # it were asked to parse)
+            # it were asked to parse), each through its flag's type as a
+            # command-line token would be
             command = ap.subcommands[args.command]
+            types = {a.dest: a.type for a in command._actions}
             for key, value in conf.items():
                 if key == "config":
                     continue
+                if types.get(key) is not None:
+                    try:
+                        value = types[key](str(value))
+                    except ValueError:
+                        raise CliError("config key %s: invalid %s value %r"
+                                       % (key, types[key].__name__, value))
                 if getattr(args, key) == command.get_default(key):
                     setattr(args, key, value)
         return args.func(args)

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from .geometry import (BallRegion, brillouin_radius,
                        general_position_perturb, hausdorff_distance,
                        pointmass_brillouin_radius)
-from .density import (QUADRATIC, SPMA, TABLE, GridDensity, _pow,
-                      constant_taper, cosine_bump, lp_metric, quadratic_bump)
+from .density import (QUADRATIC, SPMA, TABLE, GridDensity, SmoothedPointMass,
+                      _pow, constant_taper, cosine_bump, lp_metric,
+                      quadratic_bump)
 from .convergence import pointmass_rc
 
 __all__ = ["FillingParams", "SnowmanParams", "FillingBudgetError",
@@ -34,6 +35,7 @@ COVER_RADIUS_STEPS = 2     # covering-ball radius in grid steps
 BACKGROUND_FRACTION = 0.95  # share of f the covering background carries
 TAPER_FRACTION = 0.02      # filling-taper rim width over its radius
 MAX_BALLS = 200_000        # filling balls before the budget counts as lost
+FIT_ITERATIONS = 80        # projected-gradient steps of the background fit
 
 
 class FillingBudgetError(RuntimeError):
@@ -246,7 +248,7 @@ def _half_grid_values(vals):
     return out
 
 
-def _fit_background(vals, mask, beta, iterations=80, relax=1.0):
+def _fit_background(vals, mask, beta):
     """Per-node covering amplitudes whose bump sum tracks beta * f.
 
     Least-squares fit against trilinear f on the half-step lattice:
@@ -273,12 +275,12 @@ def _fit_background(vals, mask, beta, iterations=80, relax=1.0):
     target = beta * _half_grid_values(vals)
     w = np.minimum(np.where(mask, beta * vals, 0.0) / float(K1.sum()), cap)
     up = np.zeros(target.shape)
-    for _ in range(iterations):
+    for _ in range(FIT_ITERATIONS):
         up[...] = 0.0
         up[::2, ::2, ::2] = w
         bg_half = fftconvolve(up, K2, mode="same")
         grad = fftconvolve(target - bg_half, K2, mode="same")[::2, ::2, ::2]
-        w = np.clip(w + relax * grad / denom, 0.0, cap)
+        w = np.clip(w + grad / denom, 0.0, cap)
     up[...] = 0.0
     up[::2, ::2, ::2] = w
     bg = fftconvolve(up, K2, mode="same")[::2, ::2, ::2]
@@ -467,7 +469,7 @@ def _verify(spma, filling, params, tree_nodes, in_ball, meanf, tags):
     report["a3"] = dict(report["p2"])
 
     # p3: measured L1 distance
-    mu1 = lp_metric(g, spma, p=1, resolution=max(g.shape))
+    mu1 = lp_metric(g, spma, resolution=max(g.shape))
     report["p3"] = {"pass": bool(mu1 < delta), "mu1": mu1, "delta": delta}
 
     # p4/p5 and a4: set and boundary distances at voxel scale
@@ -598,9 +600,9 @@ def _profile_with_mass(kind, mass, outer_radius):
 def build_snowman(p):
     """Two overlapping smoothed point masses at (+-1, 0, 0)."""
     a = 1.0 + p.gamma
-    return SPMA.from_profiles(
-        [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)],
-        [_profile_with_mass(p.profile_kind, m, a) for m in (p.m1, p.m2)])
+    return SPMA([SmoothedPointMass((x, 0.0, 0.0),
+                                   _profile_with_mass(p.profile_kind, m, a))
+                 for x, m in ((1.0, p.m1), (-1.0, p.m2))])
 
 
 def snowman_waist_radius(gamma):

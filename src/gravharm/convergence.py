@@ -26,7 +26,7 @@ __all__ = ["ConvergenceReport", "PartialSumReport", "DescentReport",
 ABS_FLOOR = 1e-300
 DEFAULT_WINDOW_FRACTION = 0.25
 DEFAULT_DIRECTIONS = 64
-DEFAULT_GROWTH_FACTOR = 1e6
+GROWTH_FACTOR = 1e6      # partial-sum blow-up that counts as divergence
 
 
 class AllDirectionsInconclusive(RuntimeError):
@@ -45,7 +45,6 @@ class ConvergenceReport:
     fit_window: tuple
     residual: float
     classification: str          # convergent_at / divergent_at / inconclusive
-    test_radius: float = float("nan")
 
 
 @dataclass(frozen=True)
@@ -140,46 +139,37 @@ def pointmass_rc(pms, n_max, k=DEFAULT_DIRECTIONS, window=None):
         return 0.0, reports
 
 
-def classify_partial_sums(c, r, d, N_max=None, growth_factor=DEFAULT_GROWTH_FACTOR,
-                          tol_converge=None):
-    """Classify the truncated series at radius r along direction d.
+def classify_partial_sums(c, r, d):
+    """Classify the series through degree c.n_max at radius r along
+    direction d.
 
-    divergent_at: the running partial sums blow up by `growth_factor`
+    divergent_at: the running partial sums blow up by GROWTH_FACTOR
     while late term magnitudes keep increasing.  convergent_at: the
-    partial sums over the last quarter of the window fluctuate by less
-    than `tol_converge` (default 1e-9 of the final sum).  Anything else
-    is inconclusive.
+    partial sums over the last quarter of the degrees fluctuate by less
+    than 1e-9 of the final sum.  Anything else is inconclusive.
     """
     r = float(r)
     if not r > 0:
         raise ValueError("radius must be positive")
-    if not growth_factor > 1:
-        raise ValueError("growth factor must exceed 1")
-    N_max = c.n_max if N_max is None else int(N_max)
-    if N_max > c.n_max:
-        raise ValueError("N_max exceeds the available degrees")
-    S, t = partial_sum_sequence(c, d, r, N_max)
+    S, t = partial_sum_sequence(c, d, r)
     absS = np.abs(S)
-    q = max(1, (N_max + 1) // 4)
+    q = max(1, (c.n_max + 1) // 4)
     last = slice(len(S) - q, len(S))
     second = slice(q, 2 * q)
     tmag = np.abs(t)
     late_growth = np.median(tmag[last]) > np.median(tmag[second])
     fluct = float(S[last].max() - S[last].min())
-    if tol_converge is None:
-        tol_converge = 1e-9 * max(abs(S[-1]), ABS_FLOOR)
-    if absS.max() > growth_factor * max(absS[0], ABS_FLOOR) and late_growth:
+    if absS.max() > GROWTH_FACTOR * max(absS[0], ABS_FLOOR) and late_growth:
         cls = "divergent_at"
-    elif fluct < tol_converge:
+    elif fluct < 1e-9 * max(abs(S[-1]), ABS_FLOOR):
         cls = "convergent_at"
     else:
         cls = "inconclusive"
-    return PartialSumReport(cls, r, N_max, float(S[-1]), float(absS.max()),
+    return PartialSumReport(cls, r, c.n_max, float(S[-1]), float(absS.max()),
                             fluct)
 
 
-def epsilon_descent_check(spma, eps, n_max=400, k=DEFAULT_DIRECTIONS,
-                          window=None):
+def epsilon_descent_check(spma, eps, n_max=400, k=DEFAULT_DIRECTIONS):
     """Does the array's expansion reach eps below its Brillouin sphere?
 
     Outside its support the array's potential is exactly that of the
@@ -192,8 +182,7 @@ def epsilon_descent_check(spma, eps, n_max=400, k=DEFAULT_DIRECTIONS,
     if not eps > 0:
         raise ValueError("eps must be positive")
     R_support = brillouin_radius(spma)
-    rc, reports = pointmass_rc(spma.as_point_masses(), n_max, k=k,
-                               window=window)
+    rc, reports = pointmass_rc(spma.as_point_masses(), n_max, k=k)
     inconclusive = all(r.classification == "inconclusive" for r in reports)
     return DescentReport(rc <= R_support - eps, R_support, rc, eps,
                          inconclusive, reports)

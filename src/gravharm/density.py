@@ -1,5 +1,5 @@
 """Mass-density models: radial profiles, smoothed point masses, arrays,
-sampled grids, weighted L^p metrics and compact-set statistics.
+sampled grids and the mu_1 (L^1) metric.
 
 A smoothed point mass is a continuous, radially symmetric density
 supported on a closed ball, vanishing on the ball's boundary.  Profiles
@@ -24,8 +24,8 @@ __all__ = [
     "RadialProfile", "quadratic_bump", "cosine_bump", "constant_taper",
     "table_profile", "PointMass", "PointMasses", "SmoothedPointMass",
     "SPMA", "ComponentError", "QUADRATIC", "COSINE", "TABLE", "KIND_NAMES",
-    "GridDensity", "WeightFn", "evaluate", "evaluate_on_grid",
-    "total_mass", "lp_metric", "density_bounding_box", "midpoint_nodes",
+    "GridDensity", "evaluate", "evaluate_on_grid", "total_mass",
+    "lp_metric", "midpoint_nodes",
 ]
 
 QUADRATIC, COSINE, TABLE = 0, 1, 2          # profile kind codes
@@ -306,10 +306,12 @@ def _arrays(rows):
     return centers, radii, kinds, amplitudes, groups
 
 
-def _profile_rows(centers, profiles):
-    return [(c, p.outer_radius, p._code, [p.amplitude] if p.knots is None
-             else np.concatenate([p.knots, p.values]))
-            for c, p in zip(centers, profiles)]
+def _profile_rows(components):
+    """_arrays rows of SmoothedPointMass objects."""
+    return [(c.center, c.radius, c.profile._code,
+             [c.profile.amplitude] if c.profile.knots is None
+             else np.concatenate([c.profile.knots, c.profile.values]))
+            for c in components]
 
 
 class SPMA:
@@ -320,16 +322,13 @@ class SPMA:
     amplitude array per bump kind and one (knots, values) pair of (M, K)
     arrays per table knot count K, and each group evaluates through one
     array formula (`profile`, `mass_within`, `tail_first_moment`).
-    Built from SmoothedPointMass objects, from arrays (`from_arrays`) or
-    from RadialProfiles (`from_profiles`); `components` builds the
-    objects when first read.
+    Built from SmoothedPointMass objects or from arrays (`from_arrays`);
+    `components` builds the objects when first read.
     """
 
     def __init__(self, components):
         components = tuple(components)
-        self._store(*_arrays(_profile_rows([c.center for c in components],
-                                           [c.profile for c in components])),
-                    check_boundary=False)
+        self._store(*_arrays(_profile_rows(components)), check_boundary=False)
         self.__dict__["components"] = components
 
     @classmethod
@@ -343,12 +342,6 @@ class SPMA:
         spma = cls.__new__(cls)
         spma._store(centers, radii, kinds, amplitudes, tables, check_boundary)
         return spma
-
-    @classmethod
-    def from_profiles(cls, centers, profiles):
-        """SPMA of RadialProfiles placed at `centers`."""
-        return cls.from_arrays(*_arrays(_profile_rows(centers, profiles)),
-                               check_boundary=False)
 
     def _store(self, centers, radii, kinds, amplitudes, tables,
                check_boundary):
@@ -528,38 +521,8 @@ class GridDensity:
         return cls(origin, h, values)
 
 
-@dataclass(frozen=True)
-class WeightFn:
-    """Strictly positive weight, one of a few named closed forms."""
-
-    kind: str = "constant"
-    params: tuple = (1.0,)
-
-    def __call__(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.kind == "constant":
-            return np.full(len(pts), float(self.params[0]))
-        r = np.linalg.norm(pts, axis=1)
-        if self.kind == "gaussian":
-            sigma, = self.params
-            return np.exp(-0.5 * (r / sigma) ** 2)
-        if self.kind == "radial_poly":
-            w = np.polyval(self.params, r)
-            if np.any(w <= 0):
-                raise ValueError("radial polynomial weight must stay positive")
-            return w
-        raise ValueError("unknown weight kind %r" % self.kind)
-
-
-UNIT_WEIGHT = WeightFn()
-
-
 # ---------------------------------------------------------------------------
 # evaluation
-
-def _is_zero(density):
-    return isinstance(density, (int, float)) and density == 0
-
 
 def _blocks(total, width=1):
     """Consecutive indices into range(total), about _BLOCK / width at a
@@ -580,9 +543,7 @@ def evaluate(density, x):
     pts = np.asarray(x, dtype=float)
     scalar = pts.ndim == 1
     pts = np.atleast_2d(pts)
-    if _is_zero(density):
-        out = np.zeros(len(pts))
-    elif isinstance(density, SPMA):
+    if isinstance(density, SPMA):
         out = np.zeros(len(pts))
         for pair in _blocks(len(density) * len(pts)):
             c, p = np.divmod(pair, len(pts))
@@ -613,8 +574,6 @@ def _grid_slab(density, origin, spacing, shape, start, stop):
     origin = as_vec3(origin)
     spacing = np.broadcast_to(np.asarray(spacing, dtype=float), (3,))
     nx, ny, nz = (int(n) for n in shape)
-    if _is_zero(density):
-        return np.zeros((stop - start, ny, nz))
     if not isinstance(density, SPMA):
         # grid densities: direct evaluation
         ax = [origin[d] + spacing[d] * np.arange(n) for d, n in enumerate((nx, ny, nz))]
@@ -651,8 +610,6 @@ def _grid_slab(density, origin, spacing, shape, start, stop):
 
 def total_mass(density):
     """Total mass, exact closed forms for profiles, node sum for grids."""
-    if _is_zero(density):
-        return 0.0
     if isinstance(density, SPMA):
         return float(math.fsum(density.masses))
     if isinstance(density, GridDensity):
@@ -664,12 +621,6 @@ def total_mass(density):
 # ---------------------------------------------------------------------------
 # metrics
 
-def density_bounding_box(density):
-    if _is_zero(density):
-        return None
-    return density.bounding_box()
-
-
 def midpoint_nodes(lo, hi, resolution):
     """Midpoint tensor grid over a box: per-axis coordinates + cell volume."""
     lo, hi = as_vec3(lo), as_vec3(hi)
@@ -679,55 +630,17 @@ def midpoint_nodes(lo, hi, resolution):
     return axes, float(np.prod(widths)), widths
 
 
-def _union_box(f, g):
-    boxes = [b for b in (density_bounding_box(f), density_bounding_box(g))
-             if b is not None]
-    if not boxes:
-        raise ValueError("both densities are identically zero")
-    lo = np.min([b[0] for b in boxes], axis=0)
-    hi = np.max([b[1] for b in boxes], axis=0)
-    return lo, hi
-
-
-def lp_metric(f, g, p=1, w=None, trunc_N=None, resolution=64):
-    """Weighted L^p distance between two densities by midpoint quadrature.
-
-    The quadrature box is the union of the two bounding boxes, intersected
-    with the origin-centered ball of radius trunc_N when given.  p = inf
-    returns the unweighted sup over quadrature nodes, matching the sup-norm
-    convention.
-    """
-    if not (p == np.inf or p >= 1):
-        raise ValueError("p must lie in [1, inf]")
-    lo, hi = _union_box(f, g)
-    if trunc_N is not None:
-        N = float(trunc_N)
-        lo, hi = np.maximum(lo, -N), np.minimum(hi, N)
-        if np.any(hi <= lo):
-            return 0.0
-    axes, cellvol, widths = midpoint_nodes(lo, hi, resolution)
+def lp_metric(f, g, resolution=64):
+    """mu_1(f, g), the L^1 distance between two densities, by midpoint
+    quadrature over the union of their bounding boxes."""
+    (lo_f, hi_f), (lo_g, hi_g) = f.bounding_box(), g.bounding_box()
+    axes, cellvol, widths = midpoint_nodes(np.minimum(lo_f, lo_g),
+                                           np.maximum(hi_f, hi_g), resolution)
     origin = np.array([a[0] for a in axes])
     shape = (resolution,) * 3
     diff = np.abs(evaluate_on_grid(f, origin, widths, shape)
                   - evaluate_on_grid(g, origin, widths, shape))
-    if trunc_N is not None:
-        xx, yy, zz = np.meshgrid(*axes, indexing="ij")
-        diff = np.where(xx**2 + yy**2 + zz**2 <= trunc_N**2, diff, 0.0)
-    if p == np.inf:
-        return float(diff.max())
-    flat = np.ravel(diff, order="F")
-    if w is not None and not (w.kind == "constant" and w.params[0] == 1.0):
-        pts = np.stack([a.ravel(order="F") for a in
-                        np.meshgrid(*axes, indexing="ij")], axis=-1)
-        wv = w(pts)
-    else:
-        wv = None
-    if p == 1:
-        terms = flat if wv is None else flat * wv
-    else:
-        terms = flat**p if wv is None else flat**p * wv
-    total = math.fsum(terms) * cellvol
-    return float(total if p == 1 else total ** (1.0 / p))
+    return float(math.fsum(np.ravel(diff, order="F")) * cellvol)
 
 
 # ---------------------------------------------------------------------------

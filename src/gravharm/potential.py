@@ -11,8 +11,7 @@ import math
 
 import numpy as np
 
-from .density import (SPMA, PointMasses, _blocks, _grid_slab,
-                      density_bounding_box, midpoint_nodes)
+from .density import SPMA, PointMasses, _blocks, _grid_slab, midpoint_nodes
 
 __all__ = ["potential_point_masses", "potential_spm", "potential_spma",
            "potential_oracle", "oracle_clear"]
@@ -80,12 +79,9 @@ def potential_spma(spma, x, G=1.0):
 def oracle_clear(density, x, resolution=128):
     """Which points of an (n, 3) batch `potential_oracle` at `resolution`
     evaluates: those farther than 2 quadrature cells from the support,
-    so that 1/r is resolved.  Every point clears a zero density."""
+    so that 1/r is resolved."""
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    box = density_bounding_box(density)
-    if box is None:
-        return np.ones(len(pts), dtype=bool)
-    h = float(np.max(midpoint_nodes(*box, resolution)[2]))
+    h = float(np.max(midpoint_nodes(*density.bounding_box(), resolution)[2]))
     if isinstance(density, SPMA):
         centers, radii = density.centers, density.radii
     else:
@@ -123,9 +119,7 @@ def potential_oracle(density, x, G=1.0, resolution=128, subcell=1):
     if not np.all(oracle_clear(density, pts_x, resolution)):
         raise ValueError("evaluation point too close to the support "
                          "(need clearance > 2 quadrature cells)")
-    box = density_bounding_box(density)
-    if box is None:
-        return 0.0 if scalar else np.zeros(len(pts_x))
+    box = density.bounding_box()
     n, s = int(resolution), int(subcell)
     axes, cellvol, _ = midpoint_nodes(*box, n)
     fine_axes, _, fine_w = midpoint_nodes(*box, n * s)
@@ -136,8 +130,6 @@ def potential_oracle(density, x, G=1.0, resolution=128, subcell=1):
                           i * s, (i + 1) * s)
         vals[i] = fine.reshape(s, n, s, n, s).mean(axis=(0, 2, 4))
     mask = vals > 0
-    if not mask.any():
-        return 0.0 if scalar else np.zeros(len(pts_x))
     xx, yy, zz = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([xx[mask], yy[mask], zz[mask]], axis=-1)
     weights = vals[mask]

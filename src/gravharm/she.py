@@ -215,15 +215,16 @@ class SHECoefficients:
 
     @classmethod
     def load(cls, path):
+        """Read a coefficient CSV; a bad metadata line or row raises
+        ValueError naming path:line."""
         with open(path) as fh:
-            meta = fh.readline().strip()
-            if not meta.startswith("#"):
-                raise ValueError("missing metadata line in coefficient file")
-            kv = dict(tok.split("=") for tok in meta[1:].split())
-            R, GM, n_max = float(kv["R"]), float(kv["GM"]), int(kv["n_max"])
+            try:
+                R, GM, n_max = _metadata(fh.readline().strip())
+            except ValueError as exc:
+                raise ValueError("%s:1: %s" % (path, exc))
             header = fh.readline().strip()
             if header != "n,m,C":
-                raise ValueError("missing 'n,m,C' header")
+                raise ValueError("%s:2: missing 'n,m,C' header" % path)
             C = np.zeros((n_max + 1, 2 * n_max + 1))
             seen = set()
             for lineno, line in enumerate(fh, 3):
@@ -249,6 +250,22 @@ class SHECoefficients:
                 seen.add((n, m))
                 C[n, n_max + m] = c
         return cls(R, GM, n_max, C)
+
+
+def _metadata(line):
+    """(R, GM, n_max) from a '# R=... GM=... n_max=...' line."""
+    if not line.startswith("#"):
+        raise ValueError("missing metadata line in coefficient file")
+    kv = {}
+    for tok in line[1:].split():
+        key, eq, value = tok.partition("=")
+        if not eq:
+            raise ValueError("expected key=value, got %r" % tok)
+        kv[key] = value
+    missing = [k for k in ("R", "GM", "n_max") if k not in kv]
+    if missing:
+        raise ValueError("metadata lacks %s" % ", ".join(missing))
+    return float(kv["R"]), float(kv["GM"]), _nonnegative("n_max", kv["n_max"])
 
 
 def _nonnegative(name, value):
@@ -410,9 +427,8 @@ def evaluate_partial_sum(c, N, r, d):
     return np.array([math.fsum(row) for row in t])
 
 
-def partial_sum_sequence(c, d, r, N_max=None):
-    """Cumulative partial sums S_0..S_Nmax along one direction."""
+def partial_sum_sequence(c, d, r):
+    """Cumulative partial sums S_0..S_{n_max} along one direction, and
+    the terms."""
     t = direction_term_sequence(c, d, r)
-    if N_max is not None:
-        t = t[:int(N_max) + 1]
     return np.cumsum(t), t

@@ -418,6 +418,24 @@ def test_snowman_scan_bisect_brackets_threshold(tmp_path):
     assert lo <= math.sqrt(2.0) - 1.0 <= hi
 
 
+def test_snowman_scan_bisect_stops_at_adjacent_floats(tmp_path):
+    # a tolerance below the float spacing ends with lo and hi adjacent
+    out = tmp_path / "scan.csv"
+    assert run(["snowman-scan", "--gamma-from", 0.3, "--gamma-to", 0.5,
+                "--steps", 2, "--bisect", "--tol", 1e-20, "--out", out]) == 0
+    tail = out.read_text().splitlines()[-1]
+    lo = float(tail.split("threshold_low=")[1].split()[0])
+    hi = float(tail.split("threshold_high=")[1])
+    assert hi == np.nextafter(lo, np.inf)
+
+
+@pytest.mark.parametrize("tol", [0, -1])
+def test_snowman_scan_rejects_nonpositive_tol(tol, capsys):
+    assert run(["snowman-scan", "--gamma-from", 0.3, "--gamma-to", 0.5,
+                "--bisect", "--tol", tol]) == 2
+    assert "--tol must be positive" in capsys.readouterr().err
+
+
 def test_snowman_scan_no_sign_change(tmp_path):
     assert run(["snowman-scan", "--gamma-from", 0.5, "--gamma-to", 0.8,
                 "--bisect", "--out", tmp_path / "s.csv"]) == 3
@@ -476,3 +494,25 @@ def test_config_with_rc(tmp_path, capsys):
     rc = float(capsys.readouterr().out.split("Rc=")[1])
     assert rc == pytest.approx(0.8, rel=0.02)
     assert len(csv.read_text().splitlines()) == 1 + 8
+
+
+@pytest.mark.parametrize("argv,conf,code,err", [
+    (["rc", "--points", "PM", "--n-max", 60], {"directions": "5"}, 0, ""),
+    (["snowman-scan"], {"gamma_from": "0.3", "gamma_to": 0.5, "steps": 2},
+     0, ""),
+    (["rc", "--points", "PM"], {"directions": "five"}, 2,
+     "config key directions: invalid int value 'five'"),
+    (["snowman-scan"], {"gamma_from": 0.3, "gamma_to": 0.5, "steps": 2.5},
+     2, "config key steps: invalid int value 2.5"),
+    (["snowman-scan", "--gamma-from", 0.3, "--gamma-to", 0.5],
+     {"tol": [1e-8]}, 2, "config key tol: invalid float value [1e-08]"),
+])
+def test_config_values_take_the_flag_type(tmp_path, capsys, argv, conf, code,
+                                          err):
+    pm = tmp_path / "pm.txt"
+    pm.write_text("0 0 0.8 2.0\n")
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+    argv = [pm if a == "PM" else a for a in argv]
+    assert run(["--config", path] + argv) == code
+    assert err in capsys.readouterr().err

@@ -116,10 +116,6 @@ def test_classify_validation():
     c = axis_mass_coeffs(0.5, n_max=40)
     with pytest.raises(ValueError):
         classify_partial_sums(c, -1.0, Direction(0.0, 0.0))
-    with pytest.raises(ValueError):
-        classify_partial_sums(c, 1.0, Direction(0.0, 0.0), N_max=100)
-    with pytest.raises(ValueError):
-        classify_partial_sums(c, 1.0, Direction(0.0, 0.0), growth_factor=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from gravharm import (GridDensity, PointMass, PointMasses, SPMA,
-                      SmoothedPointMass, WeightFn, constant_taper, cosine_bump,
+                      SmoothedPointMass, constant_taper, cosine_bump,
                       evaluate, evaluate_on_grid, load_spma, lp_metric,
                       quadratic_bump, save_spma, table_profile, total_mass)
 
@@ -207,39 +207,24 @@ def test_lp_metric_identity_and_symmetry():
     assert lp_metric(f, g) == pytest.approx(lp_metric(g, f), rel=1e-14)
 
 
+def _bump(amp, a):
+    return SPMA([SmoothedPointMass((0, 0, 0), quadratic_bump(amp, a))])
+
+
 def test_lp_metric_against_total_mass():
-    # mu_1(f, 0) is the integral of |f|, i.e. the total mass
-    f = SPMA([SmoothedPointMass((0, 0, 0), quadratic_bump(1.0, 1.0))])
-    assert lp_metric(f, 0, resolution=96) == pytest.approx(
+    # |2f - f| = f, so mu_1(f, 2f) is the integral of f, the total mass
+    f = _bump(1.0, 1.0)
+    assert lp_metric(f, _bump(2.0, 1.0), resolution=96) == pytest.approx(
         total_mass(f), rel=2e-3)
-
-
-def test_lp_metric_sup_norm():
-    f = SPMA([SmoothedPointMass((0, 0, 0), quadratic_bump(2.0, 1.0))])
-    assert lp_metric(f, 0, p=np.inf, resolution=65) == pytest.approx(
-        2.0, rel=1e-2)
-
-
-def test_lp_metric_weighted_constant_scales():
-    f = SPMA([SmoothedPointMass((0, 0, 0), quadratic_bump(1.0, 1.0))])
-    base = lp_metric(f, 0, resolution=32)
-    scaled = lp_metric(f, 0, w=WeightFn("constant", (3.0,)), resolution=32)
-    assert scaled == pytest.approx(3.0 * base, rel=1e-12)
-
-
-def test_lp_metric_truncation():
-    f = SPMA([SmoothedPointMass((0, 0, 0), quadratic_bump(1.0, 1.0))])
-    assert lp_metric(f, 0, trunc_N=2.0, resolution=64) == pytest.approx(
-        lp_metric(f, 0, resolution=64), rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.floats(0.2, 3.0), st.floats(0.3, 1.5))
 def test_lp_metric_amplitude_linearity(amp, a):
-    f = SPMA([SmoothedPointMass((0, 0, 0), quadratic_bump(amp, a))])
-    unit = SPMA([SmoothedPointMass((0, 0, 0), quadratic_bump(1.0, a))])
-    assert lp_metric(f, 0, resolution=24) == pytest.approx(
-        amp * lp_metric(unit, 0, resolution=24), rel=1e-10)
+    assert lp_metric(_bump(amp, a), _bump(2 * amp, a),
+                     resolution=24) == pytest.approx(
+        amp * lp_metric(_bump(1.0, a), _bump(2.0, a), resolution=24),
+        rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -446,6 +446,20 @@ def test_coefficients_load_rejects_bad_rows(tmp_path, rows, error):
         SHECoefficients.load(path)
 
 
+@pytest.mark.parametrize("head,error", [
+    ("# R=1 n_max=3\nn,m,C", "c.csv:1: metadata lacks GM"),
+    ("# R=1 GM n_max=3\nn,m,C", "c.csv:1: expected key=value, got 'GM'"),
+    ("# R=1 GM=1 n_max=-1\nn,m,C",
+     "c.csv:1: n_max must be non-negative, got -1"),
+    ("# R=1 GM=1 n_max=3\nn,C", "c.csv:2: missing 'n,m,C' header"),
+])
+def test_coefficients_load_names_bad_metadata(tmp_path, head, error):
+    path = tmp_path / "c.csv"
+    path.write_text(head + "\n0,0,1\n")
+    with pytest.raises(ValueError, match=re.escape(error)):
+        SHECoefficients.load(path)
+
+
 def test_coefficients_threshold_drops_small_entries(tmp_path):
     c = coeffs_from_point_masses([PointMass((0, 0, 0), 1.0)], 1.0, 6)
     path = tmp_path / "c.csv"
