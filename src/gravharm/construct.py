@@ -248,6 +248,20 @@ def _half_grid_values(vals):
     return out
 
 
+def _convolver(kernel, shape):
+    """x -> fftconvolve(x, kernel, mode="same") for x of `shape`, with the
+    kernel's transform computed once.  The transform length and the
+    centred crop are fftconvolve's own, so the result is bit-identical."""
+    from scipy import fft
+
+    full = [s + k - 1 for s, k in zip(shape, kernel.shape)]
+    fshape = [fft.next_fast_len(n, True) for n in full]
+    spec = fft.rfftn(kernel, fshape)
+    same = tuple(slice((k - 1) // 2, (k - 1) // 2 + s)
+                 for s, k in zip(shape, kernel.shape))
+    return lambda x: fft.irfftn(fft.rfftn(x, fshape) * spec, fshape)[same]
+
+
 def _fit_background(vals, mask, beta):
     """Per-node covering amplitudes whose bump sum tracks beta * f.
 
@@ -273,17 +287,18 @@ def _fit_background(vals, mask, beta):
     auto = fftconvolve(K2, K2, mode="full")
     denom = float(auto[::2, ::2, ::2].sum())
     target = beta * _half_grid_values(vals)
+    conv = _convolver(K2, target.shape)
     w = np.minimum(np.where(mask, beta * vals, 0.0) / float(K1.sum()), cap)
     up = np.zeros(target.shape)
     for _ in range(FIT_ITERATIONS):
         up[...] = 0.0
         up[::2, ::2, ::2] = w
-        bg_half = fftconvolve(up, K2, mode="same")
-        grad = fftconvolve(target - bg_half, K2, mode="same")[::2, ::2, ::2]
+        bg_half = conv(up)
+        grad = conv(target - bg_half)[::2, ::2, ::2]
         w = np.clip(w + grad / denom, 0.0, cap)
     up[...] = 0.0
     up[::2, ::2, ::2] = w
-    bg = fftconvolve(up, K2, mode="same")[::2, ::2, ::2]
+    bg = conv(up)[::2, ::2, ::2]
     return w, bg, meanf
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
+from scipy.signal import fftconvolve
 from scipy.spatial import cKDTree
 
 from gravharm import (ConstructionError, FillingBudgetError, FillingParams,
@@ -14,6 +15,7 @@ from gravharm import (ConstructionError, FillingBudgetError, FillingParams,
                       spherical_filling, spma_approximate)
 
 from gravharm import density as density_module
+from gravharm.construct import COVER_RADIUS_STEPS, _convolver, _cover_kernel
 from gravharm.density import TABLE
 
 from conftest import unit_ball_grid
@@ -101,6 +103,19 @@ def test_filling_params_validation():
                          ("min_ball_radius", -1e-3)):
         with pytest.raises(ValueError, match=field):
             FillingParams(delta=0.1, eps=0.1, **{field: value})
+
+
+# ---------------------------------------------------------------------------
+# background fit
+
+@pytest.mark.parametrize("shape", [(47, 47, 47), (20, 33, 26)])
+def test_convolver_is_fftconvolve_same(shape):
+    # the cached kernel transform changes no bit of the convolution
+    K2 = _cover_kernel(COVER_RADIUS_STEPS, substeps=2)
+    conv = _convolver(K2, shape)
+    for seed in (0, 1):     # the second call reuses the kernel transform
+        x = np.random.default_rng(seed).random(shape)
+        assert np.array_equal(conv(x), fftconvolve(x, K2, mode="same"))
 
 
 # ---------------------------------------------------------------------------
