@@ -249,29 +249,33 @@ def _half_grid_values(vals):
 
 
 def _convolver(kernel, shape):
-    """x -> fftconvolve(x, kernel, mode="same") for x of `shape`, with the
-    kernel's transform computed once.  The transform length and the
-    centred crop are fftconvolve's own, so the result is bit-identical."""
+    """x -> fftconvolve(x, kernel, mode="full") for x of `shape`, with the
+    kernel's transform computed once.  The transform length is
+    fftconvolve's own, so the result is bit-identical."""
     from scipy import fft
 
     full = [s + k - 1 for s, k in zip(shape, kernel.shape)]
     fshape = [fft.next_fast_len(n, True) for n in full]
     spec = fft.rfftn(kernel, fshape)
-    same = tuple(slice((k - 1) // 2, (k - 1) // 2 + s)
-                 for s, k in zip(shape, kernel.shape))
-    return lambda x: fft.irfftn(fft.rfftn(x, fshape) * spec, fshape)[same]
+    crop = tuple(slice(n) for n in full)
+    return lambda x: fft.irfftn(fft.rfftn(x, fshape) * spec, fshape)[crop]
 
 
 def _fit_background(vals, mask, beta):
     """Per-node covering amplitudes whose bump sum tracks beta * f.
 
-    Least-squares fit against trilinear f on the half-step lattice:
-    between the last positive node and its zero neighbors f ramps down
-    inside one cell, which node-only fitting cannot see, so the residual
-    and gradient are evaluated at half steps (FFT convolutions).  The cap
-    keeps every amplitude safely below the node average of f over its
-    ball.  Returns (amplitudes, background, node-average of f), all on
-    the node grid, with the first two zero off the support.
+    Least-squares fit of A w to t = beta * trilinear f on the half-step
+    lattice, where A puts w on the whole steps and convolves with the
+    half-step bump: between the last positive node and its zero
+    neighbors f ramps down inside one cell, which node-only fitting
+    cannot see.  The residual covers every half step the background
+    reaches, the grid box and the 2h rim outside it, where t = 0.  The
+    projected gradient steps run on the node grid: A^T t is formed once,
+    and A^T A is the bump's autocorrelation sampled at whole steps.  The
+    cap keeps every amplitude safely below the node average of f over
+    its ball.  Returns (amplitudes, background, node-average of f) on
+    the node grid, the first two zero off the support, and the fit's
+    iteration count and relative residual |t - A w| / |t|.
     """
     from scipy import ndimage
     from scipy.signal import fftconvolve
@@ -282,24 +286,27 @@ def _fit_background(vals, mask, beta):
     cap = np.where(mask, 0.9 * np.maximum(meanf, 0.0), 0.0)
 
     K2 = _cover_kernel(COVER_RADIUS_STEPS, substeps=2)
+    gram = fftconvolve(K2, K2, mode="full")[::2, ::2, ::2]
     # stable gradient step: bound the normal-operator spectrum by its
-    # row sum (kernel autocorrelation sampled on the coarse lattice)
-    auto = fftconvolve(K2, K2, mode="full")
-    denom = float(auto[::2, ::2, ::2].sum())
+    # row sum
+    denom = float(gram.sum())
+    # both kernels reach 2 * COVER_RADIUS_STEPS lattice points out, so
+    # this crop of a full convolution is its same-mode part
+    r = 2 * COVER_RADIUS_STEPS
+    same, nodes = (slice(r, -r),) * 3, (slice(r, -r, 2),) * 3
     target = beta * _half_grid_values(vals)
-    conv = _convolver(K2, target.shape)
+    conv_half = _convolver(K2, target.shape)
+    conv_gram = _convolver(gram, vals.shape)
+    At = conv_half(target)[nodes]
     w = np.minimum(np.where(mask, beta * vals, 0.0) / float(K1.sum()), cap)
-    up = np.zeros(target.shape)
     for _ in range(FIT_ITERATIONS):
-        up[...] = 0.0
-        up[::2, ::2, ::2] = w
-        bg_half = conv(up)
-        grad = conv(target - bg_half)[::2, ::2, ::2]
-        w = np.clip(w + grad / denom, 0.0, cap)
-    up[...] = 0.0
+        w = np.clip(w + (At - conv_gram(w)[same]) / denom, 0.0, cap)
+    up = np.zeros(target.shape)
     up[::2, ::2, ::2] = w
-    bg = conv(up)[::2, ::2, ::2]
-    return w, bg, meanf
+    Aw = conv_half(up)
+    residual = np.linalg.norm(np.pad(target, r) - Aw) / np.linalg.norm(target)
+    fit = {"iterations": FIT_ITERATIONS, "relative_residual": float(residual)}
+    return w, Aw[nodes], meanf, fit
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +352,7 @@ def spma_approximate(f, params):
                                     return_sorted=False)
     amp_floor = 1e-12 * max(float(fvals.max()), 1.0)
 
-    w_grid, bg_grid, meanf_grid = _fit_background(
+    w_grid, bg_grid, meanf_grid, fit = _fit_background(
         g.values, mask, BACKGROUND_FRACTION)
     cover_amp = np.maximum(w_grid[mask], amp_floor)
     lam_bg = bg_grid[mask]
@@ -378,6 +385,7 @@ def spma_approximate(f, params):
     spma = _assemble(parts)
     report = _verify(spma, filling, params, tree, in_ball, meanf_grid[mask],
                      parts["tag"])
+    report["background_fit"] = fit
     failed = [k for k in ("p1", "p2", "p3", "p4", "p5", "p6", "p7")
               if not report[k]["pass"]]
     if failed:

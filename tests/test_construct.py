@@ -15,7 +15,9 @@ from gravharm import (ConstructionError, FillingBudgetError, FillingParams,
                       spherical_filling, spma_approximate)
 
 from gravharm import density as density_module
-from gravharm.construct import COVER_RADIUS_STEPS, _convolver, _cover_kernel
+from gravharm.construct import (BACKGROUND_FRACTION, COVER_RADIUS_STEPS,
+                                FIT_ITERATIONS, _convolver, _cover_kernel,
+                                _fit_background, _half_grid_values)
 from gravharm.density import TABLE
 
 from conftest import unit_ball_grid
@@ -109,13 +111,71 @@ def test_filling_params_validation():
 # background fit
 
 @pytest.mark.parametrize("shape", [(47, 47, 47), (20, 33, 26)])
-def test_convolver_is_fftconvolve_same(shape):
-    # the cached kernel transform changes no bit of the convolution
+def test_convolver_is_fftconvolve(shape):
+    # the cached kernel transform changes no bit of the convolution, and
+    # the crop the fit uses is fftconvolve's same mode
     K2 = _cover_kernel(COVER_RADIUS_STEPS, substeps=2)
+    r = 2 * COVER_RADIUS_STEPS
     conv = _convolver(K2, shape)
     for seed in (0, 1):     # the second call reuses the kernel transform
         x = np.random.default_rng(seed).random(shape)
-        assert np.array_equal(conv(x), fftconvolve(x, K2, mode="same"))
+        full = conv(x)
+        assert np.array_equal(full, fftconvolve(x, K2, mode="full"))
+        assert np.array_equal(full[r:-r, r:-r, r:-r],
+                              fftconvolve(x, K2, mode="same"))
+
+
+def padded_lattice_fit(vals, mask, beta, pad=2 * COVER_RADIUS_STEPS):
+    """The background fit's half-step loop as it ran before it moved to the
+    node grid, on the lattice padded by `pad` half steps, so that its
+    same-mode residual covers the 2h rim outside the grid box; kept as the
+    reference for the node-grid fit.  Returns the amplitudes."""
+    K1 = _cover_kernel(COVER_RADIUS_STEPS)
+    ind = (K1 > 0).astype(float)
+    meanf = ndimage.convolve(vals, ind, mode="constant") / float(ind.sum())
+    node_pad = pad // 2
+    cap = np.pad(np.where(mask, 0.9 * np.maximum(meanf, 0.0), 0.0), node_pad)
+    K2 = _cover_kernel(COVER_RADIUS_STEPS, substeps=2)
+    denom = float(fftconvolve(K2, K2, mode="full")[::2, ::2, ::2].sum())
+    target = np.pad(beta * _half_grid_values(vals), pad)
+    w = np.minimum(np.pad(np.where(mask, beta * vals, 0.0), node_pad)
+                   / float(K1.sum()), cap)
+    up = np.zeros(target.shape)
+    for _ in range(FIT_ITERATIONS):
+        up[...] = 0.0
+        up[::2, ::2, ::2] = w
+        bg_half = fftconvolve(up, K2, mode="same")
+        grad = fftconvolve(target - bg_half, K2, mode="same")[::2, ::2, ::2]
+        w = np.clip(w + grad / denom, 0.0, cap)
+    inner = slice(node_pad, w.shape[0] - node_pad)
+    return w[inner, inner, inner]
+
+
+def ball_values(n, graded):
+    """The unit ball on an n^3 grid over [-1, 1]^3: 1, or 1.5 - r^2."""
+    ax = -1.0 + 2.0 / (n - 1) * np.arange(n)
+    r2 = np.sum(np.square(np.meshgrid(ax, ax, ax, indexing="ij")), axis=0)
+    return np.where(r2 <= 1.0, 1.5 - r2 if graded else 1.0, 0.0)
+
+
+@pytest.mark.parametrize("n,graded", [(20, True), (24, False)])
+def test_node_grid_fit_matches_padded_lattice_reference(n, graded):
+    vals = ball_values(n, graded)
+    mask = vals > 0
+    w, bg, _, fit = _fit_background(vals, mask, BACKGROUND_FRACTION)
+    ref = padded_lattice_fit(vals, mask, BACKGROUND_FRACTION)
+    assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(ref)
+    # the reported residual is |t - A w| / |t| over the padded lattice
+    K2 = _cover_kernel(COVER_RADIUS_STEPS, substeps=2)
+    target = BACKGROUND_FRACTION * _half_grid_values(vals)
+    up = np.zeros(target.shape)
+    up[::2, ::2, ::2] = w
+    Aw = fftconvolve(up, K2, mode="full")
+    r = 2 * COVER_RADIUS_STEPS
+    resid = np.linalg.norm(np.pad(target, r) - Aw) / np.linalg.norm(target)
+    assert fit == {"iterations": FIT_ITERATIONS,
+                   "relative_residual": pytest.approx(resid, rel=1e-12)}
+    assert np.array_equal(bg, Aw[r:-r:2, r:-r:2, r:-r:2])
 
 
 # ---------------------------------------------------------------------------
