@@ -14,11 +14,11 @@ from gravharm import (ConstructionError, FillingBudgetError, FillingParams,
                       snowman_descends_to_topography, snowman_waist_radius,
                       spherical_filling, spma_approximate)
 
-from gravharm import density as density_module
+from gravharm import construct, density as density_module
 from gravharm.construct import (BACKGROUND_FRACTION, COVER_RADIUS_STEPS,
                                 FIT_ITERATIONS, _convolver, _cover_kernel,
                                 _fit_background, _half_grid_values)
-from gravharm.density import TABLE
+from gravharm.density import TABLE, GridDensity, _pow, evaluate_on_grid
 
 from conftest import unit_ball_grid
 
@@ -252,6 +252,55 @@ def test_approximate_deterministic(ball_approx):
     assert np.array_equal(res2.spma.centers, res.spma.centers)
     assert np.array_equal(res2.spma.radii, res.spma.radii)
     assert res2.report["summary"] == res.report["summary"]
+
+
+def per_ball_a7(spma, filling, params, in_ball, tags):
+    """a7's (worst_excess, worst_excess_component_alone) by the loop that
+    made one profile call per owned filling ball; kept as the reference
+    for the batched call."""
+    g = filling.grid
+    mask = g.values > 0
+    nodes, fvals, cell = filling.covering.centers, g.values[mask], g.spacing**3
+    lam = evaluate_on_grid(spma, g.origin, g.spacing, g.shape)
+    fdiff = np.abs(g.values - lam)[mask]
+    n_fill = len(filling.filling)
+    filled = np.flatnonzero(tags >= 0)
+    own = np.full(n_fill, -1)
+    own[tags[filled]] = filled
+    own[np.bincount(tags[filled], minlength=n_fill) != 1] = -1
+    vols = 4.0 / 3.0 * np.pi * _pow(filling.filling.radii, 3)
+    slack_total = min(params.delta, params.eps) / 10.0
+    worst = worst_lit = -np.inf
+    for j, sel in enumerate(in_ball):
+        if not sel:
+            continue
+        var = float(fvals[sel].max() - fvals[sel].min())
+        slack = slack_total * vols[j] / vols.sum()
+        err = float(fdiff[sel].sum() * cell)
+        worst = max(worst, err - (var * vols[j] + slack))
+        if own[j] >= 0:
+            d = np.linalg.norm(nodes[sel] - spma.centers[own[j]], axis=1)
+            g_own = spma.profile(np.full(len(d), own[j]), d)
+            err_lit = float(np.abs(fvals[sel] - g_own).sum() * cell)
+            worst_lit = max(worst_lit, err_lit - (var * vols[j] + slack))
+    return worst, worst_lit
+
+
+def test_a7_batched_profile_matches_per_ball_loop(monkeypatch):
+    seen = []
+    verify = construct._verify
+
+    def spy(*args):
+        seen.append(args)
+        return verify(*args)
+    monkeypatch.setattr(construct, "_verify", spy)
+    n = 20
+    g = GridDensity((-1.0, -1.0, -1.0), 2.0 / (n - 1), ball_values(n, True))
+    res = spma_approximate(g, FillingParams(delta=0.5, eps=0.5))
+    spma, filling, params, _, in_ball, _, tags = seen[0]
+    a7 = res.report["a7"]
+    assert (a7["worst_excess"], a7["worst_excess_component_alone"]) == \
+        per_ball_a7(spma, filling, params, in_ball, tags)
 
 
 def test_a8_compares_each_covering_part_with_its_own_node():
