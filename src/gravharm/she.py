@@ -247,6 +247,9 @@ class SHECoefficients:
                 if (n, m) in seen:
                     raise ValueError("%s: duplicate entry (%d, %d)"
                                      % (where, n, m))
+                if not math.isfinite(c):
+                    raise ValueError("%s: coefficient %r is not finite"
+                                     % (where, c_s))
                 seen.add((n, m))
                 C[n, n_max + m] = c
         return cls(R, GM, n_max, C)
@@ -265,7 +268,11 @@ def _metadata(line):
     missing = [k for k in ("R", "GM", "n_max") if k not in kv]
     if missing:
         raise ValueError("metadata lacks %s" % ", ".join(missing))
-    return float(kv["R"]), float(kv["GM"]), _nonnegative("n_max", kv["n_max"])
+    R, GM = float(kv["R"]), float(kv["GM"])
+    if not (R > 0 and GM > 0):
+        raise ValueError("reference radius and GM must be positive, got "
+                         "R=%s GM=%s" % (kv["R"], kv["GM"]))
+    return R, GM, _nonnegative("n_max", kv["n_max"])
 
 
 def _nonnegative(name, value):

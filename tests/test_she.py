@@ -438,6 +438,8 @@ def test_coefficients_save_load_round_trip(tmp_path):
     ("1,1,0.5\n1,1,0.25", "c.csv:5: duplicate entry (1, 1)"),
     ("1,1", "c.csv:4: expected 'n,m,C'"),
     ("1,x,0.5", "c.csv:4: expected 'n,m,C'"),
+    ("1,1,inf\n1,0,0.5", "c.csv:4: coefficient 'inf' is not finite"),
+    ("1,0,0.5\n1,1,nan", "c.csv:5: coefficient 'nan' is not finite"),
 ])
 def test_coefficients_load_rejects_bad_rows(tmp_path, rows, error):
     path = tmp_path / "c.csv"
@@ -452,6 +454,12 @@ def test_coefficients_load_rejects_bad_rows(tmp_path, rows, error):
     ("# R=1 GM=1 n_max=-1\nn,m,C",
      "c.csv:1: n_max must be non-negative, got -1"),
     ("# R=1 GM=1 n_max=3\nn,C", "c.csv:2: missing 'n,m,C' header"),
+    ("# R=0 GM=1 n_max=1\nn,m,C",
+     "c.csv:1: reference radius and GM must be positive, got R=0 GM=1"),
+    ("# R=1 GM=-2 n_max=1\nn,m,C",
+     "c.csv:1: reference radius and GM must be positive, got R=1 GM=-2"),
+    ("# R=1 GM=nan n_max=1\nn,m,C",
+     "c.csv:1: reference radius and GM must be positive, got R=1 GM=nan"),
 ])
 def test_coefficients_load_names_bad_metadata(tmp_path, head, error):
     path = tmp_path / "c.csv"
