@@ -550,15 +550,14 @@ def _verify(spma, filling, params, tree_nodes, in_ball, meanf, tags):
     own = np.full(n_fill, -1)
     own[tags[filled]] = filled
     own[np.bincount(tags[filled], minlength=n_fill) != 1] = -1
-    # each owned ball's component at the ball's support nodes: one
-    # profile call over the concatenated node lists, ball j's values at
-    # ends[j] - sizes[j]:ends[j]
+    # each owned ball's component at the ball's support nodes, from one
+    # profile call over the concatenated node lists
     owned = [sel if o >= 0 else [] for sel, o in zip(in_ball, own)]
-    sizes = np.array([len(sel) for sel in owned], dtype=np.intp)
-    ends = np.cumsum(sizes)
-    at = np.fromiter(itertools.chain.from_iterable(owned), np.intp, sizes.sum())
+    sizes = [len(sel) for sel in owned]
     comp = np.repeat(own, sizes)
-    g_own = spma.profile(comp, np.linalg.norm(nodes[at] - centers[comp], axis=1))
+    at = np.fromiter(itertools.chain.from_iterable(owned), np.intp, len(comp))
+    d = np.linalg.norm(nodes[at] - centers[comp], axis=1)
+    g_own = np.split(spma.profile(comp, d), np.cumsum(sizes)[:-1])
     vols = 4.0 / 3.0 * np.pi * _pow(filling.filling.radii, 3)
     slack_total = min(delta, eps) / 10.0
     worst = -np.inf
@@ -571,8 +570,7 @@ def _verify(spma, filling, params, tree_nodes, in_ball, meanf, tags):
         err = float(fdiff[sel].sum() * cell)
         worst = max(worst, err - (var * vols[j] + slack))
         if own[j] >= 0:
-            g_j = g_own[ends[j] - sizes[j]:ends[j]]
-            err_lit = float(np.abs(fvals[sel] - g_j).sum() * cell)
+            err_lit = float(np.abs(fvals[sel] - g_own[j]).sum() * cell)
             worst_lit = max(worst_lit, err_lit - (var * vols[j] + slack))
     report["a7"] = {"pass": bool(worst <= 0), "worst_excess": worst,
                     "worst_excess_component_alone": worst_lit,
