@@ -125,11 +125,12 @@ def test_convolver_is_fftconvolve(shape):
                               fftconvolve(x, K2, mode="same"))
 
 
-def padded_lattice_fit(vals, mask, beta, pad=2 * COVER_RADIUS_STEPS):
+def padded_lattice_fit(vals, mask, beta):
     """The background fit's half-step loop as it ran before it moved to the
-    node grid, on the lattice padded by `pad` half steps, so that its
-    same-mode residual covers the 2h rim outside the grid box; kept as the
-    reference for the node-grid fit.  Returns the amplitudes."""
+    node grid, on the lattice padded by 2h, so that its same-mode residual
+    covers the rim outside the grid box; kept as the reference for the
+    node-grid fit.  Returns the amplitudes."""
+    pad = 2 * COVER_RADIUS_STEPS    # half steps
     K1 = _cover_kernel(COVER_RADIUS_STEPS)
     ind = (K1 > 0).astype(float)
     meanf = ndimage.convolve(vals, ind, mode="constant") / float(ind.sum())
