@@ -42,6 +42,9 @@ def main():
     print("  boundary Hausdorff  %.4f" % s["boundary_hausdorff"])
     print("  set distance        %.4f" % s["set_distance"])
     print("  R(f) = %.4f   R(lambda) = %.4f" % (s["R_f"], s["R_lambda"]))
+    fit = res.report["background_fit"]
+    print("  background fit      %d steps, relative residual %.4f"
+          % (fit["iterations"], fit["relative_residual"]))
     for key in ("p1", "p2", "p3", "p4", "p5", "p6", "p7",
                 "extremal", "a1", "a2", "a7", "a8"):
         print("  %-9s %s" % (key, "pass" if res.report[key]["pass"]
