@@ -178,6 +178,15 @@ def cmd_approximate(args):
     s = result.report["summary"]
     print("wrote %s (%d components) and %s; mu1=%s"
           % (args.out, s["components"], args.report, _fmt(s["mu1"])))
+    # a1-a8 and the extremal check are reported, not enforced: a failure
+    # leaves the exit code at 0, so say so on stderr
+    for key in ("a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "extremal"):
+        check = result.report[key]
+        if not check["pass"]:
+            figures = ["%s=%g" % (k, v) for k, v in check.items()
+                       if isinstance(v, (int, float)) and not isinstance(v, bool)]
+            print("warning: %s fails: %s" % (key, " ".join(figures)),
+                  file=sys.stderr)
     return EXIT_OK
 
 

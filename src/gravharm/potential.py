@@ -22,17 +22,44 @@ def _check_G(G):
         raise ValueError("G must be positive")
 
 
+def _distance_blocks(x, positions):
+    """(p, d) for each point block p of `_blocks`: d[i, j] is the distance
+    from x[p[i]] to positions[j].
+
+    Each d is summed coordinate by coordinate, (dx^2 + dy^2) + dz^2, the
+    order np.linalg.norm adds a length-3 axis in, so it equals
+    np.linalg.norm(x[p, None] - positions, axis=2) bit for bit.  d lives
+    in a (b, N) buffer that the next block overwrites; callers may
+    overwrite it too."""
+    pos = np.ascontiguousarray(positions.T)       # (3, N): one row per axis
+    d = t = None
+    for p in _blocks(len(x), pos.shape[1]):
+        if d is None:                             # the first block is the largest
+            d, t = np.empty((2, len(p), pos.shape[1]))
+        db, tb = d[:len(p)], t[:len(p)]
+        xp = x[p]
+        np.subtract(xp[:, 0, None], pos[0], out=db)
+        np.square(db, out=db)
+        for k in (1, 2):
+            np.subtract(xp[:, k, None], pos[k], out=tb)
+            np.square(tb, out=tb)
+            db += tb
+        np.sqrt(db, out=db)
+        yield p, db
+
+
 def _point_mass_sums(masses, x, G=1.0):
     """G * sum m_i / ||x - x_i|| at each point of an (n, 3) batch, NaN
     at a mass position (no other point gives NaN)."""
     pms = PointMasses.of(masses)
     _check_G(G)
     out = np.empty(len(x))
-    for p in _blocks(len(x), len(pms)):
-        d = np.linalg.norm(x[p, None, :] - pms.positions, axis=2)
+    for p, d in _distance_blocks(x, pms.positions):
+        on_mass = np.any(d == 0.0, axis=1)
         with np.errstate(divide="ignore"):
-            out[p] = G * np.sum(pms.masses / d, axis=1)
-        out[p[np.any(d == 0.0, axis=1)]] = np.nan
+            np.divide(pms.masses, d, out=d)
+        out[p] = G * np.sum(d, axis=1)
+        out[p[on_mass]] = np.nan
     return out
 
 
@@ -90,9 +117,9 @@ def oracle_clear(density, x, resolution=128):
             density.values > 0)
         radii = 0.0
     dist = np.empty(len(pts))
-    for p in _blocks(len(pts), len(centers)):
-        dist[p] = np.min(np.linalg.norm(pts[p, None, :] - centers, axis=2)
-                         - radii, axis=1)
+    for p, d in _distance_blocks(pts, centers):
+        d -= radii
+        dist[p] = np.min(d, axis=1)
     return dist > 2.0 * h
 
 

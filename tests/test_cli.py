@@ -231,6 +231,26 @@ def test_approximate_round_trip(tmp_path):
     assert rep2.read_bytes() == rep.read_bytes()
 
 
+def test_approximate_warns_on_a_failed_a_condition(tmp_path, capsys):
+    # the 16^3 unit ball at delta = eps = 0.7 fails a7 (worst_excess 0.11)
+    # and passes every other a-condition and the extremal check
+    grid = tmp_path / "ball.grid"
+    unit_ball_grid(16).save(grid)
+    rep = tmp_path / "rep.json"
+    assert run(["approximate", "--density", grid, "--delta", 0.7,
+                "--eps", 0.7, "--out", tmp_path / "out.spma",
+                "--report", rep]) == 0
+    a7 = json.loads(rep.read_text())["a7"]
+    assert not a7["pass"]
+    captured = capsys.readouterr()
+    assert captured.out.startswith("wrote ")
+    assert captured.err.splitlines() == [
+        "warning: a7 fails: worst_excess=%g worst_excess_component_alone=%g "
+        "balls_checked=%d balls_total=%d"
+        % (a7["worst_excess"], a7["worst_excess_component_alone"],
+           a7["balls_checked"], a7["balls_total"])]
+
+
 def test_approximate_unachievable_budget(tmp_path, capsys):
     grid = tmp_path / "ball.grid"
     unit_ball_grid(16).save(grid)

@@ -12,6 +12,7 @@ from gravharm import (PointMass, PointMasses, SPMA, SmoothedPointMass,
                       potential_spma, quadratic_bump, table_profile,
                       total_mass)
 from gravharm.density import _BLOCK, midpoint_nodes
+from gravharm.potential import _point_mass_sums
 
 from conftest import mixed_spma, unblocked_potential_point_masses, unit_ball_grid
 
@@ -82,6 +83,33 @@ def test_point_mass_singularity_in_a_later_block():
     pts[1500] = masses[42].position          # block 4 of 327-point blocks
     with pytest.raises(ZeroDivisionError):
         potential_point_masses(masses, pts)
+
+
+@pytest.mark.parametrize("n_masses, n_points", [
+    (_BLOCK + 5, 3),    # one point per block: three one-row blocks
+    (1000, 70),         # 32-point blocks, the last one 6 rows of the buffers
+])
+def test_point_mass_buffer_edges_match_unblocked_sum(n_masses, n_points):
+    rng = np.random.default_rng(n_masses + n_points)
+    masses = _random_masses(rng, n_masses)
+    pts = rng.uniform(-3, 3, (n_points, 3))
+    assert np.array_equal(potential_point_masses(masses, pts, G=0.37),
+                          unblocked_potential_point_masses(masses, pts, 0.37))
+
+
+def test_point_mass_sums_are_nan_exactly_on_the_masses():
+    # 1000 masses: 32-point blocks, so row 69 sits in the final 6-row block
+    rng = np.random.default_rng(11)
+    masses = _random_masses(rng, 1000)
+    pts = rng.uniform(-3, 3, (70, 3))
+    on_mass = np.zeros(len(pts), dtype=bool)
+    for row, k in ((0, 5), (40, 999), (69, 123)):
+        pts[row] = masses[k].position
+        on_mass[row] = True
+    v = _point_mass_sums(PointMasses.of(masses), pts)
+    assert np.array_equal(np.isnan(v), on_mass)
+    assert np.array_equal(
+        v[~on_mass], unblocked_potential_point_masses(masses, pts[~on_mass]))
 
 
 # ---------------------------------------------------------------------------
