@@ -184,7 +184,8 @@ def cmd_approximate(args):
         check = result.report[key]
         if not check["pass"]:
             figures = ["%s=%g" % (k, v) for k, v in check.items()
-                       if isinstance(v, (int, float)) and not isinstance(v, bool)]
+                       if isinstance(v, (int, float))
+                       and not isinstance(v, bool)]
             print("warning: %s fails: %s" % (key, " ".join(figures)),
                   file=sys.stderr)
     return EXIT_OK

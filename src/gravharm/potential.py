@@ -34,7 +34,7 @@ def _distance_blocks(x, positions):
     pos = np.ascontiguousarray(positions.T)       # (3, N): one row per axis
     d = t = None
     for p in _blocks(len(x), pos.shape[1]):
-        if d is None:                             # the first block is the largest
+        if d is None:              # the first block is the largest
             d, t = np.empty((2, len(p), pos.shape[1]))
         db, tb = d[:len(p)], t[:len(p)]
         xp = x[p]
