@@ -193,6 +193,11 @@ def cmd_approximate(args):
 
 def cmd_potential(args):
     _require(args, "r-from", "r-to")
+    if args.samples < 1:
+        raise CliError("--samples must be at least 1, got %d" % args.samples)
+    if args.oracle_resolution < 0:
+        raise CliError("--oracle-resolution must be 0 (skip) or positive, "
+                       "got %d" % args.oracle_resolution)
     spma, masses = _masses_from_args(args)
     d = np.asarray([float(t) for t in args.direction.split(",")])
     if d.shape != (3,) or not np.linalg.norm(d) > 0:

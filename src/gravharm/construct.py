@@ -279,7 +279,6 @@ def _fit_background(vals, mask, beta):
     iteration count and relative residual |t - A w| / |t|.
     """
     from scipy import ndimage
-    from scipy.signal import fftconvolve
 
     K1 = _cover_kernel(COVER_RADIUS_STEPS)
     ind = (K1 > 0).astype(float)
@@ -287,7 +286,7 @@ def _fit_background(vals, mask, beta):
     cap = np.where(mask, 0.9 * np.maximum(meanf, 0.0), 0.0)
 
     K2 = _cover_kernel(COVER_RADIUS_STEPS, substeps=2)
-    gram = fftconvolve(K2, K2, mode="full")[::2, ::2, ::2]
+    gram = _convolver(K2, K2.shape)(K2)[::2, ::2, ::2]
     # stable gradient step: bound the normal-operator spectrum by its
     # row sum
     denom = float(gram.sum())

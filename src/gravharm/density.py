@@ -532,6 +532,32 @@ def _blocks(total, width=1):
         yield np.arange(start, min(start + step, total))
 
 
+def _distance_blocks(x, positions):
+    """(p, d) for each point block p of `_blocks`: d[i, j] is the distance
+    from x[p[i]] to positions[j].
+
+    Each d is summed coordinate by coordinate, (dx^2 + dy^2) + dz^2, the
+    order np.linalg.norm adds a length-3 axis in, so it equals
+    np.linalg.norm(x[p, None] - positions, axis=2) bit for bit.  d lives
+    in a (b, N) buffer that the next block overwrites; callers may
+    overwrite it too."""
+    pos = np.ascontiguousarray(positions.T)       # (3, N): one row per axis
+    d = t = None
+    for p in _blocks(len(x), pos.shape[1]):
+        if d is None:              # the first block is the largest
+            d, t = np.empty((2, len(p), pos.shape[1]))
+        db, tb = d[:len(p)], t[:len(p)]
+        xp = x[p]
+        np.subtract(xp[:, 0, None], pos[0], out=db)
+        np.square(db, out=db)
+        for k in (1, 2):
+            np.subtract(xp[:, k, None], pos[k], out=tb)
+            np.square(tb, out=tb)
+            db += tb
+        np.sqrt(db, out=db)
+        yield p, db
+
+
 def evaluate(density, x):
     """Density value at one point or an (n, 3) batch of points.
 
@@ -545,11 +571,9 @@ def evaluate(density, x):
     pts = np.atleast_2d(pts)
     if isinstance(density, SPMA):
         out = np.zeros(len(pts))
-        for pair in _blocks(len(density) * len(pts)):
-            c, p = np.divmod(pair, len(pts))
-            d = np.linalg.norm(pts[p] - density.centers[c], axis=1)
-            near = d <= density.radii[c]
-            np.add.at(out, p[near], density.profile(c[near], d[near]))
+        for p, d in _distance_blocks(pts, density.centers):
+            i, c = np.nonzero(d <= density.radii)
+            np.add.at(out, p[i], density.profile(c, d[i, c]))
     elif isinstance(density, GridDensity):
         out = density._interp(pts)
     else:

@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from .density import SPMA, PointMasses, _blocks, _grid_slab, midpoint_nodes
+from .density import (SPMA, PointMasses, _distance_blocks, _grid_slab,
+                      midpoint_nodes)
 
 __all__ = ["potential_point_masses", "potential_spm", "potential_spma",
            "potential_oracle", "oracle_clear"]
@@ -20,32 +21,6 @@ __all__ = ["potential_point_masses", "potential_spm", "potential_spma",
 def _check_G(G):
     if not G > 0:
         raise ValueError("G must be positive")
-
-
-def _distance_blocks(x, positions):
-    """(p, d) for each point block p of `_blocks`: d[i, j] is the distance
-    from x[p[i]] to positions[j].
-
-    Each d is summed coordinate by coordinate, (dx^2 + dy^2) + dz^2, the
-    order np.linalg.norm adds a length-3 axis in, so it equals
-    np.linalg.norm(x[p, None] - positions, axis=2) bit for bit.  d lives
-    in a (b, N) buffer that the next block overwrites; callers may
-    overwrite it too."""
-    pos = np.ascontiguousarray(positions.T)       # (3, N): one row per axis
-    d = t = None
-    for p in _blocks(len(x), pos.shape[1]):
-        if d is None:              # the first block is the largest
-            d, t = np.empty((2, len(p), pos.shape[1]))
-        db, tb = d[:len(p)], t[:len(p)]
-        xp = x[p]
-        np.subtract(xp[:, 0, None], pos[0], out=db)
-        np.square(db, out=db)
-        for k in (1, 2):
-            np.subtract(xp[:, k, None], pos[k], out=tb)
-            np.square(tb, out=tb)
-            db += tb
-        np.sqrt(db, out=db)
-        yield p, db
 
 
 def _point_mass_sums(masses, x, G=1.0):
@@ -89,17 +64,15 @@ def potential_spma(spma, x, G=1.0):
     scalar = pts.ndim == 1
     pts = np.atleast_2d(pts)
     out = np.zeros(len(pts))
-    for pair in _blocks(len(spma) * len(pts)):
-        c, p = np.divmod(pair, len(pts))
-        rho = np.linalg.norm(pts[p] - spma.centers[c], axis=1)
-        v = np.empty(len(pair))
-        outside = rho >= spma.radii[c]
-        v[outside] = spma.masses[c[outside]] / rho[outside]
-        inner, r = c[~outside], rho[~outside]
+    for p, rho in _distance_blocks(pts, spma.centers):
+        i, c = np.nonzero(rho < spma.radii)
+        r = rho[i, c]
+        with np.errstate(divide="ignore"):
+            v = np.divide(spma.masses, rho, out=rho)
         m = np.zeros(len(r))       # the interior mass term vanishes at the center
-        np.divide(spma.mass_within(inner, r), r, out=m, where=r > 0)
-        v[~outside] = m + 4.0 * np.pi * spma.tail_first_moment(inner, r)
-        np.add.at(out, p, G * v)
+        np.divide(spma.mass_within(c, r), r, out=m, where=r > 0)
+        v[i, c] = m + 4.0 * np.pi * spma.tail_first_moment(c, r)
+        np.add.at(out, np.repeat(p, len(spma)), G * v.ravel())
     return float(out[0]) if scalar else out
 
 
@@ -126,10 +99,12 @@ def oracle_clear(density, x, resolution=128):
 def potential_oracle(density, x, G=1.0, resolution=128, subcell=1):
     """Brute-force midpoint quadrature of G * int f(y)/||x-y|| dy.
 
-    Independent of the shell-theorem code path.  `x` may be one point or
-    an (n, 3) batch sharing the voxelization.  Every evaluation point must
-    pass `oracle_clear` (distance > 2 cells from the support) so the 1/r
-    factor is resolved; quadrature error is O(h^2) away from the support.
+    Shares no radial integral with the shell-theorem code path, only the
+    distance kernel, which a test pins to np.linalg.norm.  `x` may be one
+    point or an (n, 3) batch sharing the voxelization.  Every evaluation
+    point must pass `oracle_clear` (distance > 2 cells from the support)
+    so the 1/r factor is resolved; quadrature error is O(h^2) away from
+    the support.
 
     `subcell` refines the density factor only: each cell carries the
     average of f over subcell^3 interior midpoints while 1/r is still
@@ -161,7 +136,7 @@ def potential_oracle(density, x, G=1.0, resolution=128, subcell=1):
     pts = np.stack([xx[mask], yy[mask], zz[mask]], axis=-1)
     weights = vals[mask]
     out = np.empty(len(pts_x))
-    for i, xe in enumerate(pts_x):
-        dist = np.linalg.norm(pts - xe, axis=1)
-        out[i] = G * cellvol * math.fsum(weights / dist)
+    for p, d in _distance_blocks(pts_x, pts):
+        np.divide(weights, d, out=d)
+        out[p] = [G * cellvol * math.fsum(row) for row in d]
     return float(out[0]) if scalar else out

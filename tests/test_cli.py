@@ -356,9 +356,16 @@ def test_potential_requires_range(snowman_file):
     (["approximate"], "2 2 x 1 0 0 0\n1 1 1 1\n", "ball.grid:1:"),
     (["approximate"], "2 2 2 1 0 0\n1 1 1 1\n", "ball.grid:1:"),
     (["approximate"], "2 2 2 1 0 0 0\n1 1 1 1\n1 1 x 1\n", "ball.grid:3:"),
+    (["potential", "--snowman-gamma", 0.5, "--r-from", 3, "--r-to", 4,
+      "--samples", 0], None, "--samples"),
+    (["potential", "--snowman-gamma", 0.5, "--r-from", 3, "--r-to", 4,
+      "--samples", -1], None, "--samples"),
+    (["potential", "--snowman-gamma", 0.5, "--r-from", 3, "--r-to", 4,
+      "--oracle-resolution", -5], None, "--oracle-resolution"),
 ], ids=["window-one-value", "window-not-int", "resolution-1",
         "resolution-negative", "min-ball-radius", "grid-header-value",
-        "grid-header-fields", "grid-value"])
+        "grid-header-fields", "grid-value", "samples-0", "samples-negative",
+        "oracle-resolution-negative"])
 def test_bad_inputs_name_what_is_wrong(tmp_path, capsys, argv, grid,
                                        message):
     if grid is not None:

@@ -1,6 +1,9 @@
 """Greedy fillings, smoothed-array approximation, and the snowman family."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -123,6 +126,28 @@ def test_convolver_is_fftconvolve(shape):
         assert np.array_equal(full, fftconvolve(x, K2, mode="full"))
         assert np.array_equal(full[r:-r, r:-r, r:-r],
                               fftconvolve(x, K2, mode="same"))
+
+
+def test_gram_kernel_is_fftconvolve():
+    K2 = _cover_kernel(COVER_RADIUS_STEPS, substeps=2)
+    assert np.array_equal(_convolver(K2, K2.shape)(K2),
+                          fftconvolve(K2, K2, mode="full"))
+
+
+def test_approximation_loads_no_scipy_signal():
+    # the fit convolves through scipy.fft alone: importing scipy.signal
+    # costs over a second in a fresh process
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(construct.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys; from conftest import "
+         "unit_ball_grid; from gravharm import FillingParams, "
+         "spma_approximate; spma_approximate(unit_ball_grid(16), "
+         "FillingParams(delta=0.7, eps=0.7)); "
+         "print('scipy.signal' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests])),
+        capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def padded_lattice_fit(vals, mask, beta):

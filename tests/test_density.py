@@ -11,6 +11,7 @@ from gravharm import (GridDensity, PointMass, PointMasses, SPMA,
                       SmoothedPointMass, constant_taper, cosine_bump,
                       evaluate, evaluate_on_grid, load_spma, lp_metric,
                       quadratic_bump, save_spma, table_profile, total_mass)
+from gravharm.density import _BLOCK, _distance_blocks
 
 from conftest import mixed_spma
 
@@ -265,6 +266,43 @@ def test_load_spma_reports_line_numbers(tmp_path, line):
                     % line)
     with pytest.raises(ValueError, match="line 2"):
         load_spma(path)
+
+
+# ---------------------------------------------------------------------------
+# the distance kernel behind every points-against-centers sum: bit for bit
+# np.linalg.norm of the difference array
+
+def _norm(x, positions, p):
+    return np.linalg.norm(x[p, None] - positions, axis=2)
+
+
+@pytest.mark.parametrize("n_centers, n_points, rows", [
+    (7, 3 * (_BLOCK // 7) + 100, [_BLOCK // 7] * 3 + [100]),  # last partial
+    (_BLOCK + 5, 3, [1, 1, 1]),              # one point per block
+])
+def test_distance_blocks_are_linalg_norm(n_centers, n_points, rows):
+    rng = np.random.default_rng(n_centers)
+    positions = rng.uniform(-1, 1, (n_centers, 3))
+    x = rng.uniform(-2, 2, (n_points, 3))
+    seen = []
+    for p, d in _distance_blocks(x, positions):
+        assert np.array_equal(d, _norm(x, positions, p))
+        seen.append(len(p))
+    assert seen == rows
+
+
+def test_distance_blocks_copied_before_the_next_block():
+    # every block is yielded in one buffer, so a caller keeping a block
+    # copies it first
+    rng = np.random.default_rng(8)
+    positions = rng.uniform(-1, 1, (1000, 3))
+    x = rng.uniform(-2, 2, (70, 3))             # 32-point blocks, then 6
+    kept = [(p, d.copy()) for p, d in _distance_blocks(x, positions)]
+    assert len(kept) == 3
+    for p, d in kept:
+        assert np.array_equal(d, _norm(x, positions, p))
+    assert np.array_equal(np.vstack([d for _, d in kept]),
+                          _norm(x, positions, np.arange(70)))
 
 
 # ---------------------------------------------------------------------------
