@@ -162,49 +162,55 @@ def spherical_filling(f, params):
     need_var_cap = f_range >= a2_bound
     tree = cKDTree(nodes) if need_var_cap else None
 
-    active = np.arange(n_nodes)
-    gap = np.full(n_nodes, np.inf)
+    # the nodes no ball covers yet, as parallel arrays compacted in node
+    # order: support index, x, y, z, r_sup, gap to the placed balls and f
+    act = (np.arange(n_nodes), *np.ascontiguousarray(nodes.T), r_sup,
+           np.full(n_nodes, np.inf), fvals)
+    buf = np.empty((2, n_nodes))
     centers, radii = [], []
     max_ball_var = 0.0
     residual = total_mass
 
-    def place(center, r):
-        nonlocal active, residual
-        d = np.linalg.norm(nodes[active] - center, axis=1)
-        covered = d <= r
-        residual -= float(fvals[active[covered]].sum() * cell)
-        gap[active] = np.minimum(gap[active], d - r)
-        active = active[~covered]
-        centers.append(center)
-        radii.append(r)
-
     # phase 1: quantized greedy, largest admissible ball first; packing
     # continues past the residual budget because every covered cell also
     # improves the metric fit later on
-    while len(radii) < MAX_BALLS:
-        if active.size == 0:
-            break
-        avail = np.minimum(r_sup[active], gap[active])
+    while len(radii) < MAX_BALLS and act[0].size:
+        idx, x, y, z, rs, gp, fv = act
+        avail = np.minimum(rs, gp)
         i = int(np.argmax(avail))
         r = math.floor(avail[i] / step) * step
         if r < step:
             break
-        center = nodes[active[i]]
+        center = nodes[idx[i]]
         if need_var_cap:
             r, var = _var_capped_radius(r, center, tree, fvals, a2_bound, step)
             if r < step:
                 # this node only admits sub-step balls; retire it to the
                 # endgame by pinning its gap
-                gap[active[i]] = min(gap[active[i]], step * (1 - 1e-12))
+                gp[i] = min(gp[i], step * (1 - 1e-12))
                 continue
             max_ball_var = max(max_ball_var, var)
-        place(center, r)
+        # distances summed coordinate by coordinate, (dx^2 + dy^2) + dz^2,
+        # the order np.linalg.norm adds a length-3 axis in
+        d, t = buf[:, :idx.size]
+        np.square(np.subtract(x, center[0], out=d), out=d)
+        d += np.square(np.subtract(y, center[1], out=t), out=t)
+        d += np.square(np.subtract(z, center[2], out=t), out=t)
+        np.sqrt(d, out=d)
+        covered = d <= r
+        residual -= float(fv[covered].sum() * cell)
+        np.minimum(gp, np.subtract(d, r, out=d), out=gp)
+        keep = ~covered
+        act = tuple(a[keep] for a in act)
+        centers.append(center)
+        radii.append(r)
 
     # phase 2: batched sub-step endgame; radii capped below half the node
     # spacing so the new balls are mutually interior-disjoint by spacing
-    r_e = np.minimum(np.minimum(r_sup[active], gap[active]), 0.495 * h) * 0.99
+    idx, _, _, _, rs, gp, fv = act
+    r_e = np.minimum(np.minimum(rs, gp), 0.495 * h) * 0.99
     keep = r_e >= min_r
-    residual -= float(fvals[active[keep]].sum() * cell)
+    residual -= float(fv[keep].sum() * cell)
 
     if residual >= a1_bound:
         raise FillingBudgetError(
@@ -214,7 +220,7 @@ def spherical_filling(f, params):
         raise FillingBudgetError("ball budget exhausted before meeting a1")
 
     filling = BallRegion(np.vstack([np.reshape(centers, (-1, 3)),
-                                    nodes[active[keep]]]),
+                                    nodes[idx[keep]]]),
                          np.concatenate([radii, r_e[keep]]))
     cover = BallRegion(nodes, np.full(n_nodes, COVER_RADIUS_STEPS * h))
     return SphericalFilling(filling, cover, residual, a1_bound, a2_bound,

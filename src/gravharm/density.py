@@ -410,13 +410,17 @@ class SPMA:
         return self._by_kind(_tail_first_moment, index, rho)
 
     def _rows(self):
-        """(center, outer radius, kind code, params) per component, the
-        inverse of _arrays."""
-        params = [None] * len(self)
-        for code, idx, p in self._groups:
-            for i, q in zip(idx, np.hstack(p) if code == TABLE else p[:, None]):
-                params[i] = q
-        return zip(self.centers, self.radii, self.kinds, params)
+        """(center, outer radius, kind code, params) per component as
+        Python lists and numbers, the inverse of _arrays.  The lists are
+        made a block of components at a time, so they stay small."""
+        params = [np.hstack(p) if code == TABLE else p[:, None]
+                  for code, _, p in self._groups]
+        for b in _blocks(len(self), 32):
+            for c, a, code, g, r in zip(
+                    self.centers[b].tolist(), self.radii[b].tolist(),
+                    self.kinds[b].tolist(), self._group[b].tolist(),
+                    self._row[b].tolist()):
+                yield c, a, code, params[g][r].tolist()
 
     @cached_property
     def components(self):
@@ -509,11 +513,24 @@ class GridDensity:
                 nx, ny, nz = (int(v) for v in header[:3])
                 h = float(header[3])
                 origin = [float(v) for v in header[4:]]
+                if min(nx, ny, nz) < 1:
+                    raise ValueError("grid dimensions must be at least 1")
+                if not (math.isfinite(h) and h > 0):
+                    raise ValueError("grid spacing must be finite and positive")
+                if not all(map(math.isfinite, origin)):
+                    raise ValueError("grid origin must be finite")
                 for lineno, line in enumerate(fh, 2):
                     chunks.append(np.array(line.split(), dtype=float))
             except ValueError as exc:
                 raise ValueError("%s:%d: %s" % (path, lineno, exc))
         flat = np.concatenate(chunks)
+        bad = ~(flat >= 0) | np.isinf(flat)
+        if bad.any():
+            # chunk j holds line j + 1; chunk 0 is empty
+            ends = np.cumsum([len(c) for c in chunks])
+            lineno = 1 + np.searchsorted(ends, np.argmax(bad), side="right")
+            raise ValueError("%s:%d: grid values must be finite and "
+                             "non-negative" % (path, lineno))
         if flat.size != nx * ny * nz:
             raise ValueError("grid file has %d values, expected %d"
                              % (flat.size, nx * ny * nz))
@@ -592,6 +609,27 @@ def evaluate_on_grid(density, origin, spacing, shape):
     return _grid_slab(density, origin, spacing, shape, 0, int(shape[0]))
 
 
+def _row_blocks(end, width):
+    """Consecutive blocks of the rows 0..end[-1]-1, where component c owns
+    the rows below end[c], each width[c] long: (rows, their components,
+    the block's longest row) per block.  A block holds rows times its
+    longest row <= _BLOCK entries, or a single row; rows of one width
+    fall into blocks of _BLOCK // width."""
+    total, s = int(end[-1]), 0
+    while s < total:
+        # the rows a block from s holds at most, at the width of row s,
+        # then the cut where they times their running longest row pass
+        # _BLOCK
+        most = max(1, _BLOCK // width[np.searchsorted(end, s, side="right")])
+        row = np.arange(s, min(s + most, total))
+        c = np.searchsorted(end, row, side="right")
+        longest = np.maximum.accumulate(width[c])
+        n = max(1, int(np.searchsorted(longest * np.arange(1, len(row) + 1),
+                                       _BLOCK, side="right")))
+        yield row[:n], c[:n], int(longest[n - 1])
+        s += n
+
+
 def _grid_slab(density, origin, spacing, shape, start, stop):
     """Layers start..stop-1 along x of evaluate_on_grid's grid, at the
     same node coordinates."""
@@ -611,13 +649,11 @@ def _grid_slab(density, origin, spacing, shape, start, stop):
     hi = np.minimum(np.floor((centers + radii[:, None] - origin) / spacing)
                     .astype(int), (stop - 1, ny - 1, nz - 1))
     ext = np.maximum(hi - lo + 1, 0)            # each component's node box
-    # the boxes as rows along z, one per (component, x, y), padded to the
-    # longest row
+    # the boxes as rows along z, one per (component, x, y)
     rows = ext[:, 0] * ext[:, 1] * (ext[:, 2] > 0)
     end = np.cumsum(rows)
-    k = np.arange(ext[:, 2].max())
-    for row in _blocks(int(end[-1]), len(k)):
-        c = np.searchsorted(end, row, side="right")
+    for row, c, width in _row_blocks(end, ext[:, 2]):
+        k = np.arange(width)
         q = row - end[c] + rows[c]
         i, j = lo[c, 0] + q // ext[c, 1], lo[c, 1] + q % ext[c, 1]
         dx = origin[0] + spacing[0] * i - centers[c, 0]
@@ -672,10 +708,12 @@ def lp_metric(f, g, resolution=64):
 # a table's params being its knots then as many values; # comments
 
 def save_spma(spma, path):
+    formats = {}        # a line's format, by its parameter count
     with open(path, "w") as fh:
-        for c, a, code, q in spma._rows():
-            fh.write(" ".join(["%.17g" % v for v in (*c, a)] + [KIND_NAMES[code]]
-                              + ["%.17g" % v for v in q]) + "\n")
+        fh.writelines(formats.setdefault(len(q), "%.17g %.17g %.17g %.17g %s"
+                                         + " %.17g" * len(q) + "\n")
+                      % (*c, a, KIND_NAMES[code], *q)
+                      for c, a, code, q in spma._rows())
 
 
 def load_spma(path):

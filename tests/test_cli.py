@@ -356,6 +356,16 @@ def test_potential_requires_range(snowman_file):
     (["approximate"], "2 2 x 1 0 0 0\n1 1 1 1\n", "ball.grid:1:"),
     (["approximate"], "2 2 2 1 0 0\n1 1 1 1\n", "ball.grid:1:"),
     (["approximate"], "2 2 2 1 0 0 0\n1 1 1 1\n1 1 x 1\n", "ball.grid:3:"),
+    (["approximate"], "2 2 2 0 0 0 0\n1 1 1 1\n1 1 1 1\n",
+     "ball.grid:1: grid spacing"),
+    (["approximate"], "2 2 2 1 0 nan 0\n1 1 1 1\n1 1 1 1\n",
+     "ball.grid:1: grid origin"),
+    (["approximate"], "2 -2 -2 1 0 0 0\n1 1 1 1\n1 1 1 1\n",
+     "ball.grid:1: grid dimensions"),
+    (["approximate"], "2 2 2 1 0 0 0\n1 1 1 1\n\n1 -1 1 1\n",
+     "ball.grid:4: grid values"),
+    (["approximate"], "2 2 2 1 0 0 0\n1 1 1 1\n1 1 1 inf\n",
+     "ball.grid:3: grid values"),
     (["potential", "--snowman-gamma", 0.5, "--r-from", 3, "--r-to", 4,
       "--samples", 0], None, "--samples"),
     (["potential", "--snowman-gamma", 0.5, "--r-from", 3, "--r-to", 4,
@@ -364,7 +374,9 @@ def test_potential_requires_range(snowman_file):
       "--oracle-resolution", -5], None, "--oracle-resolution"),
 ], ids=["window-one-value", "window-not-int", "resolution-1",
         "resolution-negative", "min-ball-radius", "grid-header-value",
-        "grid-header-fields", "grid-value", "samples-0", "samples-negative",
+        "grid-header-fields", "grid-value", "grid-spacing-zero",
+        "grid-origin-nan", "grid-dimensions-negative", "grid-value-negative",
+        "grid-value-inf", "samples-0", "samples-negative",
         "oracle-resolution-negative"])
 def test_bad_inputs_name_what_is_wrong(tmp_path, capsys, argv, grid,
                                        message):

@@ -204,6 +204,84 @@ def test_node_grid_fit_matches_padded_lattice_reference(n, graded):
     assert np.array_equal(bg, Aw[r:-r:2, r:-r:2, r:-r:2])
 
 
+def place_loop_filling(f, params):
+    """spherical_filling's balls by the loop that ran before the active
+    nodes were kept as compacted arrays: every ball gathers the active
+    nodes, takes np.linalg.norm and scatters the gaps back; kept as the
+    reference.  Returns the filling's centers and radii, its residual
+    mass, max_ball_var, and how many balls the variance cap shrank and
+    how many nodes it had their gap pinned."""
+    g, safety = construct._filling_grid(f, params)
+    nodes, fvals, r_sup = construct._support_arrays(g, safety)
+    h = g.spacing
+    cell = h**3
+    a2_bound = min(params.delta, params.eps) / (10.0 * len(nodes) * cell)
+    min_r = params.min_ball_radius or 1e-3 * h
+    step = h / 2.0
+    need_var_cap = float(fvals.max() - fvals.min()) >= a2_bound
+    tree = cKDTree(nodes) if need_var_cap else None
+    active = np.arange(len(nodes))
+    gap = np.full(len(nodes), np.inf)
+    centers, radii = [], []
+    max_ball_var, capped, pinned = 0.0, 0, 0
+    residual = float(fvals.sum() * cell)
+    while len(radii) < construct.MAX_BALLS and active.size:
+        avail = np.minimum(r_sup[active], gap[active])
+        i = int(np.argmax(avail))
+        r = math.floor(avail[i] / step) * step
+        if r < step:
+            break
+        center = nodes[active[i]]
+        if need_var_cap:
+            r0 = r
+            r, var = construct._var_capped_radius(r, center, tree, fvals,
+                                                  a2_bound, step)
+            capped += r < r0
+            if r < step:
+                gap[active[i]] = min(gap[active[i]], step * (1 - 1e-12))
+                pinned += 1
+                continue
+            max_ball_var = max(max_ball_var, var)
+        d = np.linalg.norm(nodes[active] - center, axis=1)
+        covered = d <= r
+        residual -= float(fvals[active[covered]].sum() * cell)
+        gap[active] = np.minimum(gap[active], d - r)
+        active = active[~covered]
+        centers.append(center)
+        radii.append(r)
+    r_e = np.minimum(np.minimum(r_sup[active], gap[active]), 0.495 * h) * 0.99
+    keep = r_e >= min_r
+    residual -= float(fvals[active[keep]].sum() * cell)
+    return (np.vstack([np.reshape(centers, (-1, 3)), nodes[active[keep]]]),
+            np.concatenate([radii, r_e[keep]]), residual, max_ball_var,
+            capped, pinned)
+
+
+@pytest.mark.parametrize("n, graded, params, caps, pins", [
+    # the bench's two balls
+    (24, False, FillingParams(delta=0.5, eps=0.5), False, False),
+    (20, True, FillingParams(delta=0.5, eps=0.5), True, False),
+    (13, True, FillingParams(delta=0.5, eps=0.5), True, True),
+    (16, False, FillingParams(delta=0.7, eps=0.7, grid_resolution=20),
+     True, False),
+    (20, True, FillingParams(delta=0.5, eps=0.5, min_ball_radius=0.02),
+     True, False),
+], ids=["ball-24", "graded-20", "graded-13", "resampled", "min-ball-radius"])
+def test_compacted_filling_matches_place_loop(n, graded, params, caps, pins):
+    g = GridDensity((-1.0, -1.0, -1.0), 2.0 / (n - 1), ball_values(n, graded))
+    fill = spherical_filling(g, params)
+    assert np.array_equal(g.values, ball_values(n, graded))   # not mutated
+    centers, radii, residual, max_ball_var, capped, pinned = \
+        place_loop_filling(g, params)
+    assert np.array_equal(fill.filling.centers, centers)
+    assert np.array_equal(fill.filling.radii, radii)
+    assert (fill.residual_mass, fill.max_ball_var) == (residual, max_ball_var)
+    # f that varies takes the variance cap (a resample varies at the
+    # support's edge); on the graded 13^3 ball the cap's repeated
+    # r -= step lands below one step and pins gaps
+    assert (capped > 0, pinned > 0) == (caps, pins)
+
+
 # ---------------------------------------------------------------------------
 # approximation
 

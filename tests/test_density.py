@@ -11,7 +11,9 @@ from gravharm import (GridDensity, PointMass, PointMasses, SPMA,
                       SmoothedPointMass, constant_taper, cosine_bump,
                       evaluate, evaluate_on_grid, load_spma, lp_metric,
                       quadratic_bump, save_spma, table_profile, total_mass)
-from gravharm.density import _BLOCK, _distance_blocks
+from gravharm import density as density_module
+from gravharm.density import (QUADRATIC, _BLOCK, _blocks, _distance_blocks,
+                              _grid_slab, _row_blocks)
 
 from conftest import mixed_spma
 
@@ -391,6 +393,94 @@ def test_save_matches_component_loop_and_round_trips(mixed, tmp_path):
     assert text == (tmp_path / "b.spma").read_bytes()
     save_spma(load_spma(tmp_path / "a.spma"), tmp_path / "c.spma")
     assert (tmp_path / "c.spma").read_bytes() == text
+
+
+def padded_grid_slab(spma, origin, spacing, shape, start, stop):
+    """_grid_slab's SPMA scatter as it ran before its blocks were padded
+    one by one: every row padded to the longest row of any component;
+    kept as the reference for the per-block padding."""
+    origin = np.asarray(origin, dtype=float)
+    spacing = np.broadcast_to(np.asarray(spacing, dtype=float), (3,))
+    nx, ny, nz = shape
+    out = np.zeros((stop - start) * ny * nz)
+    centers, radii = spma.centers, spma.radii
+    lo = np.maximum(np.ceil((centers - radii[:, None] - origin) / spacing)
+                    .astype(int), (start, 0, 0))
+    hi = np.minimum(np.floor((centers + radii[:, None] - origin) / spacing)
+                    .astype(int), (stop - 1, ny - 1, nz - 1))
+    ext = np.maximum(hi - lo + 1, 0)
+    rows = ext[:, 0] * ext[:, 1] * (ext[:, 2] > 0)
+    end = np.cumsum(rows)
+    k = np.arange(ext[:, 2].max())
+    for row in _blocks(int(end[-1]), len(k)):
+        c = np.searchsorted(end, row, side="right")
+        q = row - end[c] + rows[c]
+        i, j = lo[c, 0] + q // ext[c, 1], lo[c, 1] + q % ext[c, 1]
+        dx = origin[0] + spacing[0] * i - centers[c, 0]
+        dy = origin[1] + spacing[1] * j - centers[c, 1]
+        kz = lo[c, 2][:, None] + k
+        dz = origin[2] + spacing[2] * kz - centers[c, 2][:, None]
+        dist = np.sqrt((dx * dx + dy * dy)[:, None] + dz * dz)
+        inside = (dist <= radii[c][:, None]) & (k < ext[c, 2][:, None])
+        flat = (((i - start) * ny + j) * nz)[:, None] + kz
+        np.add.at(out, flat[inside], spma.profile(
+            np.repeat(c, inside.sum(axis=1)), dist[inside]))
+    return out.reshape(stop - start, ny, nz)
+
+
+def big_and_small(big_first):
+    """One ball of radius 0.8 and 60 of radius 0.03-0.2, mixed kinds."""
+    rng = np.random.default_rng(12)
+    centers = np.vstack([[[0.05, -0.1, 0.0]], rng.uniform(-1, 1, (60, 3))])
+    radii = np.concatenate([[0.8], rng.uniform(0.03, 0.2, 60)])
+    kinds = np.arange(61) % 2
+    if not big_first:
+        centers, radii, kinds = centers[::-1], radii[::-1], kinds[::-1]
+    return SPMA.from_arrays(centers, radii, kinds, rng.uniform(0.5, 2, 61))
+
+
+@pytest.mark.parametrize("spma, spacing, shape, start, stop", [
+    (big_and_small(True), 0.05, (41, 41, 41), 0, 41),
+    (big_and_small(False), 0.05, (41, 41, 41), 0, 41),
+    (mixed_spma(), 0.05, (41, 41, 41), 0, 41),     # over- and off-grid parts
+    (mixed_spma(), (0.07, 0.05, 0.09), (30, 37, 25), 0, 30),
+    (big_and_small(False), (0.07, 0.05, 0.09), (30, 37, 25), 9, 23),
+], ids=["big-first", "big-last", "mixed", "per-axis-spacing", "start"])
+def test_grid_slab_matches_globally_padded_scatter(monkeypatch, spma, spacing,
+                                                   shape, start, stop):
+    # a small _BLOCK cuts blocks inside components
+    monkeypatch.setattr(density_module, "_BLOCK", 200)
+    blocks = []
+
+    def spy(end, width):
+        for row, c, longest in _row_blocks(end, width):
+            blocks.append((c, longest))
+            assert longest == width[c].max()
+            assert len(row) * longest <= 200 or len(row) == 1
+            yield row, c, longest
+    monkeypatch.setattr(density_module, "_row_blocks", spy)
+    origin = (-1.0, -0.95, -1.05)
+    got = _grid_slab(spma, origin, spacing, shape, start, stop)
+    assert np.array_equal(got, padded_grid_slab(spma, origin, spacing, shape,
+                                                start, stop))
+    assert any(a[-1] == b[0] for (a, _), (b, _) in zip(blocks, blocks[1:]))
+    assert len({longest for _, longest in blocks}) > 1
+
+
+def test_single_ball_rows_fall_into_equal_blocks(monkeypatch):
+    # the oracle's fine slab of a ball filling its box: every row is 256
+    # nodes, so every block holds _BLOCK // 256 = 128 of them
+    blocks = []
+
+    def spy(end, width):
+        for row, c, longest in _row_blocks(end, width):
+            blocks.append((len(row), longest))
+            yield row, c, longest
+    monkeypatch.setattr(density_module, "_row_blocks", spy)
+    ball = SPMA.from_arrays([[0.0, 0.0, 0.0]], [1.0], [QUADRATIC], [1.0])
+    w = 2.0 / 256
+    _grid_slab(ball, (-1 + w / 2,) * 3, w, (256,) * 3, 0, 4)
+    assert blocks == [(_BLOCK // 256, 256)] * 8
 
 
 def test_table_values_are_np_interp():
