@@ -439,6 +439,19 @@ def big_and_small(big_first):
     return SPMA.from_arrays(centers, radii, kinds, rng.uniform(0.5, 2, 61))
 
 
+def record_blocks(monkeypatch):
+    """The blocks _grid_slab takes, as (rows, their components, their
+    widths, the longest row) each."""
+    blocks = []
+
+    def spy(end, width):
+        for row, c, longest in _row_blocks(end, width):
+            blocks.append((row, c, width[c], longest))
+            yield row, c, longest
+    monkeypatch.setattr(density_module, "_row_blocks", spy)
+    return blocks
+
+
 @pytest.mark.parametrize("spma, spacing, shape, start, stop", [
     (big_and_small(True), 0.05, (41, 41, 41), 0, 41),
     (big_and_small(False), 0.05, (41, 41, 41), 0, 41),
@@ -450,37 +463,27 @@ def test_grid_slab_matches_globally_padded_scatter(monkeypatch, spma, spacing,
                                                    shape, start, stop):
     # a small _BLOCK cuts blocks inside components
     monkeypatch.setattr(density_module, "_BLOCK", 200)
-    blocks = []
-
-    def spy(end, width):
-        for row, c, longest in _row_blocks(end, width):
-            blocks.append((c, longest))
-            assert longest == width[c].max()
-            assert len(row) * longest <= 200 or len(row) == 1
-            yield row, c, longest
-    monkeypatch.setattr(density_module, "_row_blocks", spy)
+    blocks = record_blocks(monkeypatch)
     origin = (-1.0, -0.95, -1.05)
     got = _grid_slab(spma, origin, spacing, shape, start, stop)
     assert np.array_equal(got, padded_grid_slab(spma, origin, spacing, shape,
                                                 start, stop))
-    assert any(a[-1] == b[0] for (a, _), (b, _) in zip(blocks, blocks[1:]))
-    assert len({longest for _, longest in blocks}) > 1
+    for row, _, widths, longest in blocks:
+        assert longest == widths.max()
+        assert len(row) * longest <= 200 or len(row) == 1
+    assert any(a[1][-1] == b[1][0] for a, b in zip(blocks, blocks[1:]))
+    assert len({longest for *_, longest in blocks}) > 1
 
 
 def test_single_ball_rows_fall_into_equal_blocks(monkeypatch):
     # the oracle's fine slab of a ball filling its box: every row is 256
     # nodes, so every block holds _BLOCK // 256 = 128 of them
-    blocks = []
-
-    def spy(end, width):
-        for row, c, longest in _row_blocks(end, width):
-            blocks.append((len(row), longest))
-            yield row, c, longest
-    monkeypatch.setattr(density_module, "_row_blocks", spy)
+    blocks = record_blocks(monkeypatch)
     ball = SPMA.from_arrays([[0.0, 0.0, 0.0]], [1.0], [QUADRATIC], [1.0])
     w = 2.0 / 256
     _grid_slab(ball, (-1 + w / 2,) * 3, w, (256,) * 3, 0, 4)
-    assert blocks == [(_BLOCK // 256, 256)] * 8
+    assert [(len(row), longest) for row, *_, longest in blocks] == \
+        [(_BLOCK // 256, 256)] * 8
 
 
 def test_table_values_are_np_interp():
