@@ -22,8 +22,8 @@ from .geometry import (BallRegion, brillouin_radius,
                        general_position_perturb, hausdorff_distance,
                        pointmass_brillouin_radius)
 from .density import (QUADRATIC, SPMA, TABLE, GridDensity, SmoothedPointMass,
-                      _pow, constant_taper, cosine_bump, lp_metric,
-                      quadratic_bump)
+                      _pow, constant_taper, cosine_bump, evaluate_on_grid,
+                      lp_metric, quadratic_bump)
 from .convergence import pointmass_rc
 
 __all__ = ["FillingParams", "SnowmanParams", "FillingBudgetError",
@@ -84,14 +84,10 @@ class SphericalFilling:
 def _filling_grid(f, params):
     """The grid the filling runs on: f's own, or an internal resample."""
     if params.grid_resolution and params.grid_resolution != max(f.shape):
-        from .density import evaluate
         lo, hi = f.bounding_box()
         n = int(params.grid_resolution)
         h = float(np.max(hi - lo) / (n - 1))
-        axes = [lo[d] + h * np.arange(n) for d in range(3)]
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-        vals = evaluate(f, pts).reshape((n, n, n))
-        return GridDensity(lo, h, vals), 0.5
+        return GridDensity(lo, h, evaluate_on_grid(f, lo, h, (n,) * 3)), 0.5
     return f, 0.0
 
 
@@ -352,10 +348,16 @@ def spma_approximate(f, params):
     h = g.spacing
     mask, nodes, fvals = _support(filling)
     tree = cKDTree(nodes)
-    # the support nodes in each filling ball, for the plateaus and a7;
-    # unsorted keeps each list in the order of a single-point query
+    # the support nodes in each filling ball, for the plateaus and a7,
+    # flat: at[starts[j]:starts[j + 1]] are ball j's, in the order of a
+    # single-point query.  Every ball is centered on a support node with
+    # r > 0, so none is empty
     in_ball = tree.query_ball_point(fill.centers, fill.radii,
                                     return_sorted=False)
+    sizes = np.fromiter(map(len, in_ball), np.intp, len(in_ball))
+    at = np.fromiter(itertools.chain.from_iterable(in_ball), np.intp,
+                     sizes.sum())
+    starts = np.cumsum(sizes) - sizes
     amp_floor = 1e-12 * max(float(fvals.max()), 1.0)
 
     w_grid, bg_grid, meanf_grid, fit = _fit_background(
@@ -363,15 +365,10 @@ def spma_approximate(f, params):
     cover_amp = np.maximum(w_grid[mask], amp_floor)
     lam_bg = bg_grid[mask]
 
-    # filling plateaus on top of the background
-    fill_amp = []
-    for center, sel in zip(fill.centers, in_ball):
-        if sel:
-            tgt = float(np.mean(fvals[sel] - lam_bg[sel]))
-        else:
-            i = tree.query(center)[1]
-            tgt = float(fvals[i] - lam_bg[i])
-        fill_amp.append(max(tgt, amp_floor))
+    # filling plateaus on top of the background: the mean of what it
+    # leaves over at each ball's support nodes
+    fill_amp = np.maximum(np.add.reduceat((fvals - lam_bg)[at], starts)
+                          / sizes, amp_floor)
 
     # one part per ball; perturb all centers into general position
     n_fill = len(fill)
@@ -389,8 +386,8 @@ def spma_approximate(f, params):
     parts = _shrink_extremal(parts, params, h)
 
     spma = _assemble(parts)
-    report = _verify(spma, filling, params, tree, in_ball, meanf_grid[mask],
-                     parts["tag"])
+    report = _verify(spma, filling, params, tree, at, starts,
+                     meanf_grid[mask], parts["tag"])
     report["background_fit"] = fit
     failed = [k for k in ("p1", "p2", "p3", "p4", "p5", "p6", "p7")
               if not report[k]["pass"]]
@@ -458,11 +455,10 @@ def _boundary_voxels(mask, origin, h):
     return origin + h * np.argwhere(edge)
 
 
-def _verify(spma, filling, params, tree_nodes, in_ball, meanf, tags):
-    """The p1-p7 / a1-a8 report; `in_ball` is the support-node query of
-    each filling ball on `tree_nodes`, `tags` as in _PART."""
+def _verify(spma, filling, params, tree_nodes, at, starts, meanf, tags):
+    """The p1-p7 / a1-a8 report; at[starts[j]:starts[j + 1]] are the
+    support nodes in filling ball j, none empty, `tags` as in _PART."""
     from scipy import ndimage
-    from .density import evaluate_on_grid
 
     delta, eps = params.delta, params.eps
     g = filling.grid
@@ -549,34 +545,30 @@ def _verify(spma, filling, params, tree_nodes, in_ball, meanf, tags):
     # residual budget; also reported with the component alone, which must
     # fail whenever f is locally constant (var = 0 but the error of any
     # continuous profile vanishing on the rim is positive)
+    f_at = fvals[at]
+    var = np.maximum.reduceat(f_at, starts) - np.minimum.reduceat(f_at, starts)
+    vols = 4.0 / 3.0 * np.pi * _pow(filling.filling.radii, 3)
+    slack_total = min(delta, eps) / 10.0
+    allow = var * vols + slack_total * vols / vols.sum()
     fdiff = np.abs(g.values - lam_vals)[mask]
+    err = np.add.reduceat(fdiff[at], starts) * cell
+    worst = float(np.max(err - allow, initial=-np.inf))
     # the component of each filling ball that kept exactly one, else -1
     filled = np.flatnonzero(tags >= 0)
     own = np.full(n_fill, -1)
     own[tags[filled]] = filled
     own[np.bincount(tags[filled], minlength=n_fill) != 1] = -1
     # each owned ball's component at the ball's support nodes, from one
-    # profile call over the concatenated node lists
-    owned = [sel if o >= 0 else [] for sel, o in zip(in_ball, own)]
-    sizes = [len(sel) for sel in owned]
-    comp = np.repeat(own, sizes)
-    at = np.fromiter(itertools.chain.from_iterable(owned), np.intp, len(comp))
-    d = np.linalg.norm(nodes[at] - centers[comp], axis=1)
-    g_own = np.split(spma.profile(comp, d), np.cumsum(sizes)[:-1])
-    vols = 4.0 / 3.0 * np.pi * _pow(filling.filling.radii, 3)
-    slack_total = min(delta, eps) / 10.0
-    worst = -np.inf
-    worst_lit = -np.inf
-    for j, sel in enumerate(in_ball):
-        if not sel:
-            continue
-        var = float(fvals[sel].max() - fvals[sel].min())
-        slack = slack_total * vols[j] / vols.sum()
-        err = float(fdiff[sel].sum() * cell)
-        worst = max(worst, err - (var * vols[j] + slack))
-        if own[j] >= 0:
-            err_lit = float(np.abs(fvals[sel] - g_own[j]).sum() * cell)
-            worst_lit = max(worst_lit, err_lit - (var * vols[j] + slack))
+    # profile call over the owned balls' entries
+    sizes = np.diff(starts, append=len(at))
+    mine = np.repeat(own, sizes)
+    keep = mine >= 0
+    comp, at_own = mine[keep], at[keep]
+    d = np.linalg.norm(nodes[at_own] - centers[comp], axis=1)
+    owned = own >= 0
+    err_lit = np.add.reduceat(np.abs(fvals[at_own] - spma.profile(comp, d)),
+                              np.cumsum(sizes[owned]) - sizes[owned]) * cell
+    worst_lit = float(np.max(err_lit - allow[owned], initial=-np.inf))
     report["a7"] = {"pass": bool(worst <= 0), "worst_excess": worst,
                     "worst_excess_component_alone": worst_lit,
                     "balls_checked": n_fill, "balls_total": n_fill,

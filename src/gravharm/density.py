@@ -502,7 +502,7 @@ class GridDensity:
     @classmethod
     def load(cls, path):
         """Read a grid file; a malformed header or value raises
-        ValueError naming path:line."""
+        ValueError naming path:line, a bad grid as a whole naming path."""
         with open(path) as fh:
             lineno, chunks = 1, [np.empty(0)]
             try:
@@ -532,10 +532,12 @@ class GridDensity:
             raise ValueError("%s:%d: grid values must be finite and "
                              "non-negative" % (path, lineno))
         if flat.size != nx * ny * nz:
-            raise ValueError("grid file has %d values, expected %d"
-                             % (flat.size, nx * ny * nz))
-        values = flat.reshape((nx, ny, nz), order="F")
-        return cls(origin, h, values)
+            raise ValueError("%s: grid file has %d values, expected %d"
+                             % (path, flat.size, nx * ny * nz))
+        try:
+            return cls(origin, h, flat.reshape((nx, ny, nz), order="F"))
+        except ValueError as exc:
+            raise ValueError("%s: %s" % (path, exc))
 
 
 # ---------------------------------------------------------------------------

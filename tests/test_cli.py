@@ -366,6 +366,12 @@ def test_potential_requires_range(snowman_file):
      "ball.grid:4: grid values"),
     (["approximate"], "2 2 2 1 0 0 0\n1 1 1 1\n1 1 1 inf\n",
      "ball.grid:3: grid values"),
+    (["approximate"], "2 2 2 1 0 0 0\n1 1 1 1\n1 1 1\n",
+     "ball.grid: grid file has 7 values, expected 8"),
+    (["approximate"], "2 2 2 1 0 0 0\n1 0 0 0\n0 0 0 1\n",
+     "ball.grid: grid support must be 6-connected (found 2 components)"),
+    (["approximate"], "2 2 2 1 0 0 0\n0 0 0 0\n0 0 0 0\n",
+     "ball.grid: grid support is empty"),
     (["potential", "--snowman-gamma", 0.5, "--r-from", 3, "--r-to", 4,
       "--samples", 0], None, "--samples"),
     (["potential", "--snowman-gamma", 0.5, "--r-from", 3, "--r-to", 4,
@@ -376,7 +382,8 @@ def test_potential_requires_range(snowman_file):
         "resolution-negative", "min-ball-radius", "grid-header-value",
         "grid-header-fields", "grid-value", "grid-spacing-zero",
         "grid-origin-nan", "grid-dimensions-negative", "grid-value-negative",
-        "grid-value-inf", "samples-0", "samples-negative",
+        "grid-value-inf", "grid-value-count", "grid-disconnected",
+        "grid-empty", "samples-0", "samples-negative",
         "oracle-resolution-negative"])
 def test_bad_inputs_name_what_is_wrong(tmp_path, capsys, argv, grid,
                                        message):

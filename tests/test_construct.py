@@ -358,10 +358,56 @@ def test_approximate_deterministic(ball_approx):
     assert res2.report["summary"] == res.report["summary"]
 
 
-def per_ball_a7(spma, filling, params, in_ball, tags):
+def bench_ball(n, graded):
+    return GridDensity((-1.0, -1.0, -1.0), 2.0 / (n - 1),
+                       ball_values(n, graded))
+
+
+def ball_queries(filling):
+    """Each filling ball's support-node list, by one query per ball set in
+    the order of a single-point query."""
+    return cKDTree(filling.covering.centers).query_ball_point(
+        filling.filling.centers, filling.filling.radii, return_sorted=False)
+
+
+@pytest.mark.parametrize("n, graded", [(24, False), (20, True), (13, True)],
+                         ids=["ball-24", "graded-20", "graded-13"])
+def test_plateaus_match_per_ball_mean(monkeypatch, n, graded):
+    # the plateaus as the per-ball np.mean loop set them before they
+    # became one segment sum; numpy's pairwise sum and reduceat's
+    # sequential one agree bit for bit below 8 terms
+    seen = []
+    shrink = construct._shrink_extremal
+
+    def spy(parts, *args):
+        seen.append(parts.copy())
+        return shrink(parts, *args)
+    monkeypatch.setattr(construct, "_shrink_extremal", spy)
+    g = bench_ball(n, graded)
+    res = spma_approximate(g, FillingParams(delta=0.5, eps=0.5))
+    fill = res.filling.filling
+    amp = seen[0]["value"][:len(fill)]
+    mask = g.values > 0
+    nodes, fvals = res.filling.covering.centers, g.values[mask]
+    lam_bg = _fit_background(g.values, mask, BACKGROUND_FRACTION)[1][mask]
+    amp_floor = 1e-12 * max(float(fvals.max()), 1.0)
+    in_ball = ball_queries(res.filling)
+    ref = np.array([max(float(np.mean(fvals[sel] - lam_bg[sel])), amp_floor)
+                    for sel in in_ball])
+    # every ball is centered on a support node, so it holds that node
+    assert all((nodes[sel] == c).all(axis=1).any()
+               for sel, c in zip(in_ball, fill.centers))
+    # the graded balls' variance cap leaves every ball below 8 nodes
+    small = np.array([len(sel) < 8 for sel in in_ball])
+    assert small.all() == graded
+    assert np.array_equal(amp[small], ref[small])
+    assert np.all(np.abs(amp - ref) <= 1e-13 * np.abs(ref))
+
+
+def per_ball_a7(spma, filling, params, tags):
     """a7's (worst_excess, worst_excess_component_alone) by the loop that
     made one profile call per owned filling ball; kept as the reference
-    for the batched call."""
+    for the segment sums."""
     g = filling.grid
     mask = g.values > 0
     nodes, fvals, cell = filling.covering.centers, g.values[mask], g.spacing**3
@@ -375,7 +421,7 @@ def per_ball_a7(spma, filling, params, in_ball, tags):
     vols = 4.0 / 3.0 * np.pi * _pow(filling.filling.radii, 3)
     slack_total = min(params.delta, params.eps) / 10.0
     worst = worst_lit = -np.inf
-    for j, sel in enumerate(in_ball):
+    for j, sel in enumerate(ball_queries(filling)):
         if not sel:
             continue
         var = float(fvals[sel].max() - fvals[sel].min())
@@ -390,7 +436,8 @@ def per_ball_a7(spma, filling, params, in_ball, tags):
     return worst, worst_lit
 
 
-def test_a7_batched_profile_matches_per_ball_loop(monkeypatch):
+def approximate_and_verify_args(monkeypatch, g, params):
+    """spma_approximate's result and the arguments it hands _verify."""
     seen = []
     verify = construct._verify
 
@@ -398,13 +445,60 @@ def test_a7_batched_profile_matches_per_ball_loop(monkeypatch):
         seen.append(args)
         return verify(*args)
     monkeypatch.setattr(construct, "_verify", spy)
-    n = 20
-    g = GridDensity((-1.0, -1.0, -1.0), 2.0 / (n - 1), ball_values(n, True))
-    res = spma_approximate(g, FillingParams(delta=0.5, eps=0.5))
-    spma, filling, params, _, in_ball, _, tags = seen[0]
+    res = spma_approximate(g, params)
+    monkeypatch.undo()
+    return res, seen[0]
+
+
+def a7_and_per_ball_loop(monkeypatch, n, graded):
+    """a7's two figures from the report and from per_ball_a7."""
+    res, (spma, filling, params, *_, tags) = approximate_and_verify_args(
+        monkeypatch, bench_ball(n, graded), FillingParams(delta=0.5, eps=0.5))
     a7 = res.report["a7"]
-    assert (a7["worst_excess"], a7["worst_excess_component_alone"]) == \
-        per_ball_a7(spma, filling, params, in_ball, tags)
+    return ((a7["worst_excess"], a7["worst_excess_component_alone"]),
+            per_ball_a7(spma, filling, params, tags))
+
+
+def test_a7_batched_profile_matches_per_ball_loop(monkeypatch):
+    a7, ref = a7_and_per_ball_loop(monkeypatch, 20, True)
+    assert a7 == ref
+
+
+def test_a7_matches_per_ball_loop_on_constant_ball(monkeypatch):
+    # its central ball holds 4,945 nodes, whose sums change order
+    a7, ref = a7_and_per_ball_loop(monkeypatch, 24, False)
+    assert a7 == pytest.approx(ref, rel=1e-12)
+
+
+def test_a7_component_alone_counts_owned_balls_only(monkeypatch):
+    # a filling ball whose component was split, or that lost it, is left
+    # out of the component-alone figure; with one ball owned at a time
+    # the figure is that ball's own, and with none it is -inf.  f tilts
+    # by less than a2's bound, so the filling takes no variance cap and
+    # some balls see var > 0
+    tilt = 1.0 + 1e-4 * np.linspace(-1.0, 1.0, 16)[:, None, None]
+    g = GridDensity((-1.0, -1.0, -1.0), 2.0 / 15,
+                    ball_values(16, False) * tilt)
+    _, (spma, filling, params, tree, at, starts, meanf, tags) = \
+        approximate_and_verify_args(monkeypatch, g,
+                                    FillingParams(delta=0.7, eps=0.7))
+    fvals = g.values[g.values > 0]
+    var = np.array([np.ptp(fvals[sel]) for sel in ball_queries(filling)])
+    assert np.count_nonzero(var) > 1
+    filled = np.flatnonzero(tags >= 0)
+    for j in [*np.argsort(var)[-3:], len(var) - 1, None]:
+        # every other filling part stands for ball 0 (ball 1 when j is
+        # 0), which then has many
+        t = tags.copy()
+        t[filled] = 1 if j == 0 else 0
+        if j is not None:
+            t[filled[tags[filled] == j]] = j
+        a7 = construct._verify(spma, filling, params, tree, at, starts,
+                               meanf, t)["a7"]
+        ref = per_ball_a7(spma, filling, params, t)
+        assert (a7["worst_excess"], a7["worst_excess_component_alone"]) == \
+            pytest.approx(ref, rel=1e-12)
+        assert (ref[1] == -np.inf) == (j is None)
 
 
 def test_a8_compares_each_covering_part_with_its_own_node():
