@@ -69,16 +69,27 @@ class FillingParams:
 
 @dataclass
 class SphericalFilling:
-    """Result of the greedy filling on `grid`: disjoint balls plus a cover
-    of one ball per support node, in `np.argwhere` order."""
+    """Result of the greedy filling on `grid`: disjoint balls, a cover of
+    one ball per support node (`mask`'s, in `np.argwhere` order), f at
+    those nodes, their KD-tree, the nodes in filling ball j as
+    at[starts[j]:starts[j + 1]] and f's oscillation over them."""
 
     filling: BallRegion
     covering: BallRegion
     residual_mass: float
     a1_bound: float
     a2_bound: float
-    max_ball_var: float
     grid: GridDensity
+    mask: np.ndarray
+    fvals: np.ndarray
+    tree: object
+    at: np.ndarray
+    starts: np.ndarray
+    ball_var: np.ndarray
+
+    @property
+    def max_ball_var(self):
+        return float(np.max(self.ball_var, initial=0.0))
 
 
 def _filling_grid(f, params):
@@ -92,7 +103,7 @@ def _filling_grid(f, params):
 
 
 def _support_arrays(g, safety):
-    """Support nodes, values and a conservative inside-support radius."""
+    """Support mask, nodes, values and a safe inside-support radius."""
     from scipy import ndimage
     mask = g.values > 0
     # distance (in steps) to the nearest zero node; balls of radius up to
@@ -101,19 +112,17 @@ def _support_arrays(g, safety):
     nodes = g.origin + g.spacing * np.argwhere(mask)
     fvals = g.values[mask]
     r_sup = (edt[mask] - safety) * g.spacing * (1.0 - 1e-9)
-    return nodes, fvals, r_sup
+    return mask, nodes, fvals, r_sup
 
 
 def _var_capped_radius(r, center, tree, fvals, bound, step):
-    """Shrink r until the node oscillation of f inside the ball is < bound;
-    returns the radius and that oscillation (0 below one step)."""
+    """Shrink r until the node oscillation of f inside the ball is < bound
+    (below one step, the radius it reached)."""
     while r >= step:
-        sel = tree.query_ball_point(center, r)
-        var = float(np.ptp(fvals[sel])) if sel else 0.0
-        if var < bound:
-            return r, var
+        if np.ptp(fvals[tree.query_ball_point(center, r)]) < bound:
+            return r
         r -= step
-    return r, 0.0
+    return r
 
 
 def spherical_filling(f, params):
@@ -136,7 +145,7 @@ def spherical_filling(f, params):
     from scipy.spatial import cKDTree
 
     g, safety = _filling_grid(f, params)
-    nodes, fvals, r_sup = _support_arrays(g, safety)
+    mask, nodes, fvals, r_sup = _support_arrays(g, safety)
     h = g.spacing
     n_nodes = len(nodes)
     cell = h**3
@@ -156,7 +165,7 @@ def spherical_filling(f, params):
     step = h / 2.0
     f_range = float(fvals.max() - fvals.min())
     need_var_cap = f_range >= a2_bound
-    tree = cKDTree(nodes) if need_var_cap else None
+    tree = cKDTree(nodes)
 
     # the nodes no ball covers yet, as parallel arrays compacted in node
     # order: support index, x, y, z, r_sup, gap to the placed balls and f
@@ -164,7 +173,6 @@ def spherical_filling(f, params):
            np.full(n_nodes, np.inf), fvals)
     buf = np.empty((2, n_nodes))
     centers, radii = [], []
-    max_ball_var = 0.0
     residual = total_mass
 
     # phase 1: quantized greedy, largest admissible ball first; packing
@@ -179,13 +187,12 @@ def spherical_filling(f, params):
             break
         center = nodes[idx[i]]
         if need_var_cap:
-            r, var = _var_capped_radius(r, center, tree, fvals, a2_bound, step)
+            r = _var_capped_radius(r, center, tree, fvals, a2_bound, step)
             if r < step:
                 # this node only admits sub-step balls; retire it to the
                 # endgame by pinning its gap
                 gp[i] = min(gp[i], step * (1 - 1e-12))
                 continue
-            max_ball_var = max(max_ball_var, var)
         # distances summed coordinate by coordinate, (dx^2 + dy^2) + dz^2,
         # the order np.linalg.norm adds a length-3 axis in
         d, t = buf[:, :idx.size]
@@ -219,8 +226,19 @@ def spherical_filling(f, params):
                                     nodes[idx[keep]]]),
                          np.concatenate([radii, r_e[keep]]))
     cover = BallRegion(nodes, np.full(n_nodes, COVER_RADIUS_STEPS * h))
-    return SphericalFilling(filling, cover, residual, a1_bound, a2_bound,
-                            max_ball_var, g)
+    # the support nodes in each filling ball, flat.  Every ball is
+    # centered on a support node with r > 0, so none is empty
+    in_ball = tree.query_ball_point(filling.centers, filling.radii,
+                                    return_sorted=False)
+    sizes = np.fromiter(map(len, in_ball), np.intp, len(in_ball))
+    at = np.fromiter(itertools.chain.from_iterable(in_ball), np.intp,
+                     sizes.sum())
+    starts = np.cumsum(sizes) - sizes
+    f_at = fvals[at]
+    ball_var = (np.maximum.reduceat(f_at, starts)
+                - np.minimum.reduceat(f_at, starts))
+    return SphericalFilling(filling, cover, residual, a1_bound, a2_bound, g,
+                            mask, fvals, tree, at, starts, ball_var)
 
 
 # ---------------------------------------------------------------------------
@@ -340,24 +358,12 @@ def spma_approximate(f, params):
     required properties p1-p7 and raises ConstructionError naming the
     first failed one; the filling conditions are measured and reported.
     """
-    from scipy.spatial import cKDTree
-
     filling = spherical_filling(f, params)
     fill, cover = filling.filling, filling.covering
     g = filling.grid
     h = g.spacing
-    mask, nodes, fvals = _support(filling)
-    tree = cKDTree(nodes)
-    # the support nodes in each filling ball, for the plateaus and a7,
-    # flat: at[starts[j]:starts[j + 1]] are ball j's, in the order of a
-    # single-point query.  Every ball is centered on a support node with
-    # r > 0, so none is empty
-    in_ball = tree.query_ball_point(fill.centers, fill.radii,
-                                    return_sorted=False)
-    sizes = np.fromiter(map(len, in_ball), np.intp, len(in_ball))
-    at = np.fromiter(itertools.chain.from_iterable(in_ball), np.intp,
-                     sizes.sum())
-    starts = np.cumsum(sizes) - sizes
+    mask, fvals, starts = filling.mask, filling.fvals, filling.starts
+    sizes = np.diff(starts, append=len(filling.at))
     amp_floor = 1e-12 * max(float(fvals.max()), 1.0)
 
     w_grid, bg_grid, meanf_grid, fit = _fit_background(
@@ -367,8 +373,8 @@ def spma_approximate(f, params):
 
     # filling plateaus on top of the background: the mean of what it
     # leaves over at each ball's support nodes
-    fill_amp = np.maximum(np.add.reduceat((fvals - lam_bg)[at], starts)
-                          / sizes, amp_floor)
+    fill_amp = np.maximum(np.add.reduceat((fvals - lam_bg)[filling.at],
+                                          starts) / sizes, amp_floor)
 
     # one part per ball; perturb all centers into general position
     n_fill = len(fill)
@@ -386,8 +392,7 @@ def spma_approximate(f, params):
     parts = _shrink_extremal(parts, params, h)
 
     spma = _assemble(parts)
-    report = _verify(spma, filling, params, tree, at, starts,
-                     meanf_grid[mask], parts["tag"])
+    report = _verify(spma, filling, params, meanf_grid[mask], parts["tag"])
     report["background_fit"] = fit
     failed = [k for k in ("p1", "p2", "p3", "p4", "p5", "p6", "p7")
               if not report[k]["pass"]]
@@ -395,13 +400,6 @@ def spma_approximate(f, params):
         raise ConstructionError("constructed array failed %s: %s"
                                 % (failed[0], report[failed[0]]))
     return ApproximationResult(spma, report, filling)
-
-
-def _support(filling):
-    """Support mask, nodes and values of f on the filling grid; the nodes
-    are the covering's centers."""
-    mask = filling.grid.values > 0
-    return mask, filling.covering.centers, filling.grid.values[mask]
 
 
 def _assemble(parts):
@@ -455,14 +453,14 @@ def _boundary_voxels(mask, origin, h):
     return origin + h * np.argwhere(edge)
 
 
-def _verify(spma, filling, params, tree_nodes, at, starts, meanf, tags):
-    """The p1-p7 / a1-a8 report; at[starts[j]:starts[j + 1]] are the
-    support nodes in filling ball j, none empty, `tags` as in _PART."""
+def _verify(spma, filling, params, meanf, tags):
+    """The p1-p7 / a1-a8 report over the filling's support record, `tags`
+    as in _PART."""
     from scipy import ndimage
 
     delta, eps = params.delta, params.eps
     g = filling.grid
-    mask, nodes, fvals = _support(filling)
+    mask, fvals, nodes = filling.mask, filling.fvals, filling.covering.centers
     h = g.spacing
     cell = h**3
     report = {}
@@ -508,7 +506,7 @@ def _verify(spma, filling, params, tree_nodes, at, starts, meanf, tags):
     # K_f sits inside the blanket; the set distance is how far the
     # blanket extends beyond the support
     pts_lam = g.origin + h * np.argwhere(mask_lam)
-    d_set = float(np.max(tree_nodes.query(pts_lam, k=1)[0]))
+    d_set = float(np.max(filling.tree.query(pts_lam, k=1)[0]))
     report["p4"] = {"pass": bool(d_set < eps + tol), "set_distance": d_set}
     report["a4"] = {"pass": report["p4"]["pass"] and report["p5"]["pass"],
                     "set_distance": d_set, "boundary_hausdorff": d_boundary}
@@ -545,8 +543,7 @@ def _verify(spma, filling, params, tree_nodes, at, starts, meanf, tags):
     # residual budget; also reported with the component alone, which must
     # fail whenever f is locally constant (var = 0 but the error of any
     # continuous profile vanishing on the rim is positive)
-    f_at = fvals[at]
-    var = np.maximum.reduceat(f_at, starts) - np.minimum.reduceat(f_at, starts)
+    var, at, starts = filling.ball_var, filling.at, filling.starts
     vols = 4.0 / 3.0 * np.pi * _pow(filling.filling.radii, 3)
     slack_total = min(delta, eps) / 10.0
     allow = var * vols + slack_total * vols / vols.sum()

@@ -209,17 +209,18 @@ def place_loop_filling(f, params):
     nodes were kept as compacted arrays: every ball gathers the active
     nodes, takes np.linalg.norm and scatters the gaps back; kept as the
     reference.  Returns the filling's centers and radii, its residual
-    mass, max_ball_var, and how many balls the variance cap shrank and
-    how many nodes it had their gap pinned."""
+    mass, the largest oscillation of f over a phase-1 ball's nodes, from
+    its own query, and how many balls the variance cap shrank and how
+    many nodes it had their gap pinned."""
     g, safety = construct._filling_grid(f, params)
-    nodes, fvals, r_sup = construct._support_arrays(g, safety)
+    _, nodes, fvals, r_sup = construct._support_arrays(g, safety)
     h = g.spacing
     cell = h**3
     a2_bound = min(params.delta, params.eps) / (10.0 * len(nodes) * cell)
     min_r = params.min_ball_radius or 1e-3 * h
     step = h / 2.0
     need_var_cap = float(fvals.max() - fvals.min()) >= a2_bound
-    tree = cKDTree(nodes) if need_var_cap else None
+    tree = cKDTree(nodes)
     active = np.arange(len(nodes))
     gap = np.full(len(nodes), np.inf)
     centers, radii = [], []
@@ -234,14 +235,15 @@ def place_loop_filling(f, params):
         center = nodes[active[i]]
         if need_var_cap:
             r0 = r
-            r, var = construct._var_capped_radius(r, center, tree, fvals,
-                                                  a2_bound, step)
+            r = construct._var_capped_radius(r, center, tree, fvals,
+                                             a2_bound, step)
             capped += r < r0
             if r < step:
                 gap[active[i]] = min(gap[active[i]], step * (1 - 1e-12))
                 pinned += 1
                 continue
-            max_ball_var = max(max_ball_var, var)
+        var = float(np.ptp(fvals[tree.query_ball_point(center, r)]))
+        max_ball_var = max(max_ball_var, var)
         d = np.linalg.norm(nodes[active] - center, axis=1)
         covered = d <= r
         residual -= float(fvals[active[covered]].sum() * cell)
@@ -470,18 +472,51 @@ def test_a7_matches_per_ball_loop_on_constant_ball(monkeypatch):
     assert a7 == pytest.approx(ref, rel=1e-12)
 
 
+def tilted_ball():
+    """The 16^3 unit ball tilted by 1e-4 along x: f varies by less than
+    a2's bound, so the filling takes no variance cap, and some filling
+    balls see var > 0 (on every bench ball var is 0 on every ball)."""
+    tilt = 1.0 + 1e-4 * np.linspace(-1.0, 1.0, 16)[:, None, None]
+    return GridDensity((-1.0, -1.0, -1.0), 2.0 / 15,
+                       ball_values(16, False) * tilt)
+
+
+def test_a2_measures_every_filling_ball():
+    g = tilted_ball()
+    res = spma_approximate(g, FillingParams(delta=0.7, eps=0.7))
+    fvals = g.values[g.values > 0]
+    assert np.ptp(fvals) < res.filling.a2_bound
+    var = np.array([np.ptp(fvals[sel]) for sel in ball_queries(res.filling)])
+    assert np.array_equal(res.filling.ball_var, var)
+    a2 = res.report["a2"]
+    assert a2["max_ball_var"] == res.filling.max_ball_var == var.max() > 0
+    assert a2["pass"] and a2["bound"] == res.filling.a2_bound
+
+
+def test_one_kd_tree_over_the_support_nodes(monkeypatch):
+    # the filling's tree serves its variance cap, the ball-to-node
+    # incidence and p4's nearest-node query
+    import scipy.spatial
+    tree_type, built = scipy.spatial.cKDTree, []
+
+    def counting(data, *args, **kwargs):
+        built.append(np.array(data))
+        return tree_type(data, *args, **kwargs)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", counting)
+    res = spma_approximate(bench_ball(20, True),
+                           FillingParams(delta=0.5, eps=0.5))
+    nodes = res.filling.covering.centers
+    assert sum(np.array_equal(b, nodes) for b in built) == 1
+
+
 def test_a7_component_alone_counts_owned_balls_only(monkeypatch):
     # a filling ball whose component was split, or that lost it, is left
     # out of the component-alone figure; with one ball owned at a time
-    # the figure is that ball's own, and with none it is -inf.  f tilts
-    # by less than a2's bound, so the filling takes no variance cap and
-    # some balls see var > 0
-    tilt = 1.0 + 1e-4 * np.linspace(-1.0, 1.0, 16)[:, None, None]
-    g = GridDensity((-1.0, -1.0, -1.0), 2.0 / 15,
-                    ball_values(16, False) * tilt)
-    _, (spma, filling, params, tree, at, starts, meanf, tags) = \
-        approximate_and_verify_args(monkeypatch, g,
-                                    FillingParams(delta=0.7, eps=0.7))
+    # the figure is that ball's own, and with none it is -inf.  On the
+    # tilted ball some balls see var > 0
+    g = tilted_ball()
+    _, (spma, filling, params, meanf, tags) = approximate_and_verify_args(
+        monkeypatch, g, FillingParams(delta=0.7, eps=0.7))
     fvals = g.values[g.values > 0]
     var = np.array([np.ptp(fvals[sel]) for sel in ball_queries(filling)])
     assert np.count_nonzero(var) > 1
@@ -493,8 +528,7 @@ def test_a7_component_alone_counts_owned_balls_only(monkeypatch):
         t[filled] = 1 if j == 0 else 0
         if j is not None:
             t[filled[tags[filled] == j]] = j
-        a7 = construct._verify(spma, filling, params, tree, at, starts,
-                               meanf, t)["a7"]
+        a7 = construct._verify(spma, filling, params, meanf, t)["a7"]
         ref = per_ball_a7(spma, filling, params, t)
         assert (a7["worst_excess"], a7["worst_excess_component_alone"]) == \
             pytest.approx(ref, rel=1e-12)
