@@ -116,13 +116,14 @@ def _support_arrays(g, safety):
 
 
 def _var_capped_radius(r, center, tree, fvals, bound, step):
-    """Shrink r until the node oscillation of f inside the ball is < bound
-    (below one step, the radius it reached)."""
-    while r >= step:
+    """Lower r = k steps one step at a time until the node oscillation of
+    f inside the ball is < bound.  One step always passes, since that
+    ball holds only its own node, so this tries at most k - 1 radii."""
+    for _ in range(round(r / step) - 1):
         if np.ptp(fvals[tree.query_ball_point(center, r)]) < bound:
             return r
         r -= step
-    return r
+    return step
 
 
 def spherical_filling(f, params):
@@ -188,11 +189,6 @@ def spherical_filling(f, params):
         center = nodes[idx[i]]
         if need_var_cap:
             r = _var_capped_radius(r, center, tree, fvals, a2_bound, step)
-            if r < step:
-                # this node only admits sub-step balls; retire it to the
-                # endgame by pinning its gap
-                gp[i] = min(gp[i], step * (1 - 1e-12))
-                continue
         # distances summed coordinate by coordinate, (dx^2 + dy^2) + dz^2,
         # the order np.linalg.norm adds a length-3 axis in
         d, t = buf[:, :idx.size]
