@@ -683,6 +683,13 @@ def total_mass(density):
 # ---------------------------------------------------------------------------
 # metrics
 
+def _count(name, value):
+    """int(value), which must be at least 1; the error names `name`."""
+    if int(value) < 1:
+        raise ValueError("%s must be at least 1, got %r" % (name, value))
+    return int(value)
+
+
 def midpoint_nodes(lo, hi, resolution):
     """Midpoint tensor grid over a box: per-axis coordinates + cell volume."""
     lo, hi = as_vec3(lo), as_vec3(hi)
@@ -695,6 +702,7 @@ def midpoint_nodes(lo, hi, resolution):
 def lp_metric(f, g, resolution=64):
     """mu_1(f, g), the L^1 distance between two densities, by midpoint
     quadrature over the union of their bounding boxes."""
+    resolution = _count("resolution", resolution)
     (lo_f, hi_f), (lo_g, hi_g) = f.bounding_box(), g.bounding_box()
     axes, cellvol, widths = midpoint_nodes(np.minimum(lo_f, lo_g),
                                            np.maximum(hi_f, hi_g), resolution)

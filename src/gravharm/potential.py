@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from .density import (SPMA, PointMasses, _distance_blocks, _grid_slab,
-                      midpoint_nodes)
+from .density import (SPMA, PointMasses, _count, _distance_blocks,
+                      _grid_slab, midpoint_nodes)
 
 __all__ = ["potential_point_masses", "potential_spm", "potential_spma",
            "potential_oracle", "oracle_clear"]
@@ -81,6 +81,7 @@ def oracle_clear(density, x, resolution=128):
     evaluates: those farther than 2 quadrature cells from the support,
     so that 1/r is resolved."""
     pts = np.atleast_2d(np.asarray(x, dtype=float))
+    resolution = _count("resolution", resolution)
     h = float(np.max(midpoint_nodes(*density.bounding_box(), resolution)[2]))
     if isinstance(density, SPMA):
         centers, radii = density.centers, density.radii
@@ -115,14 +116,14 @@ def potential_oracle(density, x, G=1.0, resolution=128, subcell=1):
     high-order.
     """
     _check_G(G)
+    n, s = _count("resolution", resolution), _count("subcell", subcell)
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 1
     pts_x = np.atleast_2d(x)
-    if not np.all(oracle_clear(density, pts_x, resolution)):
+    if not np.all(oracle_clear(density, pts_x, n)):
         raise ValueError("evaluation point too close to the support "
                          "(need clearance > 2 quadrature cells)")
     box = density.bounding_box()
-    n, s = int(resolution), int(subcell)
     axes, cellvol, _ = midpoint_nodes(*box, n)
     fine_axes, _, fine_w = midpoint_nodes(*box, n * s)
     fine_origin = np.array([a[0] for a in fine_axes])

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from gravharm import (PointMass, PointMasses, SPMA, SmoothedPointMass,
-                      cosine_bump, evaluate_on_grid, oracle_clear,
+                      cosine_bump, evaluate_on_grid, lp_metric, oracle_clear,
                       potential_oracle, potential_point_masses, potential_spm,
                       potential_spma, quadratic_bump, table_profile,
                       total_mass)
@@ -275,6 +275,24 @@ def test_g_must_be_positive():
         for G in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError, match="G must be positive"):
                 call(G)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: potential_oracle(mixed_spma(), (3.0, 0, 0), subcell=0),
+     "subcell"),
+    (lambda: potential_oracle(mixed_spma(), (3.0, 0, 0), resolution=0),
+     "resolution"),
+    (lambda: oracle_clear(mixed_spma(), (3.0, 0, 0), resolution=-2),
+     "resolution"),
+    (lambda: oracle_clear(mixed_spma(), (3.0, 0, 0), resolution=0),
+     "resolution"),
+    (lambda: lp_metric(mixed_spma(), mixed_spma(), resolution=0),
+     "resolution"),
+], ids=["oracle-subcell-0", "oracle-resolution-0", "clear-resolution-neg",
+        "clear-resolution-0", "lp-metric-resolution-0"])
+def test_quadrature_counts_below_one_are_named(call, name):
+    with pytest.raises(ValueError, match="%s must be at least 1" % name):
+        call()
 
 
 def test_oracle_clear_is_the_rule_the_oracle_enforces():
