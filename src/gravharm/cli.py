@@ -199,9 +199,13 @@ def cmd_potential(args):
         raise CliError("--oracle-resolution must be 0 (skip) or positive, "
                        "got %d" % args.oracle_resolution)
     spma, masses = _masses_from_args(args)
-    d = np.asarray([float(t) for t in args.direction.split(",")])
-    if d.shape != (3,) or not np.linalg.norm(d) > 0:
-        raise CliError("--direction must be a nonzero x,y,z triple")
+    try:
+        d = np.asarray([float(t) for t in args.direction.split(",")])
+    except ValueError:
+        d = np.empty(0)
+    if d.shape != (3,) or not 0 < np.linalg.norm(d) < np.inf:
+        raise CliError("--direction must be a nonzero finite x,y,z triple, "
+                       "got %r" % args.direction)
     d = d / np.linalg.norm(d)
     radii = np.linspace(args.r_from, args.r_to, args.samples)
     x = radii[:, None] * d
@@ -275,6 +279,8 @@ def cmd_snowman_scan(args):
         raise CliError("need 0 < --gamma-from < --gamma-to")
     if not args.tol > 0:
         raise CliError("--tol must be positive")
+    if args.steps < 1:
+        raise CliError("--steps must be at least 1, got %d" % args.steps)
     gammas = np.linspace(args.gamma_from, args.gamma_to, args.steps)
     out = sys.stdout if args.out is None else open(args.out, "w")
     try:

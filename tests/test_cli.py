@@ -378,13 +378,22 @@ def test_potential_requires_range(snowman_file):
       "--samples", -1], None, "--samples"),
     (["potential", "--snowman-gamma", 0.5, "--r-from", 3, "--r-to", 4,
       "--oracle-resolution", -5], None, "--oracle-resolution"),
+    (["potential", "--snowman-gamma", 0.5, "--r-from", 3, "--r-to", 4,
+      "--direction", "1,x,0"], None, "--direction"),
+    (["potential", "--snowman-gamma", 0.5, "--r-from", 3, "--r-to", 4,
+      "--direction", "1,inf,0"], None, "--direction"),
+    (["snowman-scan", "--gamma-from", 0.1, "--gamma-to", 0.9, "--steps", 0],
+     None, "--steps"),
+    (["snowman-scan", "--gamma-from", 0.1, "--gamma-to", 0.9, "--steps", -1],
+     None, "--steps"),
 ], ids=["window-one-value", "window-not-int", "resolution-1",
         "resolution-negative", "min-ball-radius", "grid-header-value",
         "grid-header-fields", "grid-value", "grid-spacing-zero",
         "grid-origin-nan", "grid-dimensions-negative", "grid-value-negative",
         "grid-value-inf", "grid-value-count", "grid-disconnected",
         "grid-empty", "samples-0", "samples-negative",
-        "oracle-resolution-negative"])
+        "oracle-resolution-negative", "direction-not-float",
+        "direction-infinite", "steps-0", "steps-negative"])
 def test_bad_inputs_name_what_is_wrong(tmp_path, capsys, argv, grid,
                                        message):
     if grid is not None:
