@@ -72,7 +72,8 @@ class SphericalFilling:
     """Result of the greedy filling on `grid`: disjoint balls, a cover of
     one ball per support node (`mask`'s, in `np.argwhere` order), f at
     those nodes, their KD-tree, the nodes in filling ball j as
-    at[starts[j]:starts[j + 1]] and f's oscillation over them."""
+    at[starts[j]:starts[j + 1]], in a single-point query's order, and
+    f's oscillation over them."""
 
     filling: BallRegion
     covering: BallRegion
