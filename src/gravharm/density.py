@@ -11,8 +11,10 @@ written once, as array functions that a single RadialProfile and a
 whole SPMA both evaluate through.
 """
 
+import contextvars
 import math
 import operator
+import os
 from functools import cached_property
 
 import numpy as np
@@ -30,7 +32,7 @@ __all__ = [
 
 QUADRATIC, COSINE, TABLE = 0, 1, 2          # profile kind codes
 KIND_NAMES = ("quadratic_bump", "cosine_bump", "table")
-_BLOCK = 2**15     # entries per batched step: temporaries of a few MB
+_BLOCK = 2**15     # entries per batched step: temporaries of a few MB per worker
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +386,13 @@ class SPMA:
         radius s[e]), one call per parameter group."""
         index, s = np.asarray(index, dtype=np.intp), np.asarray(s, dtype=float)
         out = np.empty(len(index))
-        group = self._group[index]
+        one = len(self._groups) == 1        # every entry is in that group
+        group = None if one else self._group[index]
         for g, (code, _, p) in enumerate(self._groups):
-            sel = np.flatnonzero(group == g)
-            if sel.size == 0:
-                continue
+            sel = slice(None) if one else np.flatnonzero(group == g)
             c = index[sel]
+            if c.size == 0:
+                continue
             if c[0] == c[-1] and np.all(c == c[0]):
                 c = c[:1]           # one component: its parameters broadcast
             rows = self._row[c]
@@ -543,17 +546,72 @@ class GridDensity:
 # ---------------------------------------------------------------------------
 # evaluation
 
+try:
+    _WORKERS = len(os.sched_getaffinity(0))    # the cores this process may use
+except AttributeError:                          # no affinity call off Linux
+    _WORKERS = os.cpu_count() or 1
+
+
+def _parallel(fn, items):
+    """fn(item) for every item of a range or list, on every core.
+
+    The calling thread and one helper thread per further core take items
+    from one shared iterator (a range's or list's; two threads calling
+    next on one generator raise), so fn must write its results where no
+    other item writes.  The helpers belong to an executor made for this
+    call, so no thread outlives it, and each runs in a copy of the
+    caller's context, so the caller's np.errstate holds there too.  With
+    one core or fewer than two items fn runs inline and no thread
+    starts.  An exception from fn is raised once every helper has
+    stopped.
+
+    fn runs outside the calling thread, where bench/tracer.py's one span
+    stack cannot follow it: it must call no function that the traced
+    benchmark wraps (bench/layers.py), only kernels such as _grid_slab,
+    _distance_blocks and SPMA.profile / mass_within / tail_first_moment.
+    """
+    helpers = min(_WORKERS, len(items)) - 1
+    if helpers < 1:
+        for item in items:
+            fn(item)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+    shared = iter(items)
+
+    def drain():
+        try:
+            for item in shared:
+                fn(item)
+        except BaseException:
+            for _ in shared:        # leave the other threads no item
+                pass
+            raise
+
+    with ThreadPoolExecutor(helpers) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, drain)
+                   for _ in range(helpers)]
+        drain()
+    for f in futures:
+        f.result()
+
+
+def _block_rows(width):
+    """Rows of `width` entries per _blocks block."""
+    return max(1, _BLOCK // max(width, 1))
+
+
 def _blocks(total, width=1):
     """Consecutive indices into range(total), about _BLOCK / width at a
     time."""
-    step = max(1, _BLOCK // max(width, 1))
+    step = _block_rows(width)
     for start in range(0, total, step):
         yield np.arange(start, min(start + step, total))
 
 
 def _distance_blocks(x, positions):
     """(p, d) for each point block p of `_blocks`: d[i, j] is the distance
-    from x[p[i]] to positions[j].
+    from x[p[i]] to positions[j].  Callers reach it through
+    `_each_distance_block`.
 
     Each d is summed coordinate by coordinate, (dx^2 + dy^2) + dz^2, the
     order np.linalg.norm adds a length-3 axis in, so it equals
@@ -577,6 +635,24 @@ def _distance_blocks(x, positions):
         yield p, db
 
 
+def _each_distance_block(x, positions, body):
+    """body(p, d) for each (p, d) of _distance_blocks(x, positions), on
+    every core: the points are cut into one contiguous run of whole
+    blocks per core, each run with its own buffers, and p indexes x.
+    Each block is the one the serial loop makes, so a body whose rows
+    depend only on their own point gives the same bits."""
+    step = _block_rows(len(positions))
+    blocks = -(-len(x) // step)
+    runs = max(1, min(_WORKERS, blocks))
+    cuts = [min(len(x), step * (blocks * k // runs)) for k in range(runs + 1)]
+
+    def run(k):
+        for p, d in _distance_blocks(x[cuts[k]:cuts[k + 1]], positions):
+            body(p + cuts[k], d)
+
+    _parallel(run, range(runs))
+
+
 def evaluate(density, x):
     """Density value at one point or an (n, 3) batch of points.
 
@@ -590,9 +666,11 @@ def evaluate(density, x):
     pts = np.atleast_2d(pts)
     if isinstance(density, SPMA):
         out = np.zeros(len(pts))
-        for p, d in _distance_blocks(pts, density.centers):
+
+        def body(p, d):
             i, c = np.nonzero(d <= density.radii)
             np.add.at(out, p[i], density.profile(c, d[i, c]))
+        _each_distance_block(pts, density.centers, body)
     elif isinstance(density, GridDensity):
         out = density._interp(pts)
     else:

@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from .density import (SPMA, PointMasses, _count, _distance_blocks,
-                      _grid_slab, midpoint_nodes)
+from .density import (SPMA, PointMasses, _count, _each_distance_block,
+                      _grid_slab, _parallel, midpoint_nodes)
 
 __all__ = ["potential_point_masses", "potential_spm", "potential_spma",
            "potential_oracle", "oracle_clear"]
@@ -29,12 +29,14 @@ def _point_mass_sums(masses, x, G=1.0):
     pms = PointMasses.of(masses)
     _check_G(G)
     out = np.empty(len(x))
-    for p, d in _distance_blocks(x, pms.positions):
+
+    def body(p, d):
         on_mass = np.any(d == 0.0, axis=1)
         with np.errstate(divide="ignore"):
             np.divide(pms.masses, d, out=d)
         out[p] = G * np.sum(d, axis=1)
         out[p[on_mass]] = np.nan
+    _each_distance_block(x, pms.positions, body)
     return out
 
 
@@ -64,7 +66,8 @@ def potential_spma(spma, x, G=1.0):
     scalar = pts.ndim == 1
     pts = np.atleast_2d(pts)
     out = np.zeros(len(pts))
-    for p, rho in _distance_blocks(pts, spma.centers):
+
+    def body(p, rho):
         i, c = np.nonzero(rho < spma.radii)
         r = rho[i, c]
         with np.errstate(divide="ignore"):
@@ -73,6 +76,7 @@ def potential_spma(spma, x, G=1.0):
         np.divide(spma.mass_within(c, r), r, out=m, where=r > 0)
         v[i, c] = m + 4.0 * np.pi * spma.tail_first_moment(c, r)
         np.add.at(out, np.repeat(p, len(spma)), G * v.ravel())
+    _each_distance_block(pts, spma.centers, body)
     return float(out[0]) if scalar else out
 
 
@@ -91,9 +95,11 @@ def oracle_clear(density, x, resolution=128):
             density.values > 0)
         radii = 0.0
     dist = np.empty(len(pts))
-    for p, d in _distance_blocks(pts, centers):
+
+    def body(p, d):
         d -= radii
         dist[p] = np.min(d, axis=1)
+    _each_distance_block(pts, centers, body)
     return dist > 2.0 * h
 
 
@@ -128,16 +134,19 @@ def potential_oracle(density, x, G=1.0, resolution=128, subcell=1):
     fine_axes, _, fine_w = midpoint_nodes(*box, n * s)
     fine_origin = np.array([a[0] for a in fine_axes])
     vals = np.empty((n,) * 3)
-    for i in range(n):         # one slab of `subcell` fine layers at a time
+
+    def slab(i):               # `subcell` fine layers, one coarse layer
         fine = _grid_slab(density, fine_origin, fine_w, (n * s,) * 3,
                           i * s, (i + 1) * s)
         vals[i] = fine.reshape(s, n, s, n, s).mean(axis=(0, 2, 4))
+    _parallel(slab, range(n))
     mask = vals > 0
-    xx, yy, zz = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([xx[mask], yy[mask], zz[mask]], axis=-1)
+    pts = np.stack([ax[i] for ax, i in zip(axes, np.nonzero(mask))], axis=-1)
     weights = vals[mask]
     out = np.empty(len(pts_x))
-    for p, d in _distance_blocks(pts_x, pts):
+
+    def body(p, d):
         np.divide(weights, d, out=d)
         out[p] = [G * cellvol * math.fsum(row) for row in d]
+    _each_distance_block(pts_x, pts, body)
     return float(out[0]) if scalar else out

@@ -6,6 +6,7 @@ import pytest
 from gravharm import (GridDensity, PointMass, SPMA, SmoothedPointMass,
                       constant_taper, cosine_bump, quadratic_bump,
                       table_profile)
+from gravharm import density
 
 
 def unit_ball_grid(n):
@@ -61,3 +62,14 @@ def mixed_spma():
 @pytest.fixture(scope="session")
 def ball16():
     return unit_ball_grid(16)
+
+
+def across_workers(monkeypatch, call):
+    """call() with the default worker count, then with density._WORKERS
+    at 1 (the inline loop) and at 3 (helper threads even on one core)."""
+    out = [call()]
+    for workers in (1, 3):
+        with monkeypatch.context() as m:
+            m.setattr(density, "_WORKERS", workers)
+            out.append(call())
+    return out

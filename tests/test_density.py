@@ -1,6 +1,10 @@
 """Radial profiles, mass models, grids, metrics, and file round trips."""
 
+import concurrent.futures
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,9 +17,10 @@ from gravharm import (GridDensity, PointMass, PointMasses, SPMA,
                       quadratic_bump, save_spma, table_profile, total_mass)
 from gravharm import density as density_module
 from gravharm.density import (QUADRATIC, _BLOCK, _blocks, _distance_blocks,
-                              _grid_slab, _row_blocks)
+                              _grid_slab, _parallel, _row_blocks)
+from gravharm.potential import _point_mass_sums
 
-from conftest import mixed_spma
+from conftest import across_workers, mixed_spma
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +383,16 @@ def test_evaluate_matches_component_loop(mixed):
     assert np.array_equal(evaluate(mixed, pts), _loop_evaluate(mixed, pts))
 
 
+def test_evaluate_keeps_its_bits_on_every_core(monkeypatch):
+    # 10 components: 3276-point blocks, so 5 blocks, the centers in the last
+    spma = mixed_spma()
+    rng = np.random.default_rng(12)
+    pts = np.vstack([rng.uniform(-1.2, 1.2, (13200, 3)), spma.centers])
+    runs = across_workers(monkeypatch, lambda: evaluate(spma, pts))
+    assert all(np.array_equal(v, runs[1]) for v in runs)
+    assert np.array_equal(runs[0], _loop_evaluate(spma, pts))
+
+
 @pytest.mark.parametrize("spacing, shape", [
     (0.05, (41, 41, 41)), ((0.07, 0.05, 0.09), (30, 37, 25))])
 def test_evaluate_on_grid_matches_component_loop(mixed, spacing, shape):
@@ -495,3 +510,73 @@ def test_table_values_are_np_interp():
     expect = np.where(inside, np.interp(np.clip(s, 0, knots[-1]), knots, values), 0)
     p = table_profile(knots, values, check_boundary=False)
     assert np.array_equal(p(s), expect)
+
+
+# ---------------------------------------------------------------------------
+# _parallel: the per-call worker threads
+
+def test_parallel_takes_every_item_once_and_leaves_no_thread(monkeypatch):
+    # more workers than cores and a short switch interval: an item taken
+    # twice or lost from the shared iterator shows in hits
+    monkeypatch.setattr(density_module, "_WORKERS", 8)
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for items in (range(3000), list(range(3000))):
+            hits = np.zeros(3000, dtype=int)
+
+            def take(i):
+                hits[i] += 1
+            _parallel(take, items)
+            assert threading.active_count() == before
+            assert np.all(hits == 1)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_helpers_keep_the_callers_errstate(monkeypatch):
+    monkeypatch.setattr(density_module, "_WORKERS", 3)
+    raising = np.zeros(30, dtype=bool)
+
+    def item(i):
+        raising[i] = np.geterr()["divide"] == "raise"
+    with np.errstate(divide="raise"):
+        _parallel(item, range(30))
+    assert raising.all()
+
+
+def test_one_block_starts_no_thread(monkeypatch):
+    made = []
+    pool = concurrent.futures.ThreadPoolExecutor
+
+    def spy(*args):
+        made.append(args)
+        return pool(*args)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
+    monkeypatch.setattr(density_module, "_WORKERS", 3)
+    masses = PointMasses([[0, 0, 0.3], [0, 0, -0.2]], [1.0, 0.5])
+    rng = np.random.default_rng(13)
+    _point_mass_sums(masses, rng.uniform(1, 2, (4, 3)))    # a snowman ray
+    assert made == []
+    _point_mass_sums(masses, rng.uniform(1, 2, (_BLOCK // 2 + 1, 3)))
+    assert made == [(1,)]                                  # two blocks
+
+
+def test_an_error_comes_out_once_every_helper_stopped(monkeypatch):
+    monkeypatch.setattr(density_module, "_WORKERS", 3)
+    before = threading.active_count()
+    running = []                 # items started and not finished
+
+    def item(i):
+        running.append(i)
+        if i == 4:
+            raise RuntimeError("item 4")
+        time.sleep(0.01)
+        running.remove(i)
+    with pytest.raises(RuntimeError, match="item 4"):
+        _parallel(item, range(40))
+    assert running == [4]
+    assert threading.active_count() == before
+    hits = np.zeros(40, dtype=int)
+    _parallel(lambda i: hits.__setitem__(i, i), range(40))
+    assert np.array_equal(hits, np.arange(40))

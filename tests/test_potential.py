@@ -14,7 +14,8 @@ from gravharm import (PointMass, PointMasses, SPMA, SmoothedPointMass,
 from gravharm.density import _BLOCK, midpoint_nodes
 from gravharm.potential import _point_mass_sums
 
-from conftest import mixed_spma, unblocked_potential_point_masses, unit_ball_grid
+from conftest import (across_workers, mixed_spma,
+                      unblocked_potential_point_masses, unit_ball_grid)
 
 
 def interior_oracle(profile, rho, G=1.0):
@@ -334,3 +335,65 @@ def test_oracle_on_a_grid_density_rejects_points_near_the_support():
     assert oracle_clear(g, x, resolution=32).tolist() == [False, True]
     with pytest.raises(ValueError):
         potential_oracle(g, x[0], resolution=32)
+
+
+# ---------------------------------------------------------------------------
+# every core: each pooled loop against the inline one, bit for bit
+
+def _same_bits(runs):
+    return all(np.array_equal(v, runs[1], equal_nan=True) for v in runs)
+
+
+def test_point_mass_sums_keep_their_bits_on_every_core(monkeypatch):
+    # 1000 masses: 32-point blocks, so 229 points make 8 blocks, the last
+    # of 5 rows, cut 4 + 4 on two workers and 2 + 3 + 3 on three
+    rng = np.random.default_rng(21)
+    masses = PointMasses.of(_random_masses(rng, 1000))
+    pts = rng.uniform(-3, 3, (229, 3))
+    pts[[3, 227]] = masses.positions[[10, 500]]       # 227: in the last run
+    runs = across_workers(monkeypatch,
+                          lambda: _point_mass_sums(masses, pts, G=0.37))
+    assert _same_bits(runs)
+    for v in runs:
+        assert np.flatnonzero(np.isnan(v)).tolist() == [3, 227]
+
+
+def _mixed_points(spma, seed):
+    """5 blocks of the mixed SPMA's 3276 points, then its centers."""
+    rng = np.random.default_rng(seed)
+    return np.vstack([rng.uniform(-1.2, 1.2, (13200, 3)), spma.centers])
+
+
+def test_spma_potential_keeps_its_bits_on_every_core(monkeypatch):
+    spma = mixed_spma()
+    pts = _mixed_points(spma, 22)
+    runs = across_workers(monkeypatch, lambda: potential_spma(spma, pts))
+    assert _same_bits(runs)
+    assert np.array_equal(runs[0], _loop_potential_spma(spma, pts, 1.0))
+
+
+def test_oracle_clear_keeps_its_bits_on_every_core(monkeypatch):
+    spma, grid = mixed_spma(), unit_ball_grid(12)
+    pts = _mixed_points(spma, 23)
+    for density in (spma, grid):
+        runs = across_workers(monkeypatch,
+                              lambda: oracle_clear(density, pts, 32))
+        assert _same_bits(runs)
+        assert runs[0].any() and not runs[0].all()
+
+
+@pytest.mark.parametrize("density, resolution, subcell", [
+    (mixed_spma(), 32, 2),              # 1340 cells: 5 blocks of 24 points
+    (SPMA([SmoothedPointMass((0.1, 0, 0), table_profile(
+        [0.0, 0.7], [2.0, 2.0], check_boundary=False))]), 16, 3),   # 9 of 12
+], ids=["mixed", "single-ball"])
+def test_oracle_keeps_its_bits_on_every_core(monkeypatch, density,
+                                             resolution, subcell):
+    rng = np.random.default_rng(24)
+    v = rng.normal(size=(100, 3))
+    x = rng.uniform(8, 12, (100, 1)) * v / np.linalg.norm(v, axis=1)[:, None]
+    runs = across_workers(monkeypatch, lambda: potential_oracle(
+        density, x, resolution=resolution, subcell=subcell))
+    assert _same_bits(runs)
+    assert np.array_equal(runs[0], _loop_oracle(density, x, resolution,
+                                                subcell))
