@@ -32,7 +32,7 @@ __all__ = [
 
 QUADRATIC, COSINE, TABLE = 0, 1, 2          # profile kind codes
 KIND_NAMES = ("quadratic_bump", "cosine_bump", "table")
-_BLOCK = 2**15     # entries per batched step: temporaries of a few MB per worker
+_BLOCK = 2**15     # entries per batched step: a few MB of temporaries per worker
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +565,7 @@ def _parallel(fn, items):
     starts.  An exception from fn is raised once every helper has
     stopped.
 
-    fn runs outside the calling thread, where bench/tracer.py's one span
+    fn also runs on the helper threads, where bench/tracer.py's one span
     stack cannot follow it: it must call no function that the traced
     benchmark wraps (bench/layers.py), only kernels such as _grid_slab,
     _distance_blocks and SPMA.profile / mass_within / tail_first_moment.

@@ -359,7 +359,8 @@ def test_point_mass_sums_keep_their_bits_on_every_core(monkeypatch):
 
 
 def _mixed_points(spma, seed):
-    """5 blocks of the mixed SPMA's 3276 points, then its centers."""
+    """13,210 points: 5 blocks of up to 3276 against the mixed SPMA's 10
+    centers, the last holding those centers."""
     rng = np.random.default_rng(seed)
     return np.vstack([rng.uniform(-1.2, 1.2, (13200, 3)), spma.centers])
 
@@ -383,7 +384,7 @@ def test_oracle_clear_keeps_its_bits_on_every_core(monkeypatch):
 
 
 @pytest.mark.parametrize("density, resolution, subcell", [
-    (mixed_spma(), 32, 2),              # 1340 cells: 5 blocks of 24 points
+    (mixed_spma(), 32, 2),              # 1340 cells: 5 blocks of <= 24 points
     (SPMA([SmoothedPointMass((0.1, 0, 0), table_profile(
         [0.0, 0.7], [2.0, 2.0], check_boundary=False))]), 16, 3),   # 9 of 12
 ], ids=["mixed", "single-ball"])
