@@ -169,48 +169,43 @@ def spherical_filling(f, params):
     need_var_cap = f_range >= a2_bound
     tree = cKDTree(nodes)
 
-    # the nodes no ball covers yet, as parallel arrays compacted in node
-    # order: support index, x, y, z, r_sup, gap to the placed balls and f
-    act = (np.arange(n_nodes), *np.ascontiguousarray(nodes.T), r_sup,
-           np.full(n_nodes, np.inf), fvals)
-    buf = np.empty((2, n_nodes))
+    # each node's room for a ball, min(r_sup, gap to the placed balls),
+    # and -inf once a ball covers it.  avail only falls and no node
+    # exceeds the chosen a, so a ball of radius r can lower it only at
+    # the nodes within r + a of its center: those the tree returns, in
+    # node order
+    avail = r_sup.copy()
     centers, radii = [], []
     residual = total_mass
 
     # phase 1: quantized greedy, largest admissible ball first; packing
     # continues past the residual budget because every covered cell also
     # improves the metric fit later on
-    while len(radii) < MAX_BALLS and act[0].size:
-        idx, x, y, z, rs, gp, fv = act
-        avail = np.minimum(rs, gp)
+    while len(radii) < MAX_BALLS:
         i = int(np.argmax(avail))
-        r = math.floor(avail[i] / step) * step
-        if r < step:
+        a = float(avail[i])
+        if not a >= step:
             break
-        center = nodes[idx[i]]
+        r = math.floor(a / step) * step
+        center = nodes[i]
         if need_var_cap:
             r = _var_capped_radius(r, center, tree, fvals, a2_bound, step)
-        # distances summed coordinate by coordinate, (dx^2 + dy^2) + dz^2,
-        # the order np.linalg.norm adds a length-3 axis in
-        d, t = buf[:, :idx.size]
-        np.square(np.subtract(x, center[0], out=d), out=d)
-        d += np.square(np.subtract(y, center[1], out=t), out=t)
-        d += np.square(np.subtract(z, center[2], out=t), out=t)
-        np.sqrt(d, out=d)
+        near = np.array(tree.query_ball_point(center, (r + a) * (1.0 + 1e-9),
+                                              return_sorted=True), dtype=np.intp)
+        near = near[avail[near] > -np.inf]
+        d = np.linalg.norm(nodes[near] - center, axis=1)
         covered = d <= r
-        residual -= float(fv[covered].sum() * cell)
-        np.minimum(gp, np.subtract(d, r, out=d), out=gp)
-        keep = ~covered
-        act = tuple(a[keep] for a in act)
+        residual -= float(fvals[near[covered]].sum() * cell)
+        avail[near] = np.where(covered, -np.inf, np.minimum(avail[near], d - r))
         centers.append(center)
         radii.append(r)
 
     # phase 2: batched sub-step endgame; radii capped below half the node
     # spacing so the new balls are mutually interior-disjoint by spacing
-    idx, _, _, _, rs, gp, fv = act
-    r_e = np.minimum(np.minimum(rs, gp), 0.495 * h) * 0.99
+    idx = np.flatnonzero(avail > -np.inf)
+    r_e = np.minimum(avail[idx], 0.495 * h) * 0.99
     keep = r_e >= min_r
-    residual -= float(fv[keep].sum() * cell)
+    residual -= float(fvals[idx[keep]].sum() * cell)
 
     if residual >= a1_bound:
         raise FillingBudgetError(

@@ -33,6 +33,11 @@ __all__ = [
 QUADRATIC, COSINE, TABLE = 0, 1, 2          # profile kind codes
 KIND_NAMES = ("quadratic_bump", "cosine_bump", "table")
 _BLOCK = 2**15     # entries per batched step: a few MB of temporaries per worker
+# distances per _distance_blocks block: a worker makes half the numpy
+# calls it would make with _BLOCK, so it hands the interpreter lock over
+# less often
+_DISTANCE_BLOCK = 2 * _BLOCK
+_CHORD_WIDTH = 16  # nodes along z from which a component scatters chords (_grid_slab)
 
 
 # ---------------------------------------------------------------------------
@@ -595,22 +600,22 @@ def _parallel(fn, items):
         f.result()
 
 
-def _block_rows(width):
-    """Rows of `width` entries per _blocks block."""
-    return max(1, _BLOCK // max(width, 1))
+def _block_rows(width, block):
+    """Rows of `width` entries in a block of `block` entries, at least 1."""
+    return max(1, block // max(width, 1))
 
 
-def _blocks(total, width=1):
-    """Consecutive indices into range(total), about _BLOCK / width at a
-    time."""
-    step = _block_rows(width)
+def _blocks(total, width=1, block=None):
+    """Consecutive indices into range(total), about block (default
+    _BLOCK) / width at a time."""
+    step = _block_rows(width, _BLOCK if block is None else block)
     for start in range(0, total, step):
         yield np.arange(start, min(start + step, total))
 
 
 def _distance_blocks(x, positions):
-    """(p, d) for each point block p of `_blocks`: d[i, j] is the distance
-    from x[p[i]] to positions[j].  Callers reach it through
+    """(p, d) for each point block p of `_DISTANCE_BLOCK` distances: d[i, j]
+    is the distance from x[p[i]] to positions[j].  Callers reach it through
     `_each_distance_block`.
 
     Each d is summed coordinate by coordinate, (dx^2 + dy^2) + dz^2, the
@@ -620,7 +625,7 @@ def _distance_blocks(x, positions):
     overwrite it too."""
     pos = np.ascontiguousarray(positions.T)       # (3, N): one row per axis
     d = t = None
-    for p in _blocks(len(x), pos.shape[1]):
+    for p in _blocks(len(x), pos.shape[1], _DISTANCE_BLOCK):
         if d is None:              # the first block is the largest
             d, t = np.empty((2, len(p), pos.shape[1]))
         db, tb = d[:len(p)], t[:len(p)]
@@ -641,7 +646,7 @@ def _each_distance_block(x, positions, body):
     blocks per core, each run with its own buffers, and p indexes x.
     Each block is the one the serial loop makes, so a body whose rows
     depend only on their own point gives the same bits."""
-    step = _block_rows(len(positions))
+    step = _block_rows(len(positions), _DISTANCE_BLOCK)
     blocks = -(-len(x) // step)
     runs = max(1, min(_WORKERS, blocks))
     cuts = [min(len(x), step * (blocks * k // runs)) for k in range(runs + 1)]
@@ -695,7 +700,7 @@ def _row_blocks(end, width):
     the block's longest row) per block.  A block holds rows times its
     longest row <= _BLOCK entries, or a single row; rows of one width
     fall into blocks of _BLOCK // width."""
-    total, s = int(end[-1]), 0
+    total, s = int(end[-1]) if len(end) else 0, 0
     while s < total:
         # the rows a block from s holds at most, at the width of row s,
         # then the cut where they times their running longest row pass
@@ -710,9 +715,29 @@ def _row_blocks(end, width):
         s += n
 
 
+def _chords(dxy, r, zc, k0, w, h):
+    """Rows cut to their ball's z-chord: each row's first node and length,
+    one node wider each side than the chord and inside its box row of w
+    nodes from k0.  dxy is the row's squared distance from the ball's
+    axis, zc the ball's center in z steps of h.  A row with sqrt(dxy) > r
+    gets length 0: sqrt(dxy + dz^2) >= sqrt(dxy) holds in floats too, so
+    none of its nodes passes dist <= r."""
+    half = np.sqrt(np.maximum(r * r - dxy, 0.0)) / h
+    first = np.maximum(np.ceil(zc - half).astype(int) - 1, k0)
+    last = np.minimum(np.floor(zc + half).astype(int) + 1, k0 + w - 1)
+    return first, np.where(np.sqrt(dxy) <= r, np.maximum(last - first + 1, 0), 0)
+
+
 def _grid_slab(density, origin, spacing, shape, start, stop):
     """Layers start..stop-1 along x of evaluate_on_grid's grid, at the
-    same node coordinates."""
+    same node coordinates.
+
+    An SPMA's nodes are taken as rows along z of each component's node
+    box.  When components at least _CHORD_WIDTH nodes wide hold more than
+    half the boxes' entries, every row is listed, the wide components'
+    rows are cut to their ball's z-chord (`_chords`) and the rows that
+    miss their ball are dropped; every node still takes the exact
+    dist <= r test, so it gets the same terms in component order."""
     origin = as_vec3(origin)
     spacing = np.broadcast_to(np.asarray(spacing, dtype=float), (3,))
     nx, ny, nz = (int(n) for n in shape)
@@ -732,19 +757,69 @@ def _grid_slab(density, origin, spacing, shape, start, stop):
     # the boxes as rows along z, one per (component, x, y)
     rows = ext[:, 0] * ext[:, 1] * (ext[:, 2] > 0)
     end = np.cumsum(rows)
-    for row, c, width in _row_blocks(end, ext[:, 2]):
-        k = np.arange(width)
+
+    def across(c, row):
+        """Row `row` of component c: its x and y node indices and its
+        squared distance from the ball's z axis."""
         q = row - end[c] + rows[c]
         i, j = lo[c, 0] + q // ext[c, 1], lo[c, 1] + q % ext[c, 1]
         dx = origin[0] + spacing[0] * i - centers[c, 0]
         dy = origin[1] + spacing[1] * j - centers[c, 1]
-        kz = lo[c, 2][:, None] + k
-        dz = origin[2] + spacing[2] * kz - centers[c, 2][:, None]
-        dist = np.sqrt((dx * dx + dy * dy)[:, None] + dz * dz)
-        inside = (dist <= radii[c][:, None]) & (k < ext[c, 2][:, None])
-        flat = (((i - start) * ny + j) * nz)[:, None] + kz
-        np.add.at(out, flat[inside], density.profile(
-            np.repeat(c, inside.sum(axis=1)), dist[inside]))
+        return i, j, dx * dx + dy * dy
+
+    # node z coordinates, as far as a padded row reaches
+    zn = origin[2] + spacing[2] * np.arange(2 * nz)
+    # one block's node indices, distances and masks, reused block after
+    # block: fresh temporaries would be mapped and faulted in anew
+    bufs = []
+
+    def scatter(c, i, j, dxy, k0, w, width):
+        """Add the profiles at the nodes of rows of w nodes from k0."""
+        shape = (len(c), width)
+        n = shape[0] * width
+        if not bufs or len(bufs[0]) < n:
+            bufs[:] = np.empty(n, np.intp), np.empty(n), np.empty((2, n), bool)
+        kz, dist, (inside, t) = (b[..., :n].reshape(b.shape[:-1] + shape)
+                                 for b in bufs)
+        k = np.arange(width)
+        np.add(k0[:, None], k, out=kz)
+        np.take(zn, kz, out=dist)
+        dist -= centers[c, 2][:, None]
+        dist *= dist
+        np.add(dxy[:, None], dist, out=dist)
+        np.sqrt(dist, out=dist)
+        np.less_equal(dist, radii[c][:, None], out=inside)
+        inside &= np.less(k, w[:, None], out=t)
+        kz += (((i - start) * ny + j) * nz)[:, None]     # the flat index
+        s = dist[inside]
+        # a block of one component's rows needs no per-entry component
+        owner = (np.broadcast_to(c[:1], len(s)) if c[0] == c[-1]
+                 else np.repeat(c, inside.sum(axis=1)))
+        np.add.at(out, kz[inside], density.profile(owner, s))
+
+    # listing every row pays where wide components hold most entries
+    entries = rows * ext[:, 2]
+    wide = ext[:, 2] >= _CHORD_WIDTH
+    if 2 * entries[wide].sum() <= entries.sum():
+        for row, c, width in _row_blocks(end, ext[:, 2]):
+            scatter(c, *across(c, row), lo[c, 2], ext[c, 2], width)
+        return out.reshape(stop - start, ny, nz)
+    c = np.repeat(np.arange(len(rows)), rows)
+    i, j, dxy = across(c, np.arange(end[-1]))
+    k0, w = lo[c, 2], ext[c, 2]
+    cut = wide[c]
+    k0[cut], w[cut] = _chords(dxy[cut], radii[c[cut]], (centers[c[cut], 2]
+                              - origin[2]) / spacing[2], k0[cut], w[cut],
+                              spacing[2])
+    # the rows that meet their ball, each component's shortest first: a
+    # node takes one term per component whatever the order of its rows,
+    # and rows of like length pad little in a block
+    hit = np.flatnonzero(w)
+    hit = hit[np.lexsort((w[hit], c[hit]))]
+    c, i, j, dxy, k0, w = (a[hit] for a in (c, i, j, dxy, k0, w))
+    # each row its own one-row block owner, so blocks follow row lengths
+    for r, _, width in _row_blocks(np.arange(1, len(w) + 1), w):
+        scatter(c[r], i[r], j[r], dxy[r], k0[r], w[r], width)
     return out.reshape(stop - start, ny, nz)
 
 

@@ -31,11 +31,17 @@ def _point_mass_sums(masses, x, G=1.0):
     out = np.empty(len(x))
 
     def body(p, d):
-        on_mass = np.any(d == 0.0, axis=1)
         with np.errstate(divide="ignore"):
             np.divide(pms.masses, d, out=d)
         out[p] = G * np.sum(d, axis=1)
-        out[p[on_mass]] = np.nan
+        # masses are positive, so a point on one sums to +inf: only the
+        # non-finite rows are tested for a zero distance, which is every
+        # squared coordinate difference being zero
+        odd = p[~np.isfinite(out[p])]
+        if odd.size:
+            on_mass = np.any(np.all((x[odd, None] - pms.positions) ** 2 == 0.0,
+                                    axis=2), axis=1)
+            out[odd[on_mass]] = np.nan
     _each_distance_block(x, pms.positions, body)
     return out
 
@@ -103,6 +109,34 @@ def oracle_clear(density, x, resolution=128):
     return dist > 2.0 * h
 
 
+def _subcell_mean(fine, s):
+    """fine.reshape(s, n, s, n, s).mean(axis=(0, 2, 4)) for an (s, n*s,
+    n*s) slab, bit for bit, in the order numpy adds: each run of s along
+    the last axis by itself (its pairwise sum, which adds in sequence below
+    8 terms), then the run sums in axis-0, then axis-2 order, and the sum
+    over s**3.  Written out as array adds, the runs take s - 1 strided adds
+    rather than one short reduction per run."""
+    n = fine.shape[1] // s
+    v = fine.reshape(s, n, s, n, s)
+    if n == 1:                       # numpy merges the reduced axes
+        return v.mean(axis=(0, 2, 4))
+    out = None
+    for a in range(s):               # one x layer's runs at a time
+        if s >= 8:
+            runs = v[a].sum(axis=-1)
+        else:
+            runs = v[a, ..., 0].copy()
+            for k in range(1, s):
+                runs += v[a, ..., k]
+        for b in range(s):
+            if out is None:
+                out = runs[:, 0].copy()
+            else:
+                out += runs[:, b]
+    out /= s ** 3
+    return out
+
+
 def potential_oracle(density, x, G=1.0, resolution=128, subcell=1):
     """Brute-force midpoint quadrature of G * int f(y)/||x-y|| dy.
 
@@ -138,7 +172,7 @@ def potential_oracle(density, x, G=1.0, resolution=128, subcell=1):
     def slab(i):               # `subcell` fine layers, one coarse layer
         fine = _grid_slab(density, fine_origin, fine_w, (n * s,) * 3,
                           i * s, (i + 1) * s)
-        vals[i] = fine.reshape(s, n, s, n, s).mean(axis=(0, 2, 4))
+        vals[i] = _subcell_mean(fine, s)
     _parallel(slab, range(n))
     mask = vals > 0
     pts = np.stack([ax[i] for ax, i in zip(axes, np.nonzero(mask))], axis=-1)

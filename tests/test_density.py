@@ -16,7 +16,8 @@ from gravharm import (GridDensity, PointMass, PointMasses, SPMA,
                       evaluate, evaluate_on_grid, load_spma, lp_metric,
                       quadratic_bump, save_spma, table_profile, total_mass)
 from gravharm import density as density_module
-from gravharm.density import (QUADRATIC, _BLOCK, _blocks, _distance_blocks,
+from gravharm.density import (COSINE, QUADRATIC, TABLE, _BLOCK, _CHORD_WIDTH,
+                              _DISTANCE_BLOCK, _blocks, _distance_blocks,
                               _grid_slab, _parallel, _row_blocks)
 from gravharm.potential import _point_mass_sums
 
@@ -287,7 +288,11 @@ def _norm(x, positions, p):
     (7, 3 * (_BLOCK // 7) + 100, [_BLOCK // 7] * 3 + [100]),  # last partial
     (_BLOCK + 5, 3, [1, 1, 1]),              # one point per block
 ])
-def test_distance_blocks_are_linalg_norm(n_centers, n_points, rows):
+def test_distance_blocks_are_linalg_norm(monkeypatch, n_centers, n_points,
+                                         rows):
+    # blocks of _BLOCK distances keep the inputs small; the block size
+    # itself is pinned below
+    monkeypatch.setattr(density_module, "_DISTANCE_BLOCK", _BLOCK)
     rng = np.random.default_rng(n_centers)
     positions = rng.uniform(-1, 1, (n_centers, 3))
     x = rng.uniform(-2, 2, (n_points, 3))
@@ -303,13 +308,27 @@ def test_distance_blocks_copied_before_the_next_block():
     # copies it first
     rng = np.random.default_rng(8)
     positions = rng.uniform(-1, 1, (1000, 3))
-    x = rng.uniform(-2, 2, (70, 3))             # 32-point blocks, then 6
+    x = rng.uniform(-2, 2, (136, 3))            # 65-point blocks, then 6
     kept = [(p, d.copy()) for p, d in _distance_blocks(x, positions)]
     assert len(kept) == 3
     for p, d in kept:
         assert np.array_equal(d, _norm(x, positions, p))
     assert np.array_equal(np.vstack([d for _, d in kept]),
-                          _norm(x, positions, np.arange(70)))
+                          _norm(x, positions, np.arange(136)))
+
+
+def test_distance_blocks_hold_twice_block_entries():
+    # a worker makes half the numpy calls of _BLOCK-sized blocks; every
+    # row keeps its bits whatever block it falls in
+    assert _DISTANCE_BLOCK == 2 * _BLOCK
+    rng = np.random.default_rng(9)
+    positions = rng.uniform(-1, 1, (1000, 3))
+    x = rng.uniform(-2, 2, (200, 3))
+    seen = []
+    for p, d in _distance_blocks(x, positions):
+        assert np.array_equal(d, _norm(x, positions, p))
+        seen.append(len(p))
+    assert seen == [_DISTANCE_BLOCK // 1000] * 3 + [5]      # the last partial
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +403,11 @@ def test_evaluate_matches_component_loop(mixed):
 
 
 def test_evaluate_keeps_its_bits_on_every_core(monkeypatch):
-    # 10 components: 3276-point blocks, so 5 blocks, the centers in the last
+    # 10 components: 6553-point blocks, so 5 blocks, the centers in the
+    # last
     spma = mixed_spma()
     rng = np.random.default_rng(12)
-    pts = np.vstack([rng.uniform(-1.2, 1.2, (13200, 3)), spma.centers])
+    pts = np.vstack([rng.uniform(-1.2, 1.2, (26300, 3)), spma.centers])
     runs = across_workers(monkeypatch, lambda: evaluate(spma, pts))
     assert all(np.array_equal(v, runs[1]) for v in runs)
     assert np.array_equal(runs[0], _loop_evaluate(spma, pts))
@@ -455,8 +475,9 @@ def big_and_small(big_first):
 
 
 def record_blocks(monkeypatch):
-    """The blocks _grid_slab takes, as (rows, their components, their
-    widths, the longest row) each."""
+    """The blocks _grid_slab takes, as (rows, their owners, their widths,
+    the longest row) each.  The owners are components, or rows when the
+    slab lists its rows because a component is cut to chords."""
     blocks = []
 
     def spy(end, width):
@@ -467,18 +488,35 @@ def record_blocks(monkeypatch):
     return blocks
 
 
+def record_profile_calls(monkeypatch):
+    """The component of each entry of every SPMA.profile call."""
+    calls = []
+    profile = SPMA.profile
+
+    def spy(self, index, s):
+        calls.append(np.asarray(index))
+        return profile(self, index, s)
+    monkeypatch.setattr(SPMA, "profile", spy)
+    return calls
+
+
 @pytest.mark.parametrize("spma, spacing, shape, start, stop", [
     (big_and_small(True), 0.05, (41, 41, 41), 0, 41),
     (big_and_small(False), 0.05, (41, 41, 41), 0, 41),
     (mixed_spma(), 0.05, (41, 41, 41), 0, 41),     # over- and off-grid parts
     (mixed_spma(), (0.07, 0.05, 0.09), (30, 37, 25), 0, 30),
     (big_and_small(False), (0.07, 0.05, 0.09), (30, 37, 25), 9, 23),
-], ids=["big-first", "big-last", "mixed", "per-axis-spacing", "start"])
+    (big_and_small(True), 0.11, (19, 19, 19), 0, 19),
+    (mixed_spma(), (0.11, 0.07, 0.12), (19, 28, 17), 4, 15),
+], ids=["big-first", "big-last", "mixed", "per-axis-spacing", "start",
+        "narrow", "narrow-start"])
 def test_grid_slab_matches_globally_padded_scatter(monkeypatch, spma, spacing,
                                                    shape, start, stop):
-    # a small _BLOCK cuts blocks inside components
+    # a small _BLOCK cuts blocks inside components; the first five cases
+    # hold a component cut to chords, the last two none
     monkeypatch.setattr(density_module, "_BLOCK", 200)
     blocks = record_blocks(monkeypatch)
+    calls = record_profile_calls(monkeypatch)
     origin = (-1.0, -0.95, -1.05)
     got = _grid_slab(spma, origin, spacing, shape, start, stop)
     assert np.array_equal(got, padded_grid_slab(spma, origin, spacing, shape,
@@ -486,19 +524,68 @@ def test_grid_slab_matches_globally_padded_scatter(monkeypatch, spma, spacing,
     for row, _, widths, longest in blocks:
         assert longest == widths.max()
         assert len(row) * longest <= 200 or len(row) == 1
-    assert any(a[1][-1] == b[1][0] for a, b in zip(blocks, blocks[1:]))
+    calls = [c for c in calls if c.size]
+    assert any(a[-1] == b[0] for a, b in zip(calls, calls[1:]))
     assert len({longest for *_, longest in blocks}) > 1
 
 
 def test_single_ball_rows_fall_into_equal_blocks(monkeypatch):
-    # the oracle's fine slab of a ball filling its box: every row is 256
-    # nodes, so every block holds _BLOCK // 256 = 128 of them
+    # the oracle's fine slab of a ball filling its box, at its equator:
+    # rows are cut to the ball's chord and go shortest first, so rows of
+    # like length share a block and pad little; every block but the last
+    # is close to _BLOCK entries
     blocks = record_blocks(monkeypatch)
     ball = SPMA.from_arrays([[0.0, 0.0, 0.0]], [1.0], [QUADRATIC], [1.0])
     w = 2.0 / 256
-    _grid_slab(ball, (-1 + w / 2,) * 3, w, (256,) * 3, 0, 4)
-    assert [(len(row), longest) for row, *_, longest in blocks] == \
-        [(_BLOCK // 256, 256)] * 8
+    _grid_slab(ball, (-1 + w / 2,) * 3, w, (256,) * 3, 126, 130)
+    padded = [len(row) * longest for row, *_, longest in blocks]
+    chords = sum(int(widths.sum()) for _, _, widths, _ in blocks)
+    assert all(0.95 * _BLOCK < n <= _BLOCK for n in padded[:-1])
+    assert sum(padded) < 1.1 * chords < 0.9 * 4 * 256 * 256
+    assert sum(len(row) for row, *_ in blocks) == 4 * 256     # none misses
+
+
+def _ball_at(z_steps, r_steps, h):
+    """One quadratic bump z_steps grid steps up the z axis from the origin
+    node, off-center in x and y, of radius r_steps steps."""
+    return SPMA.from_arrays([[0.31 * h, -0.23 * h, z_steps * h]],
+                            [r_steps * h], [QUADRATIC], [1.0])
+
+
+@pytest.mark.parametrize("z_steps, r_steps, width, cut", [
+    (20.5, 7.6, _CHORD_WIDTH, True),             # at the width constant
+    (20.0, 7.6, _CHORD_WIDTH - 1, False),        # one node narrower
+    (20.0, 11.2, 23, True),
+])
+@pytest.mark.parametrize("spacing, start, stop", [
+    (0.05, 0, 41), ((0.07, 0.05, 0.05), 0, 41), (0.05, 17, 26)],
+    ids=["whole", "per-axis-spacing", "start"])
+def test_chord_rows_keep_the_box_rows_bits(monkeypatch, z_steps, r_steps,
+                                           width, cut, spacing, start, stop):
+    h = 0.05
+    ball = _ball_at(z_steps, r_steps, h)
+    origin = (-20 * h, -20 * h, 0.0)
+    box = np.floor(z_steps + r_steps) - np.ceil(z_steps - r_steps) + 1
+    assert box == width
+    blocks = record_blocks(monkeypatch)
+    got = _grid_slab(ball, origin, spacing, (41, 41, 41), start, stop)
+    assert np.array_equal(got, padded_grid_slab(ball, origin, spacing,
+                                                (41, 41, 41), start, stop))
+    step = np.broadcast_to(spacing, (3,))
+    lo = np.maximum(np.ceil((ball.centers[0] - ball.radii[0] - origin) / step),
+                    (start, 0, 0))
+    hi = np.minimum(np.floor((ball.centers[0] + ball.radii[0] - origin) / step),
+                    (stop - 1, 40, 40))
+    box_rows = (hi[0] - lo[0] + 1) * (hi[1] - lo[1] + 1)
+    rows = sum(len(row) for row, *_ in blocks)
+    if cut:
+        # rows that miss the ball are dropped, the others cut to a chord
+        assert rows < box_rows
+        assert sum(int(widths.sum()) for _, _, widths, _ in blocks) \
+            < rows * width
+    else:
+        assert rows == box_rows
+        assert all(np.all(widths == width) for _, _, widths, _ in blocks)
 
 
 def test_table_values_are_np_interp():
@@ -510,6 +597,40 @@ def test_table_values_are_np_interp():
     expect = np.where(inside, np.interp(np.clip(s, 0, knots[-1]), knots, values), 0)
     p = table_profile(knots, values, check_boundary=False)
     assert np.array_equal(p(s), expect)
+
+
+def test_a_slab_whose_chord_rows_all_miss_their_ball():
+    # the slab's one x layer lies near the box's edge, where every row
+    # passes beside the ball, so no row is left to scatter
+    ball = SPMA.from_arrays([[0.0, 0, 0]], [0.4], [QUADRATIC], [1.0])
+    origin, spacing, shape = (-0.39, -0.25, -0.5), (0.13, 0.5, 0.05), (7, 2, 21)
+    got = _grid_slab(ball, origin, spacing, shape, 0, 1)
+    assert not got.any()
+    assert np.array_equal(_grid_slab(ball, origin, spacing, shape, 0, 7),
+                          padded_grid_slab(ball, origin, spacing, shape, 0, 7))
+
+
+def test_one_table_values_match_it_inside_a_two_table_spma():
+    # a block of one component's rows evaluates that table with its
+    # parameters broadcast; among other tables they are gathered per entry
+    rng = np.random.default_rng(6)
+    knots = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 0.8, 4)), [0.8]])
+    values = np.concatenate([rng.uniform(0.0, 2.0, 5), [0.0]])
+    s = np.concatenate([rng.uniform(-0.1, 0.9, 3000), knots])
+    expect = np.where((s >= 0) & (s <= 0.8), np.interp(np.clip(s, 0, 0.8),
+                                                         knots, values), 0)
+    one = SPMA.from_arrays([[0.0, 0, 0]], [0.8], [TABLE], [np.nan],
+                           [([0], knots[None], values[None])])
+    two = SPMA.from_arrays(
+        [[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]], [0.8, 0.5, 0.3],
+        [TABLE, COSINE, TABLE], [np.nan, 1.3, np.nan],
+        [([0, 2], np.vstack([knots, np.linspace(0, 0.3, 6)]),
+          np.vstack([values, [1.0, 0.9, 0.8, 0.5, 0.2, 0.0]]))])
+    assert np.array_equal(one.profile(np.zeros(len(s), int), s), expect)
+    mixed_rows = rng.permutation(np.repeat([0, 1, 2], len(s)))
+    got = two.profile(mixed_rows, np.tile(s, 3))
+    assert np.array_equal(got[mixed_rows == 0],
+                          expect[np.flatnonzero(mixed_rows == 0) % len(s)])
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +679,7 @@ def test_one_block_starts_no_thread(monkeypatch):
     rng = np.random.default_rng(13)
     _point_mass_sums(masses, rng.uniform(1, 2, (4, 3)))    # a snowman ray
     assert made == []
-    _point_mass_sums(masses, rng.uniform(1, 2, (_BLOCK // 2 + 1, 3)))
+    _point_mass_sums(masses, rng.uniform(1, 2, (_DISTANCE_BLOCK // 2 + 1, 3)))
     assert made == [(1,)]                                  # two blocks
 
 

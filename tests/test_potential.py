@@ -11,8 +11,9 @@ from gravharm import (PointMass, PointMasses, SPMA, SmoothedPointMass,
                       potential_oracle, potential_point_masses, potential_spm,
                       potential_spma, quadratic_bump, table_profile,
                       total_mass)
-from gravharm.density import _BLOCK, midpoint_nodes
-from gravharm.potential import _point_mass_sums
+from gravharm import density as density_module
+from gravharm.density import _BLOCK, _DISTANCE_BLOCK, midpoint_nodes
+from gravharm.potential import _point_mass_sums, _subcell_mean
 
 from conftest import (across_workers, mixed_spma,
                       unblocked_potential_point_masses, unit_ball_grid)
@@ -60,8 +61,8 @@ def _random_masses(rng, n):
 
 @pytest.mark.parametrize("n_masses", [1, 7, 1337])
 def test_point_mass_blocks_match_unblocked_sum(n_masses):
-    # 1337 masses: 24 points per block, the last block partial
-    assert _BLOCK % n_masses or n_masses == 1
+    # 1337 masses: 49 points per block, the last block partial
+    assert _DISTANCE_BLOCK % n_masses or n_masses == 1
     rng = np.random.default_rng(n_masses)
     masses = _random_masses(rng, n_masses)
     pts = rng.uniform(-3, 3, (1000, 3))
@@ -81,7 +82,7 @@ def test_point_mass_singularity_in_a_later_block():
     rng = np.random.default_rng(3)
     masses = _random_masses(rng, 100)
     pts = rng.uniform(2, 3, (2000, 3))
-    pts[1500] = masses[42].position          # block 4 of 327-point blocks
+    pts[1500] = masses[42].position          # block 3 of 655-point blocks
     with pytest.raises(ZeroDivisionError):
         potential_point_masses(masses, pts)
 
@@ -90,7 +91,10 @@ def test_point_mass_singularity_in_a_later_block():
     (_BLOCK + 5, 3),    # one point per block: three one-row blocks
     (1000, 70),         # 32-point blocks, the last one 6 rows of the buffers
 ])
-def test_point_mass_buffer_edges_match_unblocked_sum(n_masses, n_points):
+def test_point_mass_buffer_edges_match_unblocked_sum(monkeypatch, n_masses,
+                                                     n_points):
+    # blocks of _BLOCK distances keep the inputs small
+    monkeypatch.setattr(density_module, "_DISTANCE_BLOCK", _BLOCK)
     rng = np.random.default_rng(n_masses + n_points)
     masses = _random_masses(rng, n_masses)
     pts = rng.uniform(-3, 3, (n_points, 3))
@@ -99,12 +103,13 @@ def test_point_mass_buffer_edges_match_unblocked_sum(n_masses, n_points):
 
 
 def test_point_mass_sums_are_nan_exactly_on_the_masses():
-    # 1000 masses: 32-point blocks, so row 69 sits in the final 6-row block
+    # 1000 masses: 65-point blocks, so row 135 sits in the final 6-row
+    # block
     rng = np.random.default_rng(11)
     masses = _random_masses(rng, 1000)
-    pts = rng.uniform(-3, 3, (70, 3))
+    pts = rng.uniform(-3, 3, (136, 3))
     on_mass = np.zeros(len(pts), dtype=bool)
-    for row, k in ((0, 5), (40, 999), (69, 123)):
+    for row, k in ((0, 5), (70, 999), (135, 123)):
         pts[row] = masses[k].position
         on_mass[row] = True
     v = _point_mass_sums(PointMasses.of(masses), pts)
@@ -249,6 +254,20 @@ def test_oracle_subcell_slabs_match_whole_fine_grid():
 # ---------------------------------------------------------------------------
 # brute-force oracle
 
+@pytest.mark.parametrize("s", range(1, 10))
+def test_subcell_mean_is_numpys_mean(s):
+    # numpy's order: each run of s along the last axis, then the run sums
+    # in axis-0, then axis-2 order; signed values of mixed magnitude show
+    # any other order
+    rng = np.random.default_rng(s)
+    for n in (1, 2, 5, 16):
+        for _ in range(3):
+            shape = (s, n * s, n * s)
+            fine = rng.uniform(-1, 1, shape) * 10.0 ** rng.uniform(-8, 8, shape)
+            assert np.array_equal(_subcell_mean(fine, s), fine.reshape(
+                s, n, s, n, s).mean(axis=(0, 2, 4)))
+
+
 def test_oracle_matches_shell_theorem_exterior():
     spm = SmoothedPointMass((0.1, 0.2, 0.0), quadratic_bump(1.0, 0.5))
     arr = SPMA([spm])
@@ -345,24 +364,43 @@ def _same_bits(runs):
 
 
 def test_point_mass_sums_keep_their_bits_on_every_core(monkeypatch):
-    # 1000 masses: 32-point blocks, so 229 points make 8 blocks, the last
+    # 1000 masses: 65-point blocks, so 460 points make 8 blocks, the last
     # of 5 rows, cut 4 + 4 on two workers and 2 + 3 + 3 on three
     rng = np.random.default_rng(21)
     masses = PointMasses.of(_random_masses(rng, 1000))
-    pts = rng.uniform(-3, 3, (229, 3))
-    pts[[3, 227]] = masses.positions[[10, 500]]       # 227: in the last run
+    pts = rng.uniform(-3, 3, (460, 3))
+    pts[[3, 458]] = masses.positions[[10, 500]]       # 458: in the last run
     runs = across_workers(monkeypatch,
                           lambda: _point_mass_sums(masses, pts, G=0.37))
     assert _same_bits(runs)
     for v in runs:
-        assert np.flatnonzero(np.isnan(v)).tolist() == [3, 227]
+        assert np.flatnonzero(np.isnan(v)).tolist() == [3, 458]
+
+
+def test_point_mass_sums_test_only_infinite_rows_for_a_mass():
+    # masses are positive, so a point on one sums to +inf and is the only
+    # kind of row tested for a zero distance: a sum that overflows stays
+    # +inf, and a point whose distance squares to zero counts as on the
+    # mass, as the distance kernel sees it
+    masses = PointMasses([[0.0, 0, 0], [1.0, 0, 0]], [1e300, 1.0])
+    pts = np.array([[1e-10, 0, 0],          # 1e300 / 1e-10 overflows
+                    [1.0, 0, 0],            # on the unit mass
+                    [1.0 + 1e-310, 0, 0],   # rounds onto it
+                    [0.0, 1e-170, 0],       # 1e-170 squares to zero
+                    [0.0, 0, 0],            # on the heavy mass
+                    [0.5, 0.5, 0]])
+    with np.errstate(over="ignore"):
+        v = _point_mass_sums(masses, pts)
+    assert v[0] == np.inf
+    assert np.flatnonzero(np.isnan(v)).tolist() == [1, 2, 3, 4]
+    assert np.isfinite(v[5])
 
 
 def _mixed_points(spma, seed):
-    """13,210 points: 5 blocks of up to 3276 against the mixed SPMA's 10
+    """26,310 points: 5 blocks of up to 6553 against the mixed SPMA's 10
     centers, the last holding those centers."""
     rng = np.random.default_rng(seed)
-    return np.vstack([rng.uniform(-1.2, 1.2, (13200, 3)), spma.centers])
+    return np.vstack([rng.uniform(-1.2, 1.2, (26300, 3)), spma.centers])
 
 
 def test_spma_potential_keeps_its_bits_on_every_core(monkeypatch):
@@ -384,15 +422,15 @@ def test_oracle_clear_keeps_its_bits_on_every_core(monkeypatch):
 
 
 @pytest.mark.parametrize("density, resolution, subcell", [
-    (mixed_spma(), 32, 2),              # 1340 cells: 5 blocks of <= 24 points
+    (mixed_spma(), 32, 2),             # 1340 cells: 5 blocks of <= 48 points
     (SPMA([SmoothedPointMass((0.1, 0, 0), table_profile(
-        [0.0, 0.7], [2.0, 2.0], check_boundary=False))]), 16, 3),   # 9 of 12
+        [0.0, 0.7], [2.0, 2.0], check_boundary=False))]), 16, 3),   # 8 of 25
 ], ids=["mixed", "single-ball"])
 def test_oracle_keeps_its_bits_on_every_core(monkeypatch, density,
                                              resolution, subcell):
     rng = np.random.default_rng(24)
-    v = rng.normal(size=(100, 3))
-    x = rng.uniform(8, 12, (100, 1)) * v / np.linalg.norm(v, axis=1)[:, None]
+    v = rng.normal(size=(200, 3))
+    x = rng.uniform(8, 12, (200, 1)) * v / np.linalg.norm(v, axis=1)[:, None]
     runs = across_workers(monkeypatch, lambda: potential_oracle(
         density, x, resolution=resolution, subcell=subcell))
     assert _same_bits(runs)
