@@ -11,8 +11,9 @@ import math
 
 import numpy as np
 
-from .density import (SPMA, PointMasses, _count, _each_distance_block,
-                      _grid_slab, _parallel, midpoint_nodes)
+from .density import (_BLOCK, SPMA, PointMasses, _count,
+                      _each_distance_block, _grid_slab, _parallel,
+                      midpoint_nodes)
 
 __all__ = ["potential_point_masses", "potential_spm", "potential_spma",
            "potential_oracle", "oracle_clear"]
@@ -137,6 +138,51 @@ def _subcell_mean(fine, s):
     return out
 
 
+def _fsums(rows):
+    """math.fsum of each row of a 2-D array, bit for bit, in numpy calls.
+
+    fsum returns the exact sum rounded once to the nearest float, ties to
+    even, and that float is unique.  Each finite entry is f * 2**e with
+    f * 2**53 an integer (np.frexp); its high 27 and low 26 bits, split
+    without rounding, add exactly in float64 per row and exponent
+    (np.bincount), those sums add exactly as Python integers, and one
+    integer division rounds the total.  A row that holds an inf or a
+    nan, comes within 2**1000 of overflow (where fsum can overflow in a
+    partial sum) or sums to zero (fsum keeps the sign of an all -0.0 row)
+    goes through math.fsum itself."""
+    n_rows, width = rows.shape
+    if not width:
+        return np.zeros(n_rows)              # fsum of no terms
+    exact = np.maximum(rows.max(axis=1), -rows.min(axis=1)) < 2.0**1000 / width
+    totals = [0] * n_rows                    # in units of 2**-1126
+    # chunks of a quarter block: the temporaries stay small beside the
+    # distance block being summed
+    chunk = _BLOCK // 4
+    step = max(1, chunk // width)            # rows per chunk
+    for r in range(0, n_rows, step):
+        for c in range(0, width, chunk):
+            f, e = np.frexp(rows[r:r + step, c:c + chunk])
+            k, e_min = len(f), int(e.min())
+            span = int(e.max()) - e_min + 1
+            e += span * np.arange(k, dtype=e.dtype)[:, None] - e_min
+            with np.errstate(invalid="ignore"):   # an inf's row is not summed
+                f *= 2.0**27
+                high = np.floor(f)
+                f -= high                # the low 26 bits, exactly
+                f *= 2.0**26
+            sums = [np.bincount(e.ravel(), w.ravel(), k * span)
+                    for w in (high, f)]
+            at = np.flatnonzero((sums[0] != 0) | (sums[1] != 0))
+            for a, hi, lo in zip(at.tolist(), sums[0][at].tolist(),
+                                 sums[1][at].tolist()):
+                i, b = divmod(a, span)
+                if exact[r + i]:
+                    totals[r + i] += ((int(hi) << 26) + int(lo)) << (
+                        b + e_min + 1073)
+    return np.array([t / (1 << 1126) if t else math.fsum(row)
+                     for t, row in zip(totals, rows)])
+
+
 def potential_oracle(density, x, G=1.0, resolution=128, subcell=1):
     """Brute-force midpoint quadrature of G * int f(y)/||x-y|| dy.
 
@@ -181,6 +227,6 @@ def potential_oracle(density, x, G=1.0, resolution=128, subcell=1):
 
     def body(p, d):
         np.divide(weights, d, out=d)
-        out[p] = [G * cellvol * math.fsum(row) for row in d]
+        out[p] = G * cellvol * _fsums(d)
     _each_distance_block(pts_x, pts, body)
     return float(out[0]) if scalar else out

@@ -13,7 +13,7 @@ from gravharm import (PointMass, PointMasses, SPMA, SmoothedPointMass,
                       total_mass)
 from gravharm import density as density_module
 from gravharm.density import _BLOCK, _DISTANCE_BLOCK, midpoint_nodes
-from gravharm.potential import _point_mass_sums, _subcell_mean
+from gravharm.potential import _fsums, _point_mass_sums, _subcell_mean
 
 from conftest import (across_workers, mixed_spma,
                       unblocked_potential_point_masses, unit_ball_grid)
@@ -253,6 +253,52 @@ def test_oracle_subcell_slabs_match_whole_fine_grid():
 
 # ---------------------------------------------------------------------------
 # brute-force oracle
+
+def _fsum_outcome(call):
+    try:
+        v = call()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+    return (math.copysign(1.0, v), v) if v == v else "nan"
+
+
+def _fsum_rows(rng):
+    """Rows of every kind the exact sum must round as fsum does."""
+    n = 3000
+    wide = rng.uniform(-1, 1, (3, n)) * 10.0 ** rng.uniform(-300, 300, (3, n))
+    near = rng.uniform(0, 1, (3, n)) * 10.0 ** rng.uniform(-8, 8, (3, n))
+    half = rng.uniform(-1, 1, (2, n // 2)) * 10.0 ** rng.uniform(-20, 20, (2, n // 2))
+    cancel = np.hstack([half, -half[:, ::-1]])
+    cancel[:, 0] += 1e-30
+    subnormal = rng.uniform(-1, 1, (2, n)) * 1e-310
+    ints = rng.integers(-5, 5, (2, n)).astype(float)
+    rows = [*wide, *near, *cancel, *subnormal, *ints]
+    # ties, rounded to even either way, and a nudge off the tie
+    rows += [[base, 2.0**-53, nudge] for base in (1.0, 1.0 + 2**-52, -3.0)
+             for nudge in (-2.0**-80, 0.0, 2.0**-80)]
+    # one exponent's high bits cancel to 1 beside a second exponent
+    rows.append([(2.0**52 + 2.0**26 + 5) * 2.0**-53, -0.5, 1.0])
+    rows += [[-0.0, -0.0], [0.0, -0.0], [5e-324, 5e-324], [1e300, -1e300, 1.0],
+             [1e308, 1e308], [1e308, 1e308, -1e308], [2.0**999, 2.0**999],
+             [np.inf, 1.0], [np.inf, -np.inf], [np.nan, 1.0]]
+    return rows
+
+
+def test_exact_row_sums_are_math_fsum():
+    # fsum rounds the exact sum once, so any exact method gives its bits;
+    # rows near overflow, or with an inf or a nan, take fsum itself
+    for row in _fsum_rows(np.random.default_rng(30)):
+        row = np.asarray(row, dtype=float)[None]
+        assert _fsum_outcome(lambda: float(_fsums(row)[0])) == \
+            _fsum_outcome(lambda: math.fsum(row[0]))
+    # a block of rows at once, short rows sharing a chunk and long rows
+    # spanning several
+    rng = np.random.default_rng(31)
+    for shape in ((70, 900), (3, 2 * _BLOCK + 17)):
+        rows = rng.uniform(-1, 1, shape) * 10.0 ** rng.uniform(-9, 9, shape)
+        assert np.array_equal(_fsums(rows), [math.fsum(r) for r in rows])
+    assert np.array_equal(_fsums(np.empty((3, 0))), np.zeros(3))
+
 
 @pytest.mark.parametrize("s", range(1, 10))
 def test_subcell_mean_is_numpys_mean(s):
