@@ -71,9 +71,13 @@ class FillingParams:
 class SphericalFilling:
     """Result of the greedy filling on `grid`: disjoint balls, a cover of
     one ball per support node (`mask`'s, in `np.argwhere` order), f at
-    those nodes, their KD-tree, the nodes in filling ball j as
-    at[starts[j]:starts[j + 1]], in a single-point query's order, and
-    f's oscillation over them."""
+    those nodes, their KD-tree over 2 ijk (ijk the lattice index: half
+    steps), the nodes in filling ball j as at[starts[j]:starts[j + 1]],
+    in a single-point query's order, and f's oscillation over them.  A
+    greedy ball of q half steps on node c holds node k iff
+    4 |ijk[k] - ijk[c]|^2 <= q^2; a sub-step ball holds c alone.  The
+    residual mass is measured once, from the nodes left without a ball,
+    and is exactly 0.0 when every node has one."""
 
     filling: BallRegion
     covering: BallRegion
@@ -104,55 +108,53 @@ def _filling_grid(f, params):
 
 
 def _support_arrays(g, safety):
-    """Support mask, nodes, values and a safe inside-support radius."""
+    """Support mask, lattice indices, values and safe inside-support radii."""
     from scipy import ndimage
     mask = g.values > 0
-    # distance (in steps) to the nearest zero node; balls of radius up to
-    # edt*h around a positive node stay inside the trilinear support
+    # balls of radius under edt*h (edt: steps to the nearest zero node)
+    # around a positive node stay strictly inside the trilinear support
     edt = ndimage.distance_transform_edt(mask)
-    nodes = g.origin + g.spacing * np.argwhere(mask)
     fvals = g.values[mask]
     r_sup = (edt[mask] - safety) * g.spacing * (1.0 - 1e-9)
-    return mask, nodes, fvals, r_sup
+    return mask, np.argwhere(mask), fvals, r_sup
 
 
-def _var_capped_radius(r, center, tree, fvals, bound, step):
-    """Lower r = k steps one step at a time until the node oscillation of
-    f inside the ball is < bound.  One step always passes, since that
-    ball holds only its own node, so this tries at most k - 1 radii."""
-    for _ in range(round(r / step) - 1):
-        if np.ptp(fvals[tree.query_ball_point(center, r)]) < bound:
-            return r
-        r -= step
-    return step
+def _var_capped_radius(q, center, tree, fvals, bound):
+    """Lower q one half step at a time until the node oscillation of f
+    inside the ball is < bound, in the tree's half-step units.  q = 1
+    holds only its own node, so it always passes."""
+    while q > 1 and np.ptp(fvals[tree.query_ball_point(center, q)]) >= bound:
+        q -= 1
+    return q
 
 
 def spherical_filling(f, params):
     """Greedy interior-disjoint filling plus a per-node ball cover.
 
-    Filling balls are centered on grid nodes with radii quantized to h/2
+    Filling balls are centered on grid nodes with radii of q half steps
     down to the grid scale, then a single batched pass places sub-step
     balls on every remaining support node that still has room, which is
     what drives the measured residual-mass condition below its budget.
     The covering is one radius-2h ball per support node: an open cover of
     the support whose members stay within 2h of it.
 
-    The residual mass is measured by node quadrature on the filling grid:
-    a node's cell counts as captured once the node lies inside a filling
-    ball, so sub-cell crevices are below the apparatus resolution, and
-    budgets under one cell's mass are rejected outright.  Raises
+    Membership is exact, as `SphericalFilling` states.  The residual mass
+    is measured by node quadrature on the filling grid: a node's cell
+    counts as captured once the node lies inside a filling ball, so
+    sub-cell crevices are below the apparatus resolution, and budgets
+    under one cell's mass are rejected outright.  Raises
     FillingBudgetError naming the violated condition when the budgets
     cannot be met at this resolution.
     """
     from scipy.spatial import cKDTree
 
     g, safety = _filling_grid(f, params)
-    mask, nodes, fvals, r_sup = _support_arrays(g, safety)
+    mask, ijk, fvals, r_sup = _support_arrays(g, safety)
     h = g.spacing
+    nodes = g.origin + h * ijk
     n_nodes = len(nodes)
     cell = h**3
     support_volume = n_nodes * cell
-    total_mass = float(fvals.sum() * cell)
     budget = min(params.delta, params.eps)
     a1_bound = budget / 10.0
     a2_bound = budget / (10.0 * support_volume)
@@ -167,61 +169,61 @@ def spherical_filling(f, params):
     step = h / 2.0
     f_range = float(fvals.max() - fvals.min())
     need_var_cap = f_range >= a2_bound
-    tree = cKDTree(nodes)
+    half = 2 * ijk
+    tree = cKDTree(half)
 
     # each node's room for a ball, min(r_sup, gap to the placed balls),
-    # and -inf once a ball covers it.  avail only falls and no node
-    # exceeds the chosen a, so a ball of radius r can lower it only at
-    # the nodes within r + a of its center: those the tree returns, in
-    # node order
+    # and -inf once covered, which both updates keep; a float, as phase 2
+    # uses room below h/2.  avail only falls and no node exceeds the
+    # chosen a, so a ball of q half steps can lower it only within
+    # q + a / step of its center; the 1e-9 margin only widens that query
+    # past the gaps' rounding
     avail = r_sup.copy()
-    centers, radii = [], []
-    residual = total_mass
+    centers, qs = [], []
 
     # phase 1: quantized greedy, largest admissible ball first; packing
     # continues past the residual budget because every covered cell also
     # improves the metric fit later on
-    while len(radii) < MAX_BALLS:
+    while len(qs) < MAX_BALLS:
         i = int(np.argmax(avail))
         a = float(avail[i])
         if not a >= step:
             break
-        r = math.floor(a / step) * step
-        center = nodes[i]
+        q = math.floor(a / step)
         if need_var_cap:
-            r = _var_capped_radius(r, center, tree, fvals, a2_bound, step)
-        near = np.array(tree.query_ball_point(center, (r + a) * (1.0 + 1e-9),
-                                              return_sorted=True), dtype=np.intp)
-        near = near[avail[near] > -np.inf]
-        d = np.linalg.norm(nodes[near] - center, axis=1)
-        covered = d <= r
-        residual -= float(fvals[near[covered]].sum() * cell)
-        avail[near] = np.where(covered, -np.inf, np.minimum(avail[near], d - r))
-        centers.append(center)
-        radii.append(r)
+            q = _var_capped_radius(q, half[i], tree, fvals, a2_bound)
+        near = np.array(tree.query_ball_point(half[i], (q + a / step)
+                                              * (1.0 + 1e-9)), dtype=np.intp)
+        covered = np.square(half[near] - half[i]).sum(axis=1) <= q * q
+        # np.linalg.norm's arithmetic, without its call overhead
+        d = np.sqrt(np.square(nodes[near] - nodes[i]).sum(axis=1))
+        avail[near] = np.where(covered, -np.inf,
+                               np.minimum(avail[near], d - q * step))
+        centers.append(i)
+        qs.append(q)
 
     # phase 2: batched sub-step endgame; radii capped below half the node
     # spacing so the new balls are mutually interior-disjoint by spacing
     idx = np.flatnonzero(avail > -np.inf)
     r_e = np.minimum(avail[idx], 0.495 * h) * 0.99
     keep = r_e >= min_r
-    residual -= float(fvals[idx[keep]].sum() * cell)
+    residual = float(fvals[idx[~keep]].sum() * cell)
 
     if residual >= a1_bound:
         raise FillingBudgetError(
             "a1: residual mass %.3g exceeds budget %.3g at grid step %.3g; "
             "refine the grid or lower min_ball_radius" % (residual, a1_bound, h))
-    if len(radii) + keep.sum() >= MAX_BALLS:
+    if len(qs) + keep.sum() >= MAX_BALLS:
         raise FillingBudgetError("ball budget exhausted before meeting a1")
 
-    filling = BallRegion(np.vstack([np.reshape(centers, (-1, 3)),
-                                    nodes[idx[keep]]]),
-                         np.concatenate([radii, r_e[keep]]))
+    centers = np.concatenate([centers, idx[keep]]).astype(np.intp)
+    filling = BallRegion(nodes[centers],
+                         np.concatenate([np.multiply(qs, step), r_e[keep]]))
     cover = BallRegion(nodes, np.full(n_nodes, COVER_RADIUS_STEPS * h))
-    # the support nodes in each filling ball, flat.  Every ball is
-    # centered on a support node with r > 0, so none is empty
-    in_ball = tree.query_ball_point(filling.centers, filling.radii,
-                                    return_sorted=False)
+    # the support nodes in each filling ball, flat (sub-step balls at
+    # q = 0).  Every ball is centered on a support node, so none is empty
+    in_ball = tree.query_ball_point(half[centers], np.concatenate(
+        [qs, np.zeros(keep.sum())]), return_sorted=False)
     sizes = np.fromiter(map(len, in_ball), np.intp, len(in_ball))
     at = np.fromiter(itertools.chain.from_iterable(in_ball), np.intp,
                      sizes.sum())
@@ -496,9 +498,9 @@ def _verify(spma, filling, params, meanf, tags):
                     "boundary_hausdorff": d_boundary, "eps": eps,
                     "sampling_tol": tol}
     # K_f sits inside the blanket; the set distance is how far the
-    # blanket extends beyond the support
-    pts_lam = g.origin + h * np.argwhere(mask_lam)
-    d_set = float(np.max(filling.tree.query(pts_lam, k=1)[0]))
+    # blanket extends beyond the support, from the tree's half steps
+    d_set = h / 2.0 * float(np.max(filling.tree.query(
+        2 * np.argwhere(mask_lam), k=1)[0]))
     report["p4"] = {"pass": bool(d_set < eps + tol), "set_distance": d_set}
     report["a4"] = {"pass": report["p4"]["pass"] and report["p5"]["pass"],
                     "set_distance": d_set, "boundary_hausdorff": d_boundary}

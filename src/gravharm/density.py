@@ -487,13 +487,6 @@ class GridDensity:
     def shape(self):
         return self.values.shape
 
-    def node_coordinates(self):
-        nx, ny, nz = self.shape
-        ii, jj, kk = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz),
-                                 indexing="ij")
-        return self.origin + self.spacing * np.stack(
-            [ii, jj, kk], axis=-1).reshape(-1, 3)
-
     def bounding_box(self):
         hi = self.origin + self.spacing * (np.array(self.shape) - 1)
         return self.origin.copy(), hi

@@ -72,27 +72,80 @@ def test_filling_residual_below_budget(ball_filling):
     g, fill = ball_filling
     assert fill.residual_mass < fill.a1_bound
     # recompute the node-quadrature residual independently
-    nodes = g.node_coordinates()
-    vals = np.ravel(g.values, order="C")
-    pos = vals > 0
-    covered = np.zeros(pos.sum(), dtype=bool)
-    tree = cKDTree(nodes[pos])
-    for c, r in zip(fill.filling.centers, fill.filling.radii):
-        covered[tree.query_ball_point(c, r)] = True
-    resid = float(vals[pos][~covered].sum() * g.spacing**3)
-    assert resid == pytest.approx(fill.residual_mass, abs=1e-9)
+    fvals = g.values[g.values > 0]
+    covered = np.zeros(len(fvals), dtype=bool)
+    for sel in exact_members(fill):
+        covered[sel] = True
+    resid = float(fvals[~covered].sum() * g.spacing**3)
+    assert resid == fill.residual_mass == 0.0
 
 
 def test_covering_is_a_support_blanket(ball_filling):
     g, fill = ball_filling
-    nodes = g.node_coordinates()
-    pos = np.ravel(g.values, order="C") > 0
+    nodes = g.origin + g.spacing * np.argwhere(g.values > 0)
     # one covering ball of radius 2h per support node, centered there
-    assert len(fill.covering) == int(pos.sum())
+    assert len(fill.covering) == len(nodes)
     assert np.all(fill.covering.radii == 2 * g.spacing)
     tree = cKDTree(fill.covering.centers)
-    d = tree.query(nodes[pos], k=1)[0]
+    d = tree.query(nodes, k=1)[0]
     assert np.max(d) == 0.0
+
+
+def exact_members(fill):
+    """The support nodes in each filling ball by brute force in int64:
+    node k is in the ball of q half steps on node c iff
+    4 |ijk[k] - ijk[c]|^2 <= q^2.  q is exact for the greedy balls, and
+    0 or 1 for the sub-step ones, which hold their own node alone."""
+    g, step = fill.grid, fill.grid.spacing / 2.0
+    ijk = np.argwhere(fill.mask).astype(np.int64)
+    cij = np.rint((fill.filling.centers - g.origin) / g.spacing).astype(np.int64)
+    assert np.array_equal(g.origin + g.spacing * cij, fill.filling.centers)
+    q = np.rint(fill.filling.radii / step).astype(np.int64)
+    assert np.array_equal(fill.filling.radii[q >= 2], q[q >= 2] * step)
+    return [np.flatnonzero(4 * np.sum(np.square(ijk - c), axis=1) <= k * k)
+            for c, k in zip(cij, q)]
+
+
+def test_tree_query_is_exact_lattice_membership():
+    # integer coordinates and radii make the KD-tree's ball query decide
+    # 4 |ijk - c|^2 <= q^2 exactly, nodes on the sphere included
+    ax = np.arange(64)
+    tree = cKDTree(2 * np.argwhere(np.ones((64, 64, 64), dtype=bool)))
+    rng = np.random.default_rng(3)
+    centers = rng.integers(0, 64, size=(300, 3))
+    qs = rng.integers(1, 41, size=300)
+    qs[::2] &= ~1       # an even q puts axis nodes on the sphere
+    on_sphere = 0
+    for c, q, got in zip(centers, qs, tree.query_ball_point(2 * centers, qs)):
+        # 4 |ijk - c|^2 over the lattice, in np.argwhere's order
+        d2 = 4 * (np.square(ax - c[0])[:, None, None]
+                  + np.square(ax - c[1])[:, None] + np.square(ax - c[2])).ravel()
+        assert np.array_equal(np.sort(got), np.flatnonzero(d2 <= q * q))
+        on_sphere += np.count_nonzero(d2 == q * q)
+    assert on_sphere > 1000
+
+
+@pytest.mark.parametrize("n, graded, params", [
+    (24, False, FillingParams(delta=0.5, eps=0.5)),
+    (20, True, FillingParams(delta=0.5, eps=0.5)),
+    (16, False, FillingParams(delta=0.7, eps=0.7, grid_resolution=20)),
+], ids=["ball-24", "graded-20", "resampled"])
+def test_incidence_is_exact_lattice_membership(n, graded, params):
+    fill = spherical_filling(bench_ball(n, graded), params)
+    assert [sorted(sel) for sel in np.split(fill.at, fill.starts[1:])] == \
+        [list(sel) for sel in exact_members(fill)]
+    # no support node is left without a ball
+    assert fill.residual_mass == 0.0
+    assert np.array_equal(np.unique(fill.at), np.arange(len(fill.fvals)))
+
+
+def test_every_support_node_in_a_filling_ball_at_64():
+    # the acceptance instance: a float distance put 90 of its support
+    # nodes that lie exactly on a filling ball's sphere 1 ulp outside it
+    fill = spherical_filling(unit_ball_grid(64),
+                             FillingParams(delta=0.2, eps=0.2))
+    assert fill.residual_mass == 0.0
+    assert np.array_equal(np.unique(fill.at), np.arange(len(fill.fvals)))
 
 
 def test_filling_budget_error_for_tiny_budget():
@@ -207,83 +260,74 @@ def test_node_grid_fit_matches_padded_lattice_reference(n, graded):
 def place_loop_filling(f, params):
     """spherical_filling's balls by the loop that ran before the active
     nodes were kept as compacted arrays: every ball gathers the active
-    nodes, takes np.linalg.norm and scatters the gaps back; kept as the
-    reference.  Returns the filling's centers and radii, its residual
-    mass, the largest oscillation of f over a phase-1 ball's nodes, from
-    its own query, and how many balls the variance cap shrank and how
-    many nodes it had their gap pinned."""
+    nodes, takes np.linalg.norm and scatters the gaps back, here with
+    membership and the variance cap by brute force in int64; kept as
+    the reference.  Returns the filling's centers and radii, its residual
+    mass, the largest oscillation of f over a phase-1 ball's nodes, and
+    how many balls the variance cap shrank."""
     g, safety = construct._filling_grid(f, params)
-    _, nodes, fvals, r_sup = construct._support_arrays(g, safety)
+    _, ijk, fvals, r_sup = construct._support_arrays(g, safety)
     h = g.spacing
+    nodes = g.origin + h * ijk
     cell = h**3
     a2_bound = min(params.delta, params.eps) / (10.0 * len(nodes) * cell)
     min_r = params.min_ball_radius or 1e-3 * h
     step = h / 2.0
     need_var_cap = float(fvals.max() - fvals.min()) >= a2_bound
-    tree = cKDTree(nodes)
     active = np.arange(len(nodes))
     gap = np.full(len(nodes), np.inf)
     centers, radii = [], []
-    max_ball_var, capped, pinned = 0.0, 0, 0
-    residual = float(fvals.sum() * cell)
+    max_ball_var, capped = 0.0, 0
     while len(radii) < construct.MAX_BALLS and active.size:
         avail = np.minimum(r_sup[active], gap[active])
         i = int(np.argmax(avail))
-        r = math.floor(avail[i] / step) * step
-        if r < step:
+        q = math.floor(avail[i] / step)
+        if q < 1:
             break
-        center = nodes[active[i]]
+        c = active[i]
+        d2 = 4 * np.sum(np.square(ijk - ijk[c]), axis=1)
         if need_var_cap:
-            r0 = r
-            r = construct._var_capped_radius(r, center, tree, fvals,
-                                             a2_bound, step)
-            capped += r < r0
-            if r < step:
-                gap[active[i]] = min(gap[active[i]], step * (1 - 1e-12))
-                pinned += 1
-                continue
-        var = float(np.ptp(fvals[tree.query_ball_point(center, r)]))
-        max_ball_var = max(max_ball_var, var)
-        d = np.linalg.norm(nodes[active] - center, axis=1)
-        covered = d <= r
-        residual -= float(fvals[active[covered]].sum() * cell)
+            q0 = q
+            while q > 1 and np.ptp(fvals[d2 <= q * q]) >= a2_bound:
+                q -= 1
+            capped += q < q0
+        max_ball_var = max(max_ball_var, float(np.ptp(fvals[d2 <= q * q])))
+        r = q * step
+        d = np.linalg.norm(nodes[active] - nodes[c], axis=1)
         gap[active] = np.minimum(gap[active], d - r)
-        active = active[~covered]
-        centers.append(center)
+        active = active[d2[active] > q * q]
+        centers.append(nodes[c])
         radii.append(r)
     r_e = np.minimum(np.minimum(r_sup[active], gap[active]), 0.495 * h) * 0.99
     keep = r_e >= min_r
-    residual -= float(fvals[active[keep]].sum() * cell)
+    residual = float(fvals[active[~keep]].sum() * cell)
     return (np.vstack([np.reshape(centers, (-1, 3)), nodes[active[keep]]]),
             np.concatenate([radii, r_e[keep]]), residual, max_ball_var,
-            capped, pinned)
+            capped)
 
 
-@pytest.mark.parametrize("n, graded, params, caps, pins", [
+@pytest.mark.parametrize("n, graded, params, caps", [
     # the bench's two balls
-    (24, False, FillingParams(delta=0.5, eps=0.5), False, False),
-    (20, True, FillingParams(delta=0.5, eps=0.5), True, False),
-    (13, True, FillingParams(delta=0.5, eps=0.5), True, False),
-    (16, False, FillingParams(delta=0.7, eps=0.7, grid_resolution=20),
-     True, False),
-    (20, True, FillingParams(delta=0.5, eps=0.5, min_ball_radius=0.02),
-     True, False),
-    (12, True, FillingParams(delta=6.0, eps=6.0), True, False),
+    (24, False, FillingParams(delta=0.5, eps=0.5), False),
+    (20, True, FillingParams(delta=0.5, eps=0.5), True),
+    (13, True, FillingParams(delta=0.5, eps=0.5), True),
+    (16, False, FillingParams(delta=0.7, eps=0.7, grid_resolution=20), True),
+    (20, True, FillingParams(delta=0.5, eps=0.5, min_ball_radius=0.02), True),
+    (12, True, FillingParams(delta=6.0, eps=6.0), True),
 ], ids=["ball-24", "graded-20", "graded-13", "resampled", "min-ball-radius",
         "graded-12-wide"])
-def test_compacted_filling_matches_place_loop(n, graded, params, caps, pins):
+def test_compacted_filling_matches_place_loop(n, graded, params, caps):
     g = GridDensity((-1.0, -1.0, -1.0), 2.0 / (n - 1), ball_values(n, graded))
     fill = spherical_filling(g, params)
     assert np.array_equal(g.values, ball_values(n, graded))   # not mutated
-    centers, radii, residual, max_ball_var, capped, pinned = \
+    centers, radii, residual, max_ball_var, capped = \
         place_loop_filling(g, params)
     assert np.array_equal(fill.filling.centers, centers)
     assert np.array_equal(fill.filling.radii, radii)
     assert (fill.residual_mass, fill.max_ball_var) == (residual, max_ball_var)
     # f that varies takes the variance cap (a resample varies at the
-    # support's edge); the cap stops at one whole step, which always
-    # passes, so no node has its gap pinned
-    assert (capped > 0, pinned > 0) == (caps, pins)
+    # support's edge)
+    assert (capped > 0) == caps
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +412,13 @@ def bench_ball(n, graded):
 
 
 def ball_queries(filling):
-    """Each filling ball's support-node list, by one query per ball set in
-    the order of a single-point query."""
-    return cKDTree(filling.covering.centers).query_ball_point(
-        filling.filling.centers, filling.filling.radii, return_sorted=False)
+    """Each filling ball's support-node list by exact lattice membership,
+    from one query per ball set on a tree like the filling's, in the
+    order of a single-point query."""
+    g, step = filling.grid, filling.grid.spacing / 2.0
+    half = 2 * np.rint((filling.filling.centers - g.origin) / g.spacing)
+    return cKDTree(2 * np.argwhere(filling.mask)).query_ball_point(
+        half, np.rint(filling.filling.radii / step), return_sorted=False)
 
 
 @pytest.mark.parametrize("n, graded", [(24, False), (20, True), (13, True)],
@@ -507,8 +554,9 @@ def test_one_kd_tree_over_the_support_nodes(monkeypatch):
     monkeypatch.setattr(scipy.spatial, "cKDTree", counting)
     res = spma_approximate(bench_ball(20, True),
                            FillingParams(delta=0.5, eps=0.5))
-    nodes = res.filling.covering.centers
-    assert sum(np.array_equal(b, nodes) for b in built) == 1
+    half = 2 * np.argwhere(res.filling.mask)
+    assert sum(np.array_equal(b, half) for b in built) == 1
+    assert np.array_equal(res.filling.tree.data, half)
 
 
 def test_a7_component_alone_counts_owned_balls_only(monkeypatch):
