@@ -22,7 +22,7 @@ from .she import (Direction, SHECoefficients, coeffs_from_point_masses,
                   coeffs_from_sphere_quadrature, direction_coefficient_table,
                   direction_term_sequence, evaluate_partial_sum,
                   fibonacci_directions, legendre_p, partial_sum_sequence,
-                  ynm_bar, ynm_table)
+                  pointmass_direction_sums, series_value, ynm_bar, ynm_table)
 from .convergence import (AllDirectionsInconclusive, ConvergenceReport,
                           DescentReport, PartialSumReport,
                           classify_partial_sums, epsilon_descent_check,

@@ -16,12 +16,12 @@ import numpy as np
 from .density import (ComponentError, GridDensity, PointMasses, load_spma,
                       save_spma)
 from .geometry import pointmass_brillouin_radius
-from .she import (Direction, coeffs_from_point_masses,
-                  coeffs_from_sphere_quadrature, evaluate_partial_sum)
+from .she import (coeffs_from_point_masses, coeffs_from_sphere_quadrature,
+                  pointmass_direction_sums, series_value)
 from .potential import (_point_mass_sums, oracle_clear, potential_oracle,
                         potential_point_masses, potential_spma)
 from .convergence import (AllDirectionsInconclusive, epsilon_descent_check,
-                          pointmass_rc, rc_from_reports)
+                          fit_window, pointmass_rc, rc_from_reports)
 from .construct import (ConstructionError, FillingBudgetError, FillingParams,
                         SnowmanParams, build_snowman, snowman_clears,
                         snowman_waist_radius, snowman_descends_to_topography,
@@ -95,6 +95,16 @@ def _masses_from_args(args):
     return spma, spma.as_point_masses()
 
 
+def _fit_window(n_max, window=None):
+    """The root test's fit window, checked before any work; an unusable
+    window names the option that set it."""
+    try:
+        return fit_window(n_max, window)
+    except ValueError as exc:
+        raise CliError("%s (set by %s)" % (
+            exc, "--n-max" if window is None else "--window"))
+
+
 def _write_rc_csv(path, reports):
     with open(path, "w") as fh:
         fh.write("direction_index,theta,phi,rc_estimate,method,"
@@ -137,6 +147,7 @@ def cmd_coeffs(args):
 
 
 def cmd_descent(args):
+    _fit_window(args.n_max)
     if args.subject == "snowman":
         rep = snowman_descends_to_topography(
             SnowmanParams(args.gamma, args.m1, args.m2, args.profile),
@@ -211,7 +222,7 @@ def cmd_potential(args):
     x = radii[:, None] * d
     # all masses at the origin: any reference radius expands exactly
     R = pointmass_brillouin_radius(masses) or 1.0
-    c = coeffs_from_point_masses(masses, R, args.n_max, G=args.G)
+    b = pointmass_direction_sums(masses, R, args.n_max, d)
     # each column for the whole ray, with the rows it has a value for:
     # a point-mass potential has none at a mass, the series none at r <= 0
     if spma is not None:
@@ -220,8 +231,8 @@ def cmd_potential(args):
         exact = _point_mass_sums(masses, x, G=args.G)
     positive = radii > 0
     series = np.full(len(radii), np.nan)
-    series[positive] = evaluate_partial_sum(
-        c, args.n_max, radii[positive], Direction.from_vector(d))
+    series[positive] = series_value(args.G * float(masses.masses.sum()), R,
+                                    b, radii[positive])
     columns = [(exact, ~np.isnan(exact)), (series, positive)]
     if args.oracle_resolution > 0 and spma is not None:
         clear = oracle_clear(spma, x, args.oracle_resolution)
@@ -258,6 +269,7 @@ def cmd_rc(args):
         if len(window) != 2:
             raise CliError("--window must be n_lo,n_hi (two integers), got %r"
                            % args.window)
+    window = _fit_window(args.n_max, window)
     _, reports = pointmass_rc(masses, args.n_max, k=args.directions,
                               window=window)
     if args.out:

@@ -19,12 +19,13 @@ from .she import (Direction, coeffs_from_point_masses,
                   partial_sum_sequence)
 
 __all__ = ["ConvergenceReport", "PartialSumReport", "DescentReport",
-           "estimate_rc", "estimate_rc_reports",
+           "estimate_rc", "estimate_rc_reports", "fit_window",
            "rc_from_reports", "pointmass_rc", "classify_partial_sums",
            "epsilon_descent_check", "AllDirectionsInconclusive"]
 
 ABS_FLOOR = 1e-300
 DEFAULT_WINDOW_FRACTION = 0.25
+MIN_FIT_SPAN = 8         # degrees n_hi - n_lo a root-test window must span
 DEFAULT_DIRECTIONS = 64
 GROWTH_FACTOR = 1e6      # partial-sum blow-up that counts as divergence
 
@@ -67,19 +68,39 @@ class DescentReport:
     reports: tuple = ()          # per-direction ConvergenceReports
 
 
+def fit_window(n_max, window=None):
+    """The root test's degree window (n_lo, n_hi): `window`, or by default
+    floor(n_max / 4)..n_max.  Raises ValueError naming the window when it
+    leaves [0, n_max] or spans fewer than MIN_FIT_SPAN degrees."""
+    n_max = int(n_max)
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative, got %d" % n_max)
+    label = "fit window"
+    if window is None:
+        window = (max(0, int(n_max * DEFAULT_WINDOW_FRACTION)), n_max)
+        label = "default fit window (n_max/4..n_max)"
+    n_lo, n_hi = int(window[0]), int(window[1])
+    if not 0 <= n_lo < n_hi <= n_max:
+        raise ValueError("%s %d,%d must lie within [0, n_max=%d]"
+                         % (label, n_lo, n_hi, n_max))
+    if n_hi - n_lo < MIN_FIT_SPAN:
+        raise ValueError("%s %d,%d must span at least %d degrees"
+                         % (label, n_lo, n_hi, MIN_FIT_SPAN))
+    return n_lo, n_hi
+
+
 def _fit_report(b, d, window, ref_radius):
-    """Root-test convergence-radius estimate from one direction's b_n.
+    """Root-test convergence-radius estimate from one direction's b_n over
+    a window checked by `fit_window`.
 
     Degrees whose lumped coefficient falls below the 1e-300 floor are
     skipped; when more than half the window is skipped the report is
     inconclusive rather than an estimate of zero (parity cancellations on
-    symmetric configurations would otherwise masquerade as descent).
+    symmetric configurations would otherwise masquerade as descent).  The
+    least-squares line through the kept (n, log|b_n|) is taken in closed
+    form about their means.
     """
-    n_lo, n_hi = int(window[0]), int(window[1])
-    if not (0 <= n_lo < n_hi <= len(b) - 1):
-        raise ValueError("fit window must lie within [0, n_max]")
-    if n_hi - n_lo < 8:
-        raise ValueError("fit window must span at least 8 degrees")
+    n_lo, n_hi = window
     ns = np.arange(n_lo, n_hi + 1)
     vals = np.abs(b[n_lo:n_hi + 1])
     keep = vals > ABS_FLOOR
@@ -87,8 +108,10 @@ def _fit_report(b, d, window, ref_radius):
         return ConvergenceReport(d, 0.0, "root_test", (n_lo, n_hi),
                                  float("inf"), "inconclusive")
     x, y = ns[keep], np.log(vals[keep])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
+    x = x - x.mean()
+    y -= y.mean()
+    slope = (x @ y) / (x @ x)
+    resid = float(np.sqrt(np.mean((y - slope * x) ** 2)))
     rc = float(ref_radius * math.exp(slope))
     return ConvergenceReport(d, rc, "root_test", (n_lo, n_hi), resid,
                              "convergent_at")
@@ -103,8 +126,7 @@ def estimate_rc_reports(c, k=DEFAULT_DIRECTIONS, window=None):
     """Per-direction reports in lattice order (CSV-friendly)."""
     if k < 1:
         raise ValueError("need at least one direction")
-    if window is None:
-        window = (max(0, int(c.n_max * DEFAULT_WINDOW_FRACTION)), c.n_max)
+    window = fit_window(c.n_max, window)
     dirs = fibonacci_directions(k)
     thetas = np.array([d.theta for d in dirs])
     phis = np.array([d.phi for d in dirs])

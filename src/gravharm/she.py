@@ -24,7 +24,8 @@ from .density import PointMasses
 
 __all__ = ["Direction", "SHECoefficients", "legendre_p", "ynm_bar",
            "ynm_table", "coeffs_from_point_masses",
-           "coeffs_from_sphere_quadrature", "evaluate_partial_sum",
+           "coeffs_from_sphere_quadrature", "pointmass_direction_sums",
+           "evaluate_partial_sum", "series_value",
            "direction_term_sequence", "direction_coefficient_table",
            "fibonacci_directions"]
 
@@ -69,16 +70,17 @@ def legendre_p(n, x):
         raise ValueError("argument must lie in [-1, 1]")
     u = x.reshape(-1)
     p = np.empty_like(u)
-    for cols, degrees in _legendre_blocks(u, np.sqrt(1.0 - u * u), n):
+    for cols, degrees in _legendre_blocks(u, None, n, m_max=0):
         for degree, pbar in degrees:
             if degree == n:
                 p[cols] = pbar[0] / math.sqrt(2 * n + 1)
     return p.reshape(x.shape) if x.ndim else float(p[0])
 
 
-# Points per column block times (n_max + 1).  The kernel's buffers hold
-# four such blocks (16 MB), so memory stays O(n_max * block) whatever the
-# point count; smaller blocks spend more time in per-call overhead.
+# Points per column block times the orders carried (n_max + 1 for the
+# full kernel).  The kernel's buffers hold four such blocks (16 MB), so
+# memory stays O(n_max * block) whatever the point count; smaller blocks
+# spend more time in per-call overhead.
 _BLOCK_ELEMENTS = 1 << 19
 
 
@@ -104,53 +106,62 @@ def _recurrence_table(n_max):
     return a, b, sectoral
 
 
-def _legendre_blocks(u, s, n_max, ratio=1.0):
+def _legendre_blocks(u, s, n_max, ratio=1.0, m_max=None):
     """The fully normalized Legendre kernel, streamed by degree.
 
     u = cos(theta) and s = sin(theta) are 1-D arrays over k points.
     Yields (cols, degrees) for consecutive column blocks `cols` (slices
     of the point axis); `degrees` yields (n, P) for n = 0..n_max, where
-    P[m] = ratio^n Pbar_{n,m}(u[cols]) for all orders m = 0..n, shape
-    (n+1, block).  P is a view of a buffer that later steps overwrite.
+    P[m] = ratio^n Pbar_{n,m}(u[cols]) for orders m = 0..min(n, m_max),
+    shape (rows, block).  P is a view of a buffer that later steps
+    overwrite.  m_max defaults to n_max (every order); m_max = 0 is the
+    zonal slice, O(n_max) per point, which needs no s (pass None).
 
-    Forward column recurrence, every order at once:
+    Forward column recurrence, every carried order at once:
     P_{n,m} = (a_{n,m} ratio u) P_{n-1,m} + (b_{n,m} ratio^2) P_{n-2,m},
-    seeded by the sectoral P_{n,n} = (P_{n-1,n-1} ratio s) f_n.  With
-    ratio 1 every product by it is exact, so P is Pbar bit for bit.
+    seeded by the sectoral P_{n,n} = (P_{n-1,n-1} ratio s) f_n.  Each row
+    is computed alone, so a bound on the orders leaves the rows it keeps
+    bit for bit.  With ratio 1 every product by it is exact, so P is Pbar
+    bit for bit.
 
     Validated range: the addition theorem sum_m Pbar_{n,m}^2 = 2n+1
     holds to 1e-11 through n = 1800 at colatitudes 0.5 to 89.9 degrees.
     Beyond that the sectoral seeds underflow: at 20 degrees the sum is
     off by 2e-4 at n = 2000 and by 0.25 at n = 2200.
     """
+    m_max = n_max if m_max is None else min(m_max, n_max)
     a, b, sectoral = _recurrence_table(n_max)
     ratio = np.broadcast_to(np.asarray(ratio, dtype=float), u.shape)
-    width = max(1, _BLOCK_ELEMENTS // (n_max + 1))
+    width = max(1, _BLOCK_ELEMENTS // (m_max + 1))
     for start in range(0, len(u), width):
         cols = slice(start, start + width)
-        yield cols, _degree_steps(u[cols], s[cols], ratio[cols], n_max,
-                                  a, b, sectoral)
+        yield cols, _degree_steps(u[cols], None if s is None else s[cols],
+                                  ratio[cols], n_max, m_max, a, b, sectoral)
 
 
-def _degree_steps(u, s, ratio, n_max, a, b, sectoral):
-    ru, rs, r2 = ratio * u, ratio * s, ratio * ratio
+def _degree_steps(u, s, ratio, n_max, m_max, a, b, sectoral):
+    ru, r2 = ratio * u, ratio * ratio
+    rs = ratio * s if m_max else None
     # one allocation: the three latest degrees and a work block
-    bufs = np.empty((4, n_max + 1, len(u)))
+    bufs = np.empty((4, m_max + 1, len(u)))
     tmp = bufs[3]
     bufs[0, 0] = 1.0
     yield 0, bufs[0, :1]
     for n in range(1, n_max + 1):
         p, p1, p2 = bufs[n % 3], bufs[(n - 1) % 3], bufs[(n - 2) % 3]
-        np.multiply(a[n], ru, out=p[:n])
-        p[:n] *= p1[:n]
+        k = min(n, m_max + 1)           # rows of the column recurrence
+        np.multiply(a[n][:k], ru, out=p[:k])
+        p[:k] *= p1[:k]
         if n >= 2:
-            t = tmp[:n - 1]
-            np.multiply(b[n], r2, out=t)
-            t *= p2[:n - 1]
-            p[:n - 1] += t
-        np.multiply(p1[n - 1], rs, out=p[n])
-        p[n] *= sectoral[n]
-        yield n, p[:n + 1]
+            j = min(n - 1, m_max + 1)
+            t = tmp[:j]
+            np.multiply(b[n][:j], r2, out=t)
+            t *= p2[:j]
+            p[:j] += t
+        if n <= m_max:
+            np.multiply(p1[n - 1], rs, out=p[n])
+            p[n] *= sectoral[n]
+        yield n, p[:min(n, m_max) + 1]
 
 
 def ynm_bar(n, m, d):
@@ -282,14 +293,10 @@ def _nonnegative(name, value):
     return value
 
 
-def coeffs_from_point_masses(masses, R, n_max, G=1.0):
-    """Analytic expansion coefficients of a finite point-mass array
-    (PointMasses, or a sequence of PointMass objects).
-
-    C_{n,m} = (1/(M (2n+1))) sum_i m_i (||x_i||/R)^n Ybar_{n,m}(x_i_hat),
-    with GM = G * sum m_i.  Exact path, no surface quadrature.  Warns when
-    a mass sits outside the reference sphere.
-    """
+def _mass_weights(masses, R, n_max):
+    """(positions, |x_i|, |x_i|/R, m_i/M, M, n_max) of a point-mass array
+    checked for expansion about the origin at reference radius R; warns
+    when a mass sits outside the reference sphere."""
     pms = PointMasses.of(masses)
     R = float(R)
     if not R > 0:
@@ -300,14 +307,30 @@ def coeffs_from_point_masses(masses, R, n_max, G=1.0):
     d = np.linalg.norm(pos, axis=1)
     if np.any(d > R):
         warnings.warn("point mass outside the reference sphere; coefficient "
-                      "decay is not guaranteed", stacklevel=2)
+                      "decay is not guaranteed", stacklevel=3)
+    return pos, d, d / R, mval / M, M, n_max
+
+
+def _unit_cosines(dots, d):
+    """dots / d clipped to [-1, 1], and 1 where d = 0 (a mass at the
+    origin has a zonal expansion about any axis)."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        u = np.where(d > 0, pos[:, 2] / np.where(d > 0, d, 1.0), 1.0)
-    u = np.clip(u, -1.0, 1.0)
+        u = np.where(d > 0, dots / np.where(d > 0, d, 1.0), 1.0)
+    return np.clip(u, -1.0, 1.0)
+
+
+def coeffs_from_point_masses(masses, R, n_max, G=1.0):
+    """Analytic expansion coefficients of a finite point-mass array
+    (PointMasses, or a sequence of PointMass objects).
+
+    C_{n,m} = (1/(M (2n+1))) sum_i m_i (||x_i||/R)^n Ybar_{n,m}(x_i_hat),
+    with GM = G * sum m_i.  Exact path, no surface quadrature.  Warns when
+    a mass sits outside the reference sphere.
+    """
+    pos, d, ratio, weights, M, n_max = _mass_weights(masses, R, n_max)
+    u = _unit_cosines(pos[:, 2], d)
     s = np.sqrt(np.maximum(0.0, 1.0 - u * u))
     phi = np.arctan2(pos[:, 1], pos[:, 0])
-    ratio = d / R
-    weights = mval / M
     orders = np.arange(n_max + 1)
     C = np.zeros((n_max + 1, 2 * n_max + 1))
     for cols, degrees in _legendre_blocks(u, s, n_max, ratio):
@@ -322,6 +345,28 @@ def coeffs_from_point_masses(masses, R, n_max, G=1.0):
             C[n, n_max - n:n_max] += np.vecdot(ws[n:0:-1], q[n:0:-1])
     C *= 1.0 / (2 * orders[:, None] + 1)
     return SHECoefficients(R, G * M, n_max, C)
+
+
+def pointmass_direction_sums(masses, R, n_max, d):
+    """Direction sums b_n(d) = sum_m C_{n,m} Ybar_{n,m}(d), n = 0..n_max,
+    of the masses' coefficient set at reference radius R, straight from
+    the masses.
+
+    By the addition theorem b_n = sum_i w_i (|x_i|/R)^n P_n(x_i_hat . d)
+    with w_i = m_i / M, so the zonal slice of the Legendre kernel gives
+    them in O(N n_max), where `coeffs_from_point_masses` followed by
+    `direction_coefficient_table` costs O(N n_max^2).  d is a unit
+    3-vector.  Agrees with that path to about 1e-12 relative.
+    """
+    pos, dist, ratio, weights, _, n_max = _mass_weights(masses, R, n_max)
+    u = _unit_cosines(pos @ np.asarray(d, dtype=float), dist)
+    b = np.zeros(n_max + 1)
+    for cols, degrees in _legendre_blocks(u, None, n_max, ratio, m_max=0):
+        w = weights[cols]
+        for n, q in degrees:
+            b[n] += q[0] @ w
+    b /= np.sqrt(2 * np.arange(n_max + 1) + 1)
+    return b
 
 
 def coeffs_from_sphere_quadrature(potential_fn, R_quad, R, n_max,
@@ -411,13 +456,28 @@ def direction_term_sequence(c, d, r):
     r may be an array of radii: the result then has one row per radius,
     all from one direction table.
     """
+    b = direction_coefficient_table(c, [d.theta], [d.phi])[0]
+    return _series_terms(c.GM, c.ref_radius, b, r)
+
+
+def _series_terms(GM, R, b, r):
     r = np.asarray(r, dtype=float)
     if not np.all(r > 0):
         raise ValueError("radius must be positive")
-    b = direction_coefficient_table(c, [d.theta], [d.phi])[0]
-    nvals = np.arange(c.n_max + 1)
-    return ((c.GM / c.ref_radius) * (c.ref_radius / r[..., None]) ** (nvals + 1)
-            * b)
+    nvals = np.arange(len(b))
+    return (GM / R) * (R / r[..., None]) ** (nvals + 1) * b
+
+
+def series_value(GM, R, b, r):
+    """The series (GM/R) sum_n (R/r)^(n+1) b_n over the given direction
+    sums b, by compensated summation.
+
+    An array of radii gives an array of values.
+    """
+    t = _series_terms(GM, R, b, r)
+    if t.ndim == 1:
+        return float(math.fsum(t))
+    return np.array([math.fsum(row) for row in t])
 
 
 def evaluate_partial_sum(c, N, r, d):
@@ -428,10 +488,8 @@ def evaluate_partial_sum(c, N, r, d):
     N = int(N)
     if not 0 <= N <= c.n_max:
         raise ValueError("N must lie in [0, n_max]")
-    t = direction_term_sequence(c, d, r)[..., :N + 1]
-    if t.ndim == 1:
-        return float(math.fsum(t))
-    return np.array([math.fsum(row) for row in t])
+    b = direction_coefficient_table(c, [d.theta], [d.phi])[0]
+    return series_value(c.GM, c.ref_radius, b[:N + 1], r)
 
 
 def partial_sum_sequence(c, d, r):

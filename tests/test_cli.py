@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from gravharm import (PointMass, PointMasses, SHECoefficients, SnowmanParams,
-                      build_snowman, load_spma, snowman_descends_to_topography)
+                      build_snowman, coeffs_from_point_masses, load_spma,
+                      snowman_descends_to_topography)
 from gravharm.cli import load_point_masses, main
 
 from conftest import unit_ball_grid
@@ -340,6 +341,38 @@ def test_potential_runs_the_oracle_once_for_the_whole_ray(
     assert oracle[:4] == ["ERROR"] * 4 and "ERROR" not in oracle[4:]
 
 
+def test_potential_series_of_origin_masses_is_gm_over_r(tmp_path):
+    # at the origin every degree above 0 vanishes, so the series is GM/r
+    # to the last bit (GM = 2: the product by 1/r is exact)
+    path = tmp_path / "origin.txt"
+    path.write_text("0 0 0 1\n0 0 0 1\n")
+    out = tmp_path / "pot.csv"
+    assert run(["potential", "--points", path, "--direction", "0.3,1,1",
+                "--r-from", 0, "--r-to", 3, "--samples", 31, "--n-max", 50,
+                "--out", out]) == 0
+    ray = _ray(out)
+    assert ray[0][4] == "ERROR"
+    for r, row in zip(np.linspace(0, 3, 31)[1:], ray[1:]):
+        assert row[4] == 2.0 / r
+
+
+def test_potential_series_matches_the_coefficient_path(tmp_path,
+                                                       two_mass_file):
+    from gravharm import Direction, evaluate_partial_sum
+    out = tmp_path / "pot.csv"
+    assert run(["potential", "--points", two_mass_file, "--direction",
+                "1,-2,0.5", "--r-from", 0.6, "--r-to", 3, "--samples", 9,
+                "--n-max", 80, "--out", out]) == 0
+    d = np.array([1.0, -2.0, 0.5])
+    d /= np.linalg.norm(d)
+    masses = load_point_masses(two_mass_file)
+    c = coeffs_from_point_masses(masses, 0.5, 80)
+    expect = evaluate_partial_sum(c, 80, np.linspace(0.6, 3, 9),
+                                  Direction.from_vector(d))
+    got = np.array([row[4] for row in _ray(out)])
+    assert np.allclose(got, expect, rtol=1e-14, atol=0)
+
+
 def test_potential_requires_range(snowman_file):
     assert run(["potential", "--spma", snowman_file]) == 2
 
@@ -407,6 +440,23 @@ def test_bad_inputs_name_what_is_wrong(tmp_path, capsys, argv, grid,
                        "--report", tmp_path / "r.json"]
     assert run(argv) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rc", "--snowman-gamma", 0.5, "--n-max", 9],
+     "default fit window (n_max/4..n_max) 2,9 must span at least 8 degrees "
+     "(set by --n-max)"),
+    (["rc", "--snowman-gamma", 0.5, "--window", "10,12"],
+     "fit window 10,12 must span at least 8 degrees (set by --window)"),
+    (["descent", "snowman", "--n-max", 9],
+     "default fit window (n_max/4..n_max) 2,9 must span at least 8 degrees "
+     "(set by --n-max)"),
+], ids=["rc-n-max", "rc-window", "descent-n-max"])
+def test_short_fit_windows_name_the_option(tmp_path, capsys, argv, message):
+    out = tmp_path / "rc.csv"
+    assert run(argv + ["--out", out]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from gravharm import (AllDirectionsInconclusive, Direction, PointMass, SPMA,
                       classify_partial_sums, coeffs_from_point_masses,
                       epsilon_descent_check, estimate_rc,
                       estimate_rc_reports, quadratic_bump)
-from gravharm.convergence import _fit_report
+from gravharm.convergence import ABS_FLOOR, _fit_report, fit_window
 from gravharm.she import direction_coefficient_table
 
 
@@ -52,6 +52,66 @@ def test_estimate_rc_window_validation():
         estimate_rc(c, k=4, window=(10, 70))     # beyond n_max
     with pytest.raises(ValueError):
         estimate_rc(c, k=0)
+
+
+def _polyfit_report(b, window, ref_radius):
+    """(rc, residual) of the root test by np.polyfit: the fit the closed
+    form replaced, kept as its reference."""
+    ns = np.arange(window[0], window[1] + 1)
+    vals = np.abs(b[window[0]:window[1] + 1])
+    keep = vals > ABS_FLOOR
+    x, y = ns[keep], np.log(vals[keep])
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = np.sqrt(np.mean((y - (slope * x + intercept)) ** 2))
+    return ref_radius * math.exp(slope), resid
+
+
+def test_closed_form_fit_matches_polyfit():
+    rng = np.random.default_rng(3)
+    c = coeffs_from_point_masses(
+        [PointMass(rng.uniform(-0.5, 0.5, 3), m) for m in (1.0, 2.0, 0.7)],
+        1.3, 120)
+    tables = [direction_coefficient_table(c, rng.uniform(0, math.pi, 16),
+                                          rng.uniform(0, 2 * math.pi, 16))]
+    # noisy geometric decay with up to 40% of the window under the floor
+    n = np.arange(121)
+    for skipped in (0, 10, 30, 36):
+        b = 0.9 ** n * np.exp(rng.normal(scale=0.3, size=n.size))
+        b[rng.choice(np.arange(30, 121), skipped, replace=False)] = 0.0
+        tables.append(b[None])
+    for table in tables:
+        for b in table:
+            rep = _fit_report(b, Direction(1.0, 1.0), (30, 120), 1.3)
+            assert rep.classification == "convergent_at"
+            rc, resid = _polyfit_report(b, (30, 120), 1.3)
+            assert rep.rc_estimate == pytest.approx(rc, rel=1e-12)
+            assert rep.residual == pytest.approx(resid, rel=1e-12)
+
+
+def test_a_mostly_skipped_window_is_inconclusive():
+    b = 0.9 ** np.arange(41)
+    b[10:40:2] = 0.0
+    b[11] = 0.0                           # 16 of 31 degrees under the floor
+    rep = _fit_report(b, Direction(1.0, 1.0), (10, 40), 1.0)
+    assert rep.classification == "inconclusive"
+    b[11] = 1e-299
+    assert _fit_report(b, Direction(1.0, 1.0), (10, 40),
+                       1.0).classification == "convergent_at"
+
+
+def test_fit_window_names_the_window():
+    assert fit_window(200) == (50, 200)
+    assert fit_window(60, (10, 60)) == (10, 60)
+    with pytest.raises(ValueError, match="default fit window .* 2,9 must "
+                                         "span at least 8 degrees"):
+        fit_window(9)
+    with pytest.raises(ValueError, match="fit window 10,12 must span"):
+        fit_window(60, (10, 12))
+    with pytest.raises(ValueError, match=r"fit window 10,70 must lie within "
+                                         r"\[0, n_max=60\]"):
+        fit_window(60, (10, 70))
+    with pytest.raises(ValueError, match="n_max must be non-negative"):
+        fit_window(-1)
 
 
 def test_estimate_rc_reports_ordering_and_content():

@@ -15,7 +15,8 @@ from gravharm import (Direction, PointMass, PointMasses, SHECoefficients,
                       coeffs_from_point_masses, coeffs_from_sphere_quadrature,
                       evaluate_partial_sum, fibonacci_directions, legendre_p,
                       partial_sum_sequence, pointmass_brillouin_radius,
-                      potential_point_masses, ynm_bar, ynm_table)
+                      pointmass_direction_sums, potential_point_masses,
+                      series_value, ynm_bar, ynm_table)
 from gravharm.she import direction_coefficient_table, direction_term_sequence
 
 from conftest import random_point_masses, unblocked_potential_point_masses
@@ -145,6 +146,50 @@ def test_legendre_kernel_column_blocks_are_independent(monkeypatch):
     # blocks of 3, 3, 3 and 2 points
     monkeypatch.setattr(she, "_BLOCK_ELEMENTS", 3 * 21)
     assert np.array_equal(_kernel_table(u, s, 20), whole)
+
+
+def _zonal_rows(u, n_max, ratio=1.0):
+    Q = np.zeros((n_max + 1, len(u)))
+    for cols, degrees in she._legendre_blocks(u, None, n_max, ratio,
+                                              m_max=0):
+        for n, q in degrees:
+            assert q.shape[0] == 1
+            Q[n, cols] = q[0]
+    return Q
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 60])
+@pytest.mark.parametrize("with_ratio", [False, True])
+def test_zonal_slice_is_row_zero_of_the_full_kernel(monkeypatch, n_max,
+                                                    with_ratio):
+    theta = np.concatenate([[0.0, math.pi / 2, math.pi],
+                            np.linspace(0.01, 3.1, 20)])
+    u, s = np.cos(theta), np.sin(theta)
+    ratio = np.linspace(0.05, 1.0, len(u)) if with_ratio else 1.0
+    full = _kernel_table(u, s, n_max, ratio)[:, 0]
+    assert np.array_equal(_zonal_rows(u, n_max, ratio), full)
+    # several column blocks: 5 points per block for the zonal slice
+    monkeypatch.setattr(she, "_BLOCK_ELEMENTS", 5)
+    assert np.array_equal(_zonal_rows(u, n_max, ratio), full)
+
+
+def test_bounded_orders_keep_their_rows_of_the_full_kernel():
+    theta = np.linspace(0.02, 3.1, 9)
+    u, s = np.cos(theta), np.sin(theta)
+    ratio = np.linspace(0.3, 1.0, len(u))
+    full = _kernel_table(u, s, 30, ratio)
+    for m_max in (1, 7, 29):
+        for cols, degrees in she._legendre_blocks(u, s, 30, ratio, m_max):
+            for n, p in degrees:
+                assert np.array_equal(p, full[n, :min(n, m_max) + 1, cols])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 57, 200])
+def test_legendre_p_is_the_full_kernels_zonal_row(n):
+    x = np.linspace(-1.0, 1.0, 101)
+    s = np.sqrt(1.0 - x * x)
+    full = _kernel_table(x, s, n)[n, 0] / math.sqrt(2 * n + 1)
+    assert np.array_equal(legendre_p(n, x), full)
 
 
 def test_legendre_kernel_addition_theorem_through_degree_1800():
@@ -414,6 +459,96 @@ def test_direction_coefficient_table_matches_ynm():
     for n in range(9):
         acc = sum(c.get(n, m) * ynm_bar(n, m, d) for m in range(-n, n + 1))
         assert b[n] == pytest.approx(acc, rel=1e-12, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# direction sums straight from the masses
+
+def _agree_with_coefficient_path(masses, R, n_max, d):
+    """pointmass_direction_sums against the direction table of the full
+    coefficient set, relative to the degree's scale sum_i w_i rho_i^n
+    (|P_n| <= 1 bounds |b_n| by it).  Where the masses' terms cancel,
+    both paths carry roundoff of that scale, not of b_n itself."""
+    fast = pointmass_direction_sums(masses, R, n_max, d)
+    c = coeffs_from_point_masses(masses, R, n_max)
+    dirn = Direction.from_vector(d)
+    slow = direction_coefficient_table(c, [dirn.theta], [dirn.phi])[0]
+    assert fast.shape == (n_max + 1,)
+    pms = PointMasses.of(masses)
+    w = pms.masses / pms.masses.sum()
+    rho = np.linalg.norm(pms.positions, axis=1) / R
+    scale = w @ rho[:, None] ** np.arange(n_max + 1)
+    assert np.all(np.abs(fast - slow) <= 1e-12 * scale)
+    return fast, slow
+
+
+def test_direction_sums_of_the_snowman():
+    from gravharm import SnowmanParams, build_snowman
+    pm = build_snowman(SnowmanParams(0.5)).as_point_masses()
+    R = pointmass_brillouin_radius(pm)
+    for d in ([0, 1, 1], [1, 0, 0], [0.3, -0.2, 0.9]):
+        d = np.array(d, dtype=float) / np.linalg.norm(d)
+        fast, slow = _agree_with_coefficient_path(pm, R, 200, d)
+        # two equal masses: no cancellation outside the vanishing odd
+        # degrees, so the paths agree relative to b_n itself
+        big = np.abs(slow) > 1e-12 * np.abs(slow).max()
+        assert np.all(np.abs(fast - slow)[big] <= 1e-12 * np.abs(slow[big]))
+
+
+def test_direction_sums_of_a_thousand_masses():
+    rng = np.random.default_rng(7)
+    pos = rng.normal(size=(1000, 3))
+    pos *= rng.uniform(0.0, 0.9, size=(1000, 1)) / np.linalg.norm(
+        pos, axis=1)[:, None]
+    pos[0] = 0.0                                  # one mass at the origin
+    pm = PointMasses(pos, rng.uniform(0.1, 2.0, 1000))
+    d = rng.normal(size=3)
+    _agree_with_coefficient_path(pm, 1.0, 120, d / np.linalg.norm(d))
+
+
+def test_direction_sums_with_masses_on_the_direction_and_at_the_origin():
+    d = np.array([1.0, 2.0, -2.0]) / 3.0
+    pm = PointMasses(np.array([0.5 * d, -0.7 * d, 0.9 * d, [0, 0, 0]]),
+                     [1.0, 2.0, 0.5, 3.0])
+    b = _agree_with_coefficient_path(pm, 1.0, 80, d)[0]
+    # on the axis P_n(+-1) = (+-1)^n, so b_n is a sum of powers
+    n = np.arange(81)
+    w = np.array([1.0, 2.0, 0.5]) / 6.5
+    expect = w @ (np.array([[0.5], [-0.7], [0.9]]) ** n)
+    expect[0] += 3.0 / 6.5
+    assert np.allclose(b, expect, rtol=1e-12, atol=0)
+    for n_max in (0, 1):
+        assert np.array_equal(
+            _agree_with_coefficient_path(pm, 1.0, n_max, d)[0], b[:n_max + 1])
+
+
+def test_direction_sums_of_origin_masses_are_one_then_zero():
+    pm = PointMasses(np.zeros((2, 3)), [1.0, 1.0])
+    b = pointmass_direction_sums(pm, 1.0, 30, np.array([0.0, 0.6, 0.8]))
+    assert b[0] == 1.0 and np.all(b[1:] == 0.0)
+
+
+def test_direction_sums_validate_like_the_coefficients():
+    pm = PointMasses(np.array([[0.0, 0.0, 0.5]]), [1.0])
+    with pytest.raises(ValueError, match="n_max"):
+        pointmass_direction_sums(pm, 1.0, -1, np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="reference radius"):
+        pointmass_direction_sums(pm, 0.0, 5, np.array([0.0, 0.0, 1.0]))
+    with pytest.warns(UserWarning, match="outside the reference sphere"):
+        pointmass_direction_sums(pm, 0.4, 5, np.array([0.0, 0.0, 1.0]))
+
+
+def test_series_value_is_the_partial_sum_of_the_same_direction_sums():
+    pm = PointMasses(np.array([[0.2, 0.0, 0.3], [-0.1, 0.2, 0.0]]),
+                     [1.0, 0.5])
+    c = coeffs_from_point_masses(pm, 1.0, 20)
+    d = Direction(0.7, 2.0)
+    b = direction_coefficient_table(c, [d.theta], [d.phi])[0]
+    radii = np.array([1.1, 1.5, 3.0])
+    assert np.array_equal(series_value(c.GM, 1.0, b[:16], radii),
+                          evaluate_partial_sum(c, 15, radii, d))
+    assert series_value(c.GM, 1.0, b, 1.5) == evaluate_partial_sum(
+        c, 20, 1.5, d)
 
 
 # ---------------------------------------------------------------------------
