@@ -101,17 +101,17 @@ def _fit_report(b, d, window, ref_radius):
     form about their means.
     """
     n_lo, n_hi = window
-    ns = np.arange(n_lo, n_hi + 1)
     vals = np.abs(b[n_lo:n_hi + 1])
-    keep = vals > ABS_FLOOR
-    if keep.sum() <= len(ns) / 2:
+    x = np.flatnonzero(vals > ABS_FLOOR)    # kept degrees, less n_lo
+    if 2 * len(x) <= len(vals):
         return ConvergenceReport(d, 0.0, "root_test", (n_lo, n_hi),
                                  float("inf"), "inconclusive")
-    x, y = ns[keep], np.log(vals[keep])
-    x = x - x.mean()
-    y -= y.mean()
+    y = np.log(vals[x])
+    x = x - x.sum() / len(x)
+    y -= y.sum() / len(y)
     slope = (x @ y) / (x @ x)
-    resid = float(np.sqrt(np.mean((y - slope * x) ** 2)))
+    y -= slope * x
+    resid = math.sqrt((y @ y) / len(y))
     rc = float(ref_radius * math.exp(slope))
     return ConvergenceReport(d, rc, "root_test", (n_lo, n_hi), resid,
                              "convergent_at")

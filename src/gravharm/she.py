@@ -85,19 +85,21 @@ _BLOCK_ELEMENTS = 1 << 19
 
 
 @functools.lru_cache(maxsize=8)
-def _recurrence_table(n_max):
-    """Recurrence coefficients for degrees 0..n_max, built once per n_max.
+def _recurrence_table(n_max, m_max):
+    """Recurrence coefficients for degrees 0..n_max and orders up to
+    m_max, built once per (n_max, m_max).
 
-    a[n] holds a_{n,m} for m = 0..n-1 and b[n] holds b_{n,m} for
-    m = 0..n-2, both as (count, 1) columns; sectoral[n] is the factor
-    taking Pbar_{n-1,n-1} / sin to Pbar_{n,n}.
+    a[n] holds a_{n,m} for m = 0..min(n-1, m_max) and b[n] holds b_{n,m}
+    for m = 0..min(n-2, m_max), both as (count, 1) columns, so their
+    lengths are the rows each step of the column recurrence updates;
+    sectoral[n] is the factor taking Pbar_{n-1,n-1} / sin to Pbar_{n,n}.
     """
     a, b = [None], [None]
     for n in range(1, n_max + 1):
-        m = np.arange(n)
+        m = np.arange(min(n, m_max + 1))
         a.append(np.sqrt((2 * n - 1) * (2 * n + 1)
                          / ((n - m) * (n + m)))[:, None])
-        m = m[:-1]
+        m = np.arange(min(n - 1, m_max + 1))
         b.append(-np.sqrt((2 * n + 1) * (n + m - 1) * (n - m - 1)
                           / ((n - m) * (n + m) * (2 * n - 3)))[:, None])
     k = np.arange(n_max + 1)
@@ -130,7 +132,7 @@ def _legendre_blocks(u, s, n_max, ratio=1.0, m_max=None):
     off by 2e-4 at n = 2000 and by 0.25 at n = 2200.
     """
     m_max = n_max if m_max is None else min(m_max, n_max)
-    a, b, sectoral = _recurrence_table(n_max)
+    a, b, sectoral = _recurrence_table(n_max, m_max)
     ratio = np.broadcast_to(np.asarray(ratio, dtype=float), u.shape)
     width = max(1, _BLOCK_ELEMENTS // (m_max + 1))
     for start in range(0, len(u), width):
@@ -149,19 +151,20 @@ def _degree_steps(u, s, ratio, n_max, m_max, a, b, sectoral):
     yield 0, bufs[0, :1]
     for n in range(1, n_max + 1):
         p, p1, p2 = bufs[n % 3], bufs[(n - 1) % 3], bufs[(n - 2) % 3]
-        k = min(n, m_max + 1)           # rows of the column recurrence
-        np.multiply(a[n][:k], ru, out=p[:k])
+        an, bn = a[n], b[n]
+        k, j = len(an), len(bn)
+        np.multiply(an, ru, out=p[:k])
         p[:k] *= p1[:k]
-        if n >= 2:
-            j = min(n - 1, m_max + 1)
+        if j:
             t = tmp[:j]
-            np.multiply(b[n][:j], r2, out=t)
+            np.multiply(bn, r2, out=t)
             t *= p2[:j]
             p[:j] += t
         if n <= m_max:
             np.multiply(p1[n - 1], rs, out=p[n])
             p[n] *= sectoral[n]
-        yield n, p[:min(n, m_max) + 1]
+            k += 1
+        yield n, p[:k]
 
 
 def ynm_bar(n, m, d):
