@@ -359,7 +359,9 @@ def pointmass_direction_sums(masses, R, n_max, d):
     with w_i = m_i / M, so the zonal slice of the Legendre kernel gives
     them in O(N n_max), where `coeffs_from_point_masses` followed by
     `direction_coefficient_table` costs O(N n_max^2).  d is a unit
-    3-vector.  Agrees with that path to about 1e-12 relative.
+    3-vector.  Agrees with that path to about 1e-15 of the degree's
+    scale sum_i w_i (|x_i|/R)^n, which bounds |b_n|; where the masses'
+    terms cancel, both paths carry roundoff of that scale.
     """
     pos, dist, ratio, weights, _, n_max = _mass_weights(masses, R, n_max)
     u = _unit_cosines(pos @ np.asarray(d, dtype=float), dist)
