@@ -8,6 +8,7 @@ inputs.  Exit codes: 0 success, 2 validation failure, 3 numeric failure
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -356,7 +357,6 @@ def build_parser():
                         "of the potential, written to OUT.quad")
     p.add_argument("--quad-radius", type=float)
     p.add_argument("--oversample", type=int, default=80)
-    p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("descent", help="does the expansion reach the "
                                        "topography / eps below the sphere?")
@@ -370,7 +370,6 @@ def build_parser():
     p.add_argument("--n-max", type=int, default=400)
     p.add_argument("--directions", type=int, default=64)
     p.add_argument("--out", help="per-direction convergence CSV")
-    p.set_defaults(func=cmd_descent)
 
     p = sub.add_parser("approximate",
                        help="smoothed-array approximation of a grid density")
@@ -381,7 +380,6 @@ def build_parser():
     p.add_argument("--min-ball-radius", type=float, default=0.0)
     p.add_argument("--out", help="output SPMA file")
     p.add_argument("--report", help="verification JSON")
-    p.set_defaults(func=cmd_approximate)
 
     p = sub.add_parser("potential", help="potential along a ray to CSV")
     _add_mass_model(p)
@@ -395,7 +393,6 @@ def build_parser():
     p.add_argument("--oracle-resolution", type=int, default=0,
                    help="brute-force quadrature resolution (0: skip)")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_potential)
 
     p = sub.add_parser("rc", help="convergence-radius estimate")
     _add_mass_model(p)
@@ -403,7 +400,6 @@ def build_parser():
     p.add_argument("--directions", type=int, default=64)
     p.add_argument("--window", help="fit window 'n_lo,n_hi'")
     p.add_argument("--out", help="per-direction CSV")
-    p.set_defaults(func=cmd_rc)
 
     p = sub.add_parser("snowman-scan",
                        help="sweep gamma; waist radius and descent flag")
@@ -414,19 +410,25 @@ def build_parser():
                    help="bisect where the descent verdict flips")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_snowman_scan)
     ap.subcommands = sub.choices
     return ap
 
 
+@functools.cache
+def _parser():
+    """build_parser's parser, built once per process: parsing leaves no
+    state in it, so every call of main parses as on a fresh one."""
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
+    ap = _parser()
     try:
         args = ap.parse_args(argv)
         if args.config:
             with open(args.config) as fh:
                 conf = json.load(fh)
-            known = set(vars(args)) - {"command", "func"}
+            known = set(vars(args)) - {"command"}
             unknown = sorted(set(conf) - known)
             if unknown:
                 raise CliError("unknown config keys: %s" % ", ".join(unknown))
@@ -448,7 +450,10 @@ def main(argv=None):
                                        % (key, types[key].__name__, value))
                 if getattr(args, key) == command.get_default(key):
                     setattr(args, key, value)
-        return args.func(args)
+        # the command is looked up as it runs, not bound into the parser,
+        # so a cmd_* function rebound on this module since the parser was
+        # built is the one called
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code

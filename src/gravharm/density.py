@@ -37,6 +37,9 @@ _BLOCK = 2**15     # entries per batched step: a few MB of temporaries per worke
 # calls it would make with _BLOCK, so it hands the interpreter lock over
 # less often
 _DISTANCE_BLOCK = 2 * _BLOCK
+# points and mean run length from which _each_distance_block shares terms
+# along runs of equal z (_z_runs)
+_RUN_POINTS, _RUN_LENGTH = 64, 8
 _CHORD_WIDTH = 16  # nodes along z from which a component scatters chords (_grid_slab)
 
 
@@ -633,12 +636,46 @@ def _distance_blocks(x, positions):
         yield p, db
 
 
+def _z_runs(x, n_positions):
+    """x's runs of equal z, grouped by their xy columns: one [length,
+    starts] per set of runs whose x and y are equal byte for byte, in
+    order of first start.  None unless x has at least _RUN_POINTS points
+    in runs averaging at least _RUN_LENGTH points and half a distance
+    block against n_positions centers: below that the run path's further
+    numpy calls cost more than the terms it shares."""
+    if len(x) < _RUN_POINTS:
+        return None
+    z = x[:, 2]
+    starts = np.flatnonzero(z[1:] != z[:-1]) + 1
+    half_block = _DISTANCE_BLOCK / 2 / max(n_positions, 1)
+    if len(x) < (len(starts) + 1) * max(_RUN_LENGTH, half_block):
+        return None
+    groups = {}
+    bounds = [0, *starts.tolist(), len(x)]
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        groups.setdefault(x[s:e, :2].tobytes(), [e - s, []])[1].append(s)
+    return list(groups.values())
+
+
 def _each_distance_block(x, positions, body):
-    """body(p, d) for each (p, d) of _distance_blocks(x, positions), on
-    every core: the points are cut into one contiguous run of whole
-    blocks per core, each run with its own buffers, and p indexes x.
-    Each block is the one the serial loop makes, so a body whose rows
-    depend only on their own point gives the same bits."""
+    """body(p, d) for every point of x, d[i, j] being the distance from
+    x[p[i]] to positions[j] bit for bit as np.linalg.norm(x[p, None] -
+    positions, axis=2) gives it, on every core.  Each worker has its own
+    buffers, so a body may overwrite d; p indexes x, and a body whose
+    rows depend only on their own point gives the same bits whatever
+    the blocks.
+
+    Points in runs of equal z (`_z_runs`), such as the latitude rings of
+    a quadrature sphere, take the run path: each run is cut into chunks
+    of a block's rows, and a chunk's (x - p_x)^2 + (y - p_y)^2 is made
+    once for every run of its xy group (a ring and its mirror ring),
+    each run adding its one (z - p_z)^2 per center in a second buffer.
+    Any other points are cut into one contiguous run of whole
+    _distance_blocks blocks per core."""
+    groups = _z_runs(x, len(positions))
+    if groups is not None:
+        _each_run_chunk(x, positions, groups, body)
+        return
     step = _block_rows(len(positions), _DISTANCE_BLOCK)
     blocks = -(-len(x) // step)
     runs = max(1, min(_WORKERS, blocks))
@@ -649,6 +686,37 @@ def _each_distance_block(x, positions, body):
             body(p + cuts[k], d)
 
     _parallel(run, range(runs))
+
+
+def _each_run_chunk(x, positions, groups, body):
+    """_each_distance_block's run path over `groups` (_z_runs): the
+    chunks of the xy groups, in order, are dealt round the workers."""
+    pos = np.ascontiguousarray(positions.T)       # (3, N): one row per axis
+    step = _block_rows(pos.shape[1], _DISTANCE_BLOCK)
+    chunks = [(a, min(a + step, length), starts) for length, starts in groups
+              for a in range(0, length, step)]
+    workers = max(1, min(_WORKERS, len(chunks)))
+    rows = max(b - a for a, b, _ in chunks)
+
+    def run(k):
+        xy, d = np.empty((2, rows, pos.shape[1]))
+        dz = np.empty(pos.shape[1])
+        for a, b, starts in chunks[k::workers]:
+            xp = x[starts[0] + a:starts[0] + b]
+            xyb, db = xy[:b - a], d[:b - a]
+            np.subtract(xp[:, 0, None], pos[0], out=xyb)
+            np.square(xyb, out=xyb)
+            np.subtract(xp[:, 1, None], pos[1], out=db)
+            np.square(db, out=db)
+            xyb += db
+            for s in starts:
+                np.subtract(x[s, 2], pos[2], out=dz)
+                np.square(dz, out=dz)
+                np.add(xyb, dz, out=db)
+                np.sqrt(db, out=db)
+                body(np.arange(s + a, s + b), db)
+
+    _parallel(run, range(workers))
 
 
 def evaluate(density, x):

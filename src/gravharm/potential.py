@@ -11,9 +11,9 @@ import math
 
 import numpy as np
 
-from .density import (_BLOCK, SPMA, PointMasses, _count,
-                      _each_distance_block, _grid_slab, _parallel,
-                      midpoint_nodes)
+from .density import (_BLOCK, _DISTANCE_BLOCK, SPMA, PointMasses,
+                      _block_rows, _count, _each_distance_block, _grid_slab,
+                      _parallel, midpoint_nodes)
 
 __all__ = ["potential_point_masses", "potential_spm", "potential_spma",
            "potential_oracle", "oracle_clear"]
@@ -200,6 +200,12 @@ def potential_oracle(density, x, G=1.0, resolution=128, subcell=1):
     error without changing the quadrature resolution; 1/r itself is
     harmonic away from the support, so its midpoint error is already
     high-order.
+
+    The density is voxelized once per call, on every core, in slabs of
+    whole coarse layers: as many as `_DISTANCE_BLOCK` fine nodes hold,
+    and one where a layer alone holds more.  Each node takes its terms
+    in component order whatever its slab, and each coarse layer is
+    averaged by itself, so the slab size changes no bits.
     """
     _check_G(G)
     n, s = _count("resolution", resolution), _count("subcell", subcell)
@@ -214,12 +220,17 @@ def potential_oracle(density, x, G=1.0, resolution=128, subcell=1):
     fine_axes, _, fine_w = midpoint_nodes(*box, n * s)
     fine_origin = np.array([a[0] for a in fine_axes])
     vals = np.empty((n,) * 3)
+    # whole coarse layers per slab, as many as _DISTANCE_BLOCK fine nodes
+    # hold, at least one
+    layers = _block_rows(s * (n * s) ** 2, _DISTANCE_BLOCK)
 
-    def slab(i):               # `subcell` fine layers, one coarse layer
+    def slab(i):               # coarse layers i.. of `subcell` fine layers
+        stop = min(i + layers, n)
         fine = _grid_slab(density, fine_origin, fine_w, (n * s,) * 3,
-                          i * s, (i + 1) * s)
-        vals[i] = _subcell_mean(fine, s)
-    _parallel(slab, range(n))
+                          i * s, stop * s)
+        for k in range(i, stop):
+            vals[k] = _subcell_mean(fine[(k - i) * s:(k - i + 1) * s], s)
+    _parallel(slab, range(0, n, layers))
     mask = vals > 0
     pts = np.stack([ax[i] for ax, i in zip(axes, np.nonzero(mask))], axis=-1)
     weights = vals[mask]

@@ -73,3 +73,33 @@ def across_workers(monkeypatch, call):
             m.setattr(density, "_WORKERS", workers)
             out.append(call())
     return out
+
+
+def quadrature_sphere(n_band, radius=1.3):
+    """coeffs_from_sphere_quadrature's sample points at band n_band: its
+    n_band + 1 Gauss-Legendre latitude rings of 2 n_band + 2 points, one
+    ring after another, mirror rings sharing their xy bit for bit."""
+    x_gl, _ = np.polynomial.legendre.leggauss(n_band + 1)
+    phis = 2.0 * np.pi * np.arange(2 * n_band + 2) / (2 * n_band + 2)
+    sin_t = np.sqrt(np.maximum(0.0, 1.0 - x_gl * x_gl))
+    return radius * np.stack(np.broadcast_arrays(
+        sin_t[:, None] * np.cos(phis), sin_t[:, None] * np.sin(phis),
+        x_gl[:, None]), axis=-1).reshape(-1, 3)
+
+
+def z_run_layouts(rng):
+    """Points in runs of equal z, by name: quadrature spheres with odd and
+    even ring counts; runs of 25, 3, 25, 40, 25 and 12 points, the three
+    25-point runs sharing their xy, the others with no twin; and a 6 x 6
+    x 5 Cartesian grid ordered z-slowest, one xy group of five runs."""
+    xy = rng.uniform(-2, 2, (4, 40, 2))
+    runs = [(xy[0, :25], 0.1), (xy[1, :3], 0.2), (xy[0, :25], -0.4),
+            (xy[2], 0.3), (xy[0, :25], 0.7), (xy[3, :12], -0.9)]
+    ax = np.linspace(-1.5, 1.5, 6)
+    grid = np.stack(np.meshgrid(ax, ax, np.linspace(-1, 1, 5),
+                                indexing="ij"), axis=-1)
+    return {"sphere-21-rings": quadrature_sphere(20),
+            "sphere-22-rings": quadrature_sphere(21),
+            "unequal-runs": np.vstack([np.column_stack([p, np.full(len(p), z)])
+                                       for p, z in runs]),
+            "grid-z-slowest": grid.transpose(2, 1, 0, 3).reshape(-1, 3)}

@@ -12,6 +12,7 @@ import pytest
 from gravharm import (PointMass, PointMasses, SHECoefficients, SnowmanParams,
                       build_snowman, coeffs_from_point_masses, load_spma,
                       snowman_descends_to_topography)
+from gravharm import cli
 from gravharm.cli import load_point_masses, main
 
 from conftest import unit_ball_grid
@@ -621,3 +622,54 @@ def test_config_values_take_the_flag_type(tmp_path, capsys, argv, conf, code,
     argv = [pm if a == "PM" else a for a in argv]
     assert run(["--config", path] + argv) == code
     assert err in capsys.readouterr().err
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process main call; an
+    argparse rejection exits through SystemExit."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_calls_on_the_one_parser_print_what_fresh_parsers_print(tmp_path,
+                                                                capsys):
+    # main builds its parser once per process; a config call, a rejected
+    # call and the same subcommand without the config must leave nothing
+    # behind in it
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"gamma": 0.3, "n_max": 60, "directions": 8}))
+    calls = [["--config", conf, "descent", "snowman"],
+             ["descent", "nobody"],
+             ["snowman-scan", "--gamma-from", 0.2, "--gamma-to", 0.6,
+              "--steps", 3],
+             ["descent", "snowman", "--n-max", 60, "--directions", 8]]
+    cli._parser.cache_clear()
+    shared = [_outcome(argv, capsys) for argv in calls]
+    assert cli._parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(_outcome(argv, capsys))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0]
+    assert "invalid choice: 'nobody'" in shared[1][2]
+    assert shared[0][1] != shared[3][1]       # gamma 0.3, then the default
+
+
+def test_a_command_rebound_after_the_parser_was_built_is_called(monkeypatch,
+                                                                capsys):
+    # a tracer wraps cmd_* functions on the module: the one parser must
+    # not keep calling the functions it was built beside
+    assert run(["snowman-scan", "--gamma-from", 0.2, "--gamma-to", 0.6,
+                "--steps", 2]) == 0
+    capsys.readouterr()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_snowman_scan",
+                        lambda args: calls.append(args.steps) or 0)
+    assert run(["snowman-scan", "--gamma-from", 0.2, "--gamma-to", 0.6,
+                "--steps", 2]) == 0
+    assert calls == [2] and capsys.readouterr().out == ""

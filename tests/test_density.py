@@ -18,10 +18,12 @@ from gravharm import (GridDensity, PointMass, PointMasses, SPMA,
 from gravharm import density as density_module
 from gravharm.density import (COSINE, QUADRATIC, TABLE, _BLOCK, _CHORD_WIDTH,
                               _DISTANCE_BLOCK, _blocks, _distance_blocks,
-                              _grid_slab, _parallel, _row_blocks)
+                              _each_distance_block, _grid_slab, _parallel,
+                              _row_blocks, _z_runs)
 from gravharm.potential import _point_mass_sums
 
-from conftest import across_workers, mixed_spma
+from conftest import (across_workers, mixed_spma, quadrature_sphere,
+                      z_run_layouts)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +331,84 @@ def test_distance_blocks_hold_twice_block_entries():
         assert np.array_equal(d, _norm(x, positions, p))
         seen.append(len(p))
     assert seen == [_DISTANCE_BLOCK // 1000] * 3 + [5]      # the last partial
+
+
+# ---------------------------------------------------------------------------
+# the run path: points in runs of equal z share their distance terms, and
+# every row keeps np.linalg.norm's bits
+
+def _each_row(x, positions):
+    """Each point's d row from _each_distance_block and how often it came;
+    the body overwrites every d it is given, as the sums' bodies do."""
+    rows = np.full((len(x), len(positions)), np.nan)
+    seen = np.zeros(len(x), dtype=int)
+
+    def body(p, d):
+        rows[p] = d
+        seen[p] += 1
+        d[:] = -1.0
+    _each_distance_block(x, positions, body)
+    return rows, seen
+
+
+@pytest.mark.parametrize("layout", ["sphere-21-rings", "sphere-22-rings",
+                                    "unequal-runs", "grid-z-slowest"])
+def test_run_path_rows_are_linalg_norm(monkeypatch, layout):
+    # blocks of 2048 distances against 200 centers: chunks of 10 points,
+    # so the 3-point run fits one chunk and the rings span several
+    monkeypatch.setattr(density_module, "_DISTANCE_BLOCK", 2048)
+    rng = np.random.default_rng(40)
+    x = z_run_layouts(rng)[layout]
+    positions = rng.uniform(-1, 1, (200, 3))
+    positions[17] = x[len(x) // 2]          # a point exactly on a center
+    assert _z_runs(x, len(positions)) is not None
+    expect = _norm(x, positions, np.arange(len(x)))
+    for rows, seen in across_workers(monkeypatch,
+                                     lambda: _each_row(x, positions)):
+        assert np.all(seen == 1)
+        assert np.array_equal(rows, expect)
+    assert expect[len(x) // 2, 17] == 0.0
+
+
+def test_run_groups_pair_mirror_rings():
+    # Gauss-Legendre nodes are symmetric bit for bit, so a ring and its
+    # mirror ring share their xy; an odd ring count leaves the equator alone
+    for n_band, groups in ((20, 11), (21, 11)):
+        x = quadrature_sphere(n_band)
+        runs = _z_runs(x, 1000)
+        assert len(runs) == groups
+        assert {length for length, _ in runs} == {2 * n_band + 2}
+        assert sorted(len(starts) for _, starts in runs) == \
+            [1] * (n_band % 2 == 0) + [2] * ((n_band + 1) // 2)
+        for _, starts in runs[:-1]:
+            first, last = starts
+            assert last == len(x) - first - (2 * n_band + 2)
+    grid = z_run_layouts(np.random.default_rng(0))["grid-z-slowest"]
+    assert _z_runs(grid, 1000) == [[36, [0, 36, 72, 108, 144]]]
+
+
+@pytest.mark.parametrize("x, n_positions", [
+    # each layout fails one condition alone: 5000 centers make half a
+    # block 6.6 points long
+    (quadrature_sphere(3), 5000),              # 4 rings of 8: 32 points
+    (np.repeat(np.arange(10.0), 7)[:, None] * [1, 1, 1], 5000),  # runs of 7
+    (quadrature_sphere(20), 20),    # rings of 42 points, half a block 819
+    (quadrature_sphere(20), 0),     # no center at all
+], ids=["few-points", "short-runs", "few-centers", "no-centers"])
+def test_layouts_below_the_threshold_take_the_block_path(monkeypatch, x,
+                                                         n_positions):
+    assert _z_runs(x, n_positions) is None
+    blocks = []
+
+    def spy(x, positions):
+        for p, d in _distance_blocks(x, positions):
+            blocks.append(len(p))
+            yield p, d
+    monkeypatch.setattr(density_module, "_distance_blocks", spy)
+    positions = np.random.default_rng(41).uniform(-1, 1, (n_positions, 3))
+    rows, seen = _each_row(x, positions)
+    assert sum(blocks) == len(x) and np.all(seen == 1)
+    assert np.array_equal(rows, _norm(x, positions, np.arange(len(x))))
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,13 @@ from gravharm import (PointMass, PointMasses, SPMA, SmoothedPointMass,
                       potential_spma, quadratic_bump, table_profile,
                       total_mass)
 from gravharm import density as density_module
-from gravharm.density import _BLOCK, _DISTANCE_BLOCK, midpoint_nodes
+from gravharm import potential as potential_module
+from gravharm.density import _BLOCK, _DISTANCE_BLOCK, _z_runs, midpoint_nodes
 from gravharm.potential import _fsums, _point_mass_sums, _subcell_mean
 
 from conftest import (across_workers, mixed_spma,
-                      unblocked_potential_point_masses, unit_ball_grid)
+                      unblocked_potential_point_masses, unit_ball_grid,
+                      z_run_layouts)
 
 
 def interior_oracle(profile, rho, G=1.0):
@@ -482,3 +484,78 @@ def test_oracle_keeps_its_bits_on_every_core(monkeypatch, density,
     assert _same_bits(runs)
     assert np.array_equal(runs[0], _loop_oracle(density, x, resolution,
                                                 subcell))
+
+
+# ---------------------------------------------------------------------------
+# points in runs of equal z (the distance kernel's run path) and the
+# oracle's slabs of whole coarse layers: the same bits as before either
+
+@pytest.mark.parametrize("layout", ["sphere-21-rings", "sphere-22-rings",
+                                    "unequal-runs", "grid-z-slowest"])
+def test_point_mass_sums_on_z_runs_match_unblocked_sum(monkeypatch, layout):
+    # 200 masses in blocks of 2048 distances: chunks of 10 points
+    monkeypatch.setattr(density_module, "_DISTANCE_BLOCK", 2048)
+    rng = np.random.default_rng(50)
+    x = z_run_layouts(rng)[layout]
+    masses = _random_masses(rng, 200)
+    on = [3, len(x) // 2, len(x) - 1]
+    for row, k in zip(on, (0, 99, 199)):
+        masses[k] = PointMass(x[row], masses[k].mass)
+    assert _z_runs(x, len(masses)) is not None
+    keep = np.ones(len(x), dtype=bool)
+    keep[on] = False
+    expect = unblocked_potential_point_masses(masses, x[keep], 0.37)
+    for v in across_workers(monkeypatch, lambda: _point_mass_sums(
+            PointMasses.of(masses), x, G=0.37)):
+        assert np.flatnonzero(np.isnan(v)).tolist() == on
+        assert np.array_equal(v[keep], expect)
+
+
+def test_spma_potential_on_z_runs_matches_component_loop(monkeypatch):
+    # the mixed SPMA's 10 centers in blocks of 160 distances: 16-point
+    # chunks, and the rings' 42 points pass half a block
+    monkeypatch.setattr(density_module, "_DISTANCE_BLOCK", 160)
+    spma = mixed_spma()
+    x = z_run_layouts(np.random.default_rng(51))["sphere-21-rings"]
+    x = np.vstack([x * 0.6, x * 0.05])      # inside the supports too
+    assert _z_runs(x, len(spma)) is not None
+    for v in across_workers(monkeypatch, lambda: potential_spma(spma, x)):
+        assert np.array_equal(v, _loop_potential_spma(spma, x, 1.0))
+
+
+@pytest.mark.parametrize("resolution, subcell", [(20, 1), (12, 3)])
+@pytest.mark.parametrize("layers", [1, 3, 7, 20])
+def test_oracle_slabs_of_whole_layers_keep_the_bits(monkeypatch, resolution,
+                                                    subcell, layers):
+    # a budget of `layers` coarse layers' fine nodes makes slabs of that
+    # many layers, the last one short where they do not divide the grid
+    fine = subcell * (resolution * subcell) ** 2
+    monkeypatch.setattr(potential_module, "_DISTANCE_BLOCK", layers * fine)
+    spma = SPMA(mixed_spma().components[:8])
+    x = np.array([[2.0, -1.5, 0.0], [-2.2, 2.0, -1.5], [0.0, 0.1, 2.4]])
+    expect = _loop_oracle(spma, x, resolution, subcell)
+    for v in across_workers(monkeypatch, lambda: potential_oracle(
+            spma, x, resolution=resolution, subcell=subcell)):
+        assert np.array_equal(v, expect)
+
+
+def test_oracle_slabs_hold_whole_layers_within_the_node_budget(monkeypatch):
+    # 2**16 fine nodes: 16 layers of 64^2 at subcell 1, 4 layers of 4 x
+    # 64^2 at subcell 4, and one layer where a layer alone holds more, as
+    # 4 x 160^2 here and 4 x 256^2 in the bench's shell-theorem oracle
+    slabs = []
+    grid_slab = potential_module._grid_slab
+
+    def spy(density, origin, spacing, shape, start, stop):
+        slabs.append((start, stop))
+        return grid_slab(density, origin, spacing, shape, start, stop)
+    monkeypatch.setattr(potential_module, "_grid_slab", spy)
+    monkeypatch.setattr(density_module, "_WORKERS", 1)
+    ball = SPMA([SmoothedPointMass((0, 0, 0), quadratic_bump(1.0, 1.0))])
+    x = np.array([[3.0, 0.0, 0.0]])
+    for resolution, subcell, layers in ((64, 1, 16), (16, 4, 4), (40, 4, 1)):
+        slabs.clear()
+        potential_oracle(ball, x, resolution=resolution, subcell=subcell)
+        step = layers * subcell
+        assert slabs == [(i, i + step)
+                         for i in range(0, resolution * subcell, step)]
