@@ -392,7 +392,7 @@ def test_run_groups_pair_mirror_rings():
     # block 6.6 points long
     (quadrature_sphere(3), 5000),              # 4 rings of 8: 32 points
     (np.repeat(np.arange(10.0), 7)[:, None] * [1, 1, 1], 5000),  # runs of 7
-    (quadrature_sphere(20), 20),    # rings of 42 points, half a block 819
+    (quadrature_sphere(20), 20),    # rings of 42 points, half a block 1638
     (quadrature_sphere(20), 0),     # no center at all
 ], ids=["few-points", "short-runs", "few-centers", "no-centers"])
 def test_layouts_below_the_threshold_take_the_block_path(monkeypatch, x,
