@@ -96,6 +96,13 @@ def _masses_from_args(args):
     return spma, spma.as_point_masses()
 
 
+def _check_directions(args):
+    """--directions, checked before any work."""
+    if args.directions < 1:
+        raise CliError("--directions must be at least 1, got %d"
+                       % args.directions)
+
+
 def _fit_window(n_max, window=None):
     """The root test's fit window, checked before any work; an unusable
     window names the option that set it."""
@@ -122,6 +129,9 @@ def _write_rc_csv(path, reports):
 
 def cmd_coeffs(args):
     _require(args, "out")
+    if args.quad_radius is not None and not 0 < args.quad_radius < np.inf:
+        raise CliError("--quad-radius must be positive and finite, got %s"
+                       % args.quad_radius)
     spma, masses = _masses_from_args(args)
     R_pm = pointmass_brillouin_radius(masses)
     R = args.R if args.R is not None else R_pm
@@ -148,6 +158,7 @@ def cmd_coeffs(args):
 
 
 def cmd_descent(args):
+    _check_directions(args)
     _fit_window(args.n_max)
     if args.subject == "snowman":
         rep = snowman_descends_to_topography(
@@ -205,6 +216,10 @@ def cmd_approximate(args):
 
 def cmd_potential(args):
     _require(args, "r-from", "r-to")
+    for name in ("r-from", "r-to"):
+        value = getattr(args, name.replace("-", "_"))
+        if not np.isfinite(value):
+            raise CliError("--%s must be finite, got %s" % (name, value))
     if args.samples < 1:
         raise CliError("--samples must be at least 1, got %d" % args.samples)
     if args.oracle_resolution < 0:
@@ -258,6 +273,7 @@ def cmd_potential(args):
 
 
 def cmd_rc(args):
+    _check_directions(args)
     spma, masses = _masses_from_args(args)
     if not pointmass_brillouin_radius(masses) > 0:
         raise CliError("all masses at the origin: no expansion to analyze")

@@ -33,9 +33,9 @@ __all__ = [
 QUADRATIC, COSINE, TABLE = 0, 1, 2          # profile kind codes
 KIND_NAMES = ("quadratic_bump", "cosine_bump", "table")
 _BLOCK = 2**15     # entries per batched step: a few MB of temporaries per worker
-# distances per _distance_blocks block: a worker makes half the numpy
-# calls it would make with _BLOCK, so it hands the interpreter lock over
-# less often
+# distances per _each_distance_block chunk: a worker makes half the
+# numpy calls it would make with _BLOCK, so it hands the interpreter lock
+# over less often
 _DISTANCE_BLOCK = 2 * _BLOCK
 # points and mean run length from which _each_distance_block shares terms
 # along runs of equal z (_z_runs)
@@ -141,8 +141,10 @@ def _problems(kind, a, p, mass, check_boundary):
                 (check_boundary & (values[..., -1] != 0.0),
                  "profile must vanish at the outer radius")]
     else:
-        out.append((~np.greater(p, 0), "amplitude must be positive"))
-    return out + [(~np.greater(mass, 0), "profile must carry positive mass")]
+        out.append((~(np.greater(p, 0) & np.isfinite(p)),
+                    "amplitude must be positive and finite"))
+    return out + [(~(np.greater(mass, 0) & np.isfinite(mass)),
+                   "profile must carry positive mass that is finite")]
 
 
 class RadialProfile:
@@ -569,7 +571,8 @@ def _parallel(fn, items):
     fn also runs on the helper threads, where bench/tracer.py's one span
     stack cannot follow it: it must call no function that the traced
     benchmark wraps (bench/layers.py), only kernels such as _grid_slab,
-    _distance_blocks and SPMA.profile / mass_within / tail_first_moment.
+    the chunk loop of _each_distance_block with its bodies, and
+    SPMA.profile / mass_within / tail_first_moment.
     """
     helpers = min(_WORKERS, len(items)) - 1
     if helpers < 1:
@@ -601,39 +604,12 @@ def _block_rows(width, block):
     return max(1, block // max(width, 1))
 
 
-def _blocks(total, width=1, block=None):
-    """Consecutive indices into range(total), about block (default
-    _BLOCK) / width at a time."""
-    step = _block_rows(width, _BLOCK if block is None else block)
+def _blocks(total, width=1):
+    """Consecutive indices into range(total), about _BLOCK / width at a
+    time."""
+    step = _block_rows(width, _BLOCK)
     for start in range(0, total, step):
         yield np.arange(start, min(start + step, total))
-
-
-def _distance_blocks(x, positions):
-    """(p, d) for each point block p of `_DISTANCE_BLOCK` distances: d[i, j]
-    is the distance from x[p[i]] to positions[j].  Callers reach it through
-    `_each_distance_block`.
-
-    Each d is summed coordinate by coordinate, (dx^2 + dy^2) + dz^2, the
-    order np.linalg.norm adds a length-3 axis in, so it equals
-    np.linalg.norm(x[p, None] - positions, axis=2) bit for bit.  d lives
-    in a (b, N) buffer that the next block overwrites; callers may
-    overwrite it too."""
-    pos = np.ascontiguousarray(positions.T)       # (3, N): one row per axis
-    d = t = None
-    for p in _blocks(len(x), pos.shape[1], _DISTANCE_BLOCK):
-        if d is None:              # the first block is the largest
-            d, t = np.empty((2, len(p), pos.shape[1]))
-        db, tb = d[:len(p)], t[:len(p)]
-        xp = x[p]
-        np.subtract(xp[:, 0, None], pos[0], out=db)
-        np.square(db, out=db)
-        for k in (1, 2):
-            np.subtract(xp[:, k, None], pos[k], out=tb)
-            np.square(tb, out=tb)
-            db += tb
-        np.sqrt(db, out=db)
-        yield p, db
 
 
 def _z_runs(x, n_positions):
@@ -641,8 +617,8 @@ def _z_runs(x, n_positions):
     starts] per set of runs whose x and y are equal byte for byte, in
     order of first start.  None unless x has at least _RUN_POINTS points
     in runs averaging at least _RUN_LENGTH points and half a distance
-    block against n_positions centers: below that the run path's further
-    numpy calls cost more than the terms it shares."""
+    block against n_positions centers: below that the one z row per run
+    costs more numpy calls than the terms it shares."""
     if len(x) < _RUN_POINTS:
         return None
     z = x[:, 2]
@@ -663,44 +639,31 @@ def _each_distance_block(x, positions, body):
     positions, axis=2) gives it, on every core.  Each worker has its own
     buffers, so a body may overwrite d; p indexes x, and a body whose
     rows depend only on their own point gives the same bits whatever
-    the blocks.
+    the chunks.
 
-    Points in runs of equal z (`_z_runs`), such as the latitude rings of
-    a quadrature sphere, take the run path: each run is cut into chunks
-    of a block's rows, and a chunk's (x - p_x)^2 + (y - p_y)^2 is made
-    once for every run of its xy group (a ring and its mirror ring),
-    each run adding its one (z - p_z)^2 per center in a second buffer.
-    Any other points are cut into one contiguous run of whole
-    _distance_blocks blocks per core."""
-    groups = _z_runs(x, len(positions))
-    if groups is not None:
-        _each_run_chunk(x, positions, groups, body)
-        return
-    step = _block_rows(len(positions), _DISTANCE_BLOCK)
-    blocks = -(-len(x) // step)
-    runs = max(1, min(_WORKERS, blocks))
-    cuts = [min(len(x), step * (blocks * k // runs)) for k in range(runs + 1)]
-
-    def run(k):
-        for p, d in _distance_blocks(x[cuts[k]:cuts[k + 1]], positions):
-            body(p + cuts[k], d)
-
-    _parallel(run, range(runs))
-
-
-def _each_run_chunk(x, positions, groups, body):
-    """_each_distance_block's run path over `groups` (_z_runs): the
-    chunks of the xy groups, in order, are dealt round the workers."""
+    x is taken as runs of points: the xy groups of `_z_runs` where it
+    finds runs of equal z (the latitude rings of a quadrature sphere, a
+    ring sharing its xy with its mirror ring), otherwise one run whose
+    points each take their own z.  Each run is cut into chunks of
+    `_DISTANCE_BLOCK` distances, dealt round the workers.  A chunk makes
+    (x - p_x)^2 + (y - p_y)^2 once for every run of its group; each run
+    then adds its (z - p_z)^2, one row when the run shares its z, and
+    takes the square root: np.linalg.norm's sum, (dx^2 + dy^2) + dz^2."""
     pos = np.ascontiguousarray(positions.T)       # (3, N): one row per axis
+    runs = _z_runs(x, pos.shape[1])
+    shared = runs is not None
+    if not shared:
+        runs = [(len(x), [0])]
     step = _block_rows(pos.shape[1], _DISTANCE_BLOCK)
-    chunks = [(a, min(a + step, length), starts) for length, starts in groups
+    chunks = [(a, min(a + step, length), starts) for length, starts in runs
               for a in range(0, length, step)]
     workers = max(1, min(_WORKERS, len(chunks)))
-    rows = max(b - a for a, b, _ in chunks)
+    rows = max((b - a for a, b, _ in chunks), default=0)
 
     def run(k):
         xy, d = np.empty((2, rows, pos.shape[1]))
-        dz = np.empty(pos.shape[1])
+        # the run's one z row, made only where runs share their z
+        zrow = np.empty((1, pos.shape[1])) if shared else None
         for a, b, starts in chunks[k::workers]:
             xp = x[starts[0] + a:starts[0] + b]
             xyb, db = xy[:b - a], d[:b - a]
@@ -709,8 +672,9 @@ def _each_run_chunk(x, positions, groups, body):
             np.subtract(xp[:, 1, None], pos[1], out=db)
             np.square(db, out=db)
             xyb += db
+            dz = db if zrow is None else zrow
             for s in starts:
-                np.subtract(x[s, 2], pos[2], out=dz)
+                np.subtract(x[s + a:s + a + len(dz), 2, None], pos[2], out=dz)
                 np.square(dz, out=dz)
                 np.add(xyb, dz, out=db)
                 np.sqrt(db, out=db)

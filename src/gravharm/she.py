@@ -391,6 +391,9 @@ def coeffs_from_sphere_quadrature(potential_fn, R_quad, R, n_max,
     Brillouin sphere.
     """
     R_quad, R = float(R_quad), float(R)
+    if not 0 < R_quad < math.inf:
+        raise ValueError("R_quad must be positive and finite, got %r"
+                         % R_quad)
     if brillouin_radius is not None and R_quad < brillouin_radius:
         warnings.warn("quadrature sphere lies inside the Brillouin sphere; "
                       "recovered coefficients are unreliable", stacklevel=2)

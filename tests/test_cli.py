@@ -420,6 +420,20 @@ def test_potential_requires_range(snowman_file):
      None, "--steps"),
     (["snowman-scan", "--gamma-from", 0.1, "--gamma-to", 0.9, "--steps", -1],
      None, "--steps"),
+    (["rc", "--snowman-gamma", 0.5, "--directions", 0], None, "--directions"),
+    (["descent", "snowman", "--directions", 0], None, "--directions"),
+    # checked before the file is read
+    (["descent", "spma", "--file", "missing.spma", "--eps", 0.1,
+      "--directions", -1], None, "--directions"),
+    (["potential", "--snowman-gamma", 0.5, "--r-from", "nan", "--r-to", 4],
+     None, "--r-from"),
+    (["potential", "--snowman-gamma", 0.5, "--r-from=-inf", "--r-to", 4],
+     None, "--r-from"),
+    (["potential", "--snowman-gamma", 0.5, "--r-from", 3, "--r-to", "inf"],
+     None, "--r-to"),
+    *[(["coeffs", "--snowman-gamma", 0.5, "--n-max", 8, "--dual-path",
+        "--quad-radius=%s" % r, "--out", "c.csv"], None, "--quad-radius")
+      for r in (0, -1.5, "nan", "inf")],
 ], ids=["window-one-value", "window-not-int", "resolution-1",
         "resolution-negative", "min-ball-radius", "grid-header-value",
         "grid-header-fields", "grid-value", "grid-spacing-zero",
@@ -427,9 +441,13 @@ def test_potential_requires_range(snowman_file):
         "grid-value-inf", "grid-value-count", "grid-disconnected",
         "grid-empty", "samples-0", "samples-negative",
         "oracle-resolution-negative", "direction-not-float",
-        "direction-infinite", "steps-0", "steps-negative"])
-def test_bad_inputs_name_what_is_wrong(tmp_path, capsys, argv, grid,
-                                       message):
+        "direction-infinite", "steps-0", "steps-negative", "rc-directions-0",
+        "descent-snowman-directions-0", "descent-spma-directions-negative",
+        "r-from-nan", "r-from-infinite", "r-to-infinite", "quad-radius-0",
+        "quad-radius-negative", "quad-radius-nan", "quad-radius-infinite"])
+def test_bad_inputs_name_what_is_wrong(tmp_path, monkeypatch, capsys, argv,
+                                       grid, message):
+    monkeypatch.chdir(tmp_path)             # where a relative --out lands
     if grid is not None:
         path = tmp_path / "ball.grid"
         if grid == "ok":

@@ -17,7 +17,7 @@ from gravharm import (GridDensity, PointMass, PointMasses, SPMA,
                       quadratic_bump, save_spma, table_profile, total_mass)
 from gravharm import density as density_module
 from gravharm.density import (COSINE, QUADRATIC, TABLE, _BLOCK, _CHORD_WIDTH,
-                              _DISTANCE_BLOCK, _blocks, _distance_blocks,
+                              _DISTANCE_BLOCK, _block_rows, _blocks,
                               _each_distance_block, _grid_slab, _parallel,
                               _row_blocks, _z_runs)
 from gravharm.potential import _point_mass_sums
@@ -82,6 +82,11 @@ def test_profile_validation_errors():
         table_profile([0.0, 0.5, 0.4], [1.0, 1.0, 0.0])  # non-monotone knots
     with pytest.raises(ValueError):
         constant_taper(1.0, 1.0, 1.5)
+    for bump in (quadratic_bump, cosine_bump):
+        with pytest.raises(ValueError, match="amplitude must be positive"):
+            bump(math.inf, 1.0)
+    with pytest.raises(ValueError, match="profile must carry positive mass"):
+        quadratic_bump(1e308, 100.0)                # the mass overflows
 
 
 def test_mass_within_is_monotone():
@@ -267,9 +272,13 @@ def test_spma_save_load_round_trip(tmp_path):
     "0 0 0 1 table 0 0.6 0.5 1 1 1 1 0",
     "0 0 0 1 table 0 1 -1 0",
     "0 0 0 1 table 0 1 0 0",
+    "0 0 0 1 quadratic_bump inf",
+    "0 0 0 1 cosine_bump inf",
+    "0 0 0 100 quadratic_bump 1e308",
 ], ids=["unknown-kind", "nonfinite-center", "extra-tokens", "no-amplitude",
         "negative-radius", "negative-amplitude", "odd-table", "knots-span",
-        "knots-decrease", "negative-value", "no-mass"])
+        "knots-decrease", "negative-value", "no-mass", "infinite-amplitude",
+        "infinite-cosine-amplitude", "infinite-mass"])
 def test_load_spma_reports_line_numbers(tmp_path, line):
     path = tmp_path / "bad.spma"
     path.write_text("0 0 0 1 quadratic_bump 1\n%s\n0 0 0 1 cosine_bump 1\n"
@@ -286,56 +295,73 @@ def _norm(x, positions, p):
     return np.linalg.norm(x[p, None] - positions, axis=2)
 
 
+def _chunks(x, positions):
+    """(first point, points) of each chunk _each_distance_block gives, in
+    point order; every chunk is a contiguous range of points whose d is
+    np.linalg.norm's, and the body then overwrites it."""
+    seen = []
+
+    def body(p, d):
+        assert np.array_equal(p, np.arange(p[0], p[0] + len(p)))
+        assert np.array_equal(d, _norm(x, positions, p))
+        seen.append((int(p[0]), len(p)))
+        d[:] = -1.0
+    _each_distance_block(x, positions, body)
+    return sorted(seen)
+
+
 @pytest.mark.parametrize("n_centers, n_points, rows", [
     (7, 3 * (_BLOCK // 7) + 100, [_BLOCK // 7] * 3 + [100]),  # last partial
-    (_BLOCK + 5, 3, [1, 1, 1]),              # one point per block
+    (_BLOCK + 5, 3, [1, 1, 1]),              # one point per chunk
 ])
 def test_distance_blocks_are_linalg_norm(monkeypatch, n_centers, n_points,
                                          rows):
-    # blocks of _BLOCK distances keep the inputs small; the block size
+    # chunks of _BLOCK distances keep the inputs small; the chunk size
     # itself is pinned below
     monkeypatch.setattr(density_module, "_DISTANCE_BLOCK", _BLOCK)
     rng = np.random.default_rng(n_centers)
     positions = rng.uniform(-1, 1, (n_centers, 3))
     x = rng.uniform(-2, 2, (n_points, 3))
-    seen = []
-    for p, d in _distance_blocks(x, positions):
-        assert np.array_equal(d, _norm(x, positions, p))
-        seen.append(len(p))
-    assert seen == rows
+    firsts = np.cumsum([0] + rows[:-1]).tolist()
+    for seen in across_workers(monkeypatch, lambda: _chunks(x, positions)):
+        assert seen == list(zip(firsts, rows))
 
 
-def test_distance_blocks_copied_before_the_next_block():
-    # every block is yielded in one buffer, so a caller keeping a block
+def test_distance_blocks_copied_before_the_next_block(monkeypatch):
+    # a worker gives every chunk in one buffer, so a body keeping d
     # copies it first
+    monkeypatch.setattr(density_module, "_WORKERS", 1)
     rng = np.random.default_rng(8)
     positions = rng.uniform(-1, 1, (1000, 3))
-    x = rng.uniform(-2, 2, (136, 3))            # 65-point blocks, then 6
-    kept = [(p, d.copy()) for p, d in _distance_blocks(x, positions)]
+    x = rng.uniform(-2, 2, (136, 3))            # 65-point chunks, then 6
+    kept = []
+    _each_distance_block(x, positions,
+                         lambda p, d: kept.append((p, d, d.copy())))
     assert len(kept) == 3
-    for p, d in kept:
-        assert np.array_equal(d, _norm(x, positions, p))
-    assert np.array_equal(np.vstack([d for _, d in kept]),
+    for p, d, copy in kept:
+        assert np.shares_memory(d, kept[0][1])
+        assert np.array_equal(copy, _norm(x, positions, p))
+    assert np.array_equal(np.vstack([copy for _, _, copy in kept]),
                           _norm(x, positions, np.arange(136)))
 
 
-def test_distance_blocks_hold_twice_block_entries():
-    # a worker makes half the numpy calls of _BLOCK-sized blocks; every
-    # row keeps its bits whatever block it falls in
+def test_distance_blocks_hold_twice_block_entries(monkeypatch):
+    # a worker makes half the numpy calls of _BLOCK-sized chunks; every
+    # row keeps its bits whatever chunk it falls in
     assert _DISTANCE_BLOCK == 2 * _BLOCK
     rng = np.random.default_rng(9)
     positions = rng.uniform(-1, 1, (1000, 3))
     x = rng.uniform(-2, 2, (200, 3))
-    seen = []
-    for p, d in _distance_blocks(x, positions):
-        assert np.array_equal(d, _norm(x, positions, p))
-        seen.append(len(p))
-    assert seen == [_DISTANCE_BLOCK // 1000] * 3 + [5]      # the last partial
+    step = _DISTANCE_BLOCK // 1000
+    for seen in across_workers(monkeypatch, lambda: _chunks(x, positions)):
+        # the last chunk is partial
+        assert seen == [(0, step), (step, step), (2 * step, step),
+                        (3 * step, 5)]
 
 
 # ---------------------------------------------------------------------------
-# the run path: points in runs of equal z share their distance terms, and
-# every row keeps np.linalg.norm's bits
+# points in runs of equal z share their distance terms, and every row
+# keeps np.linalg.norm's bits
 
 def _each_row(x, positions):
     """Each point's d row from _each_distance_block and how often it came;
@@ -397,18 +423,14 @@ def test_run_groups_pair_mirror_rings():
 ], ids=["few-points", "short-runs", "few-centers", "no-centers"])
 def test_layouts_below_the_threshold_take_the_block_path(monkeypatch, x,
                                                          n_positions):
+    # one run of all the points, each taking its own z: chunks cut from
+    # the first point cover every point once
     assert _z_runs(x, n_positions) is None
-    blocks = []
-
-    def spy(x, positions):
-        for p, d in _distance_blocks(x, positions):
-            blocks.append(len(p))
-            yield p, d
-    monkeypatch.setattr(density_module, "_distance_blocks", spy)
     positions = np.random.default_rng(41).uniform(-1, 1, (n_positions, 3))
-    rows, seen = _each_row(x, positions)
-    assert sum(blocks) == len(x) and np.all(seen == 1)
-    assert np.array_equal(rows, _norm(x, positions, np.arange(len(x))))
+    step = _block_rows(n_positions, _DISTANCE_BLOCK)
+    expect = [(a, min(step, len(x) - a)) for a in range(0, len(x), step)]
+    for seen in across_workers(monkeypatch, lambda: _chunks(x, positions)):
+        assert seen == expect
 
 
 # ---------------------------------------------------------------------------

@@ -487,7 +487,7 @@ def test_oracle_keeps_its_bits_on_every_core(monkeypatch, density,
 
 
 # ---------------------------------------------------------------------------
-# points in runs of equal z (the distance kernel's run path) and the
+# points in runs of equal z (sharing the distance kernel's terms) and the
 # oracle's slabs of whole coarse layers: the same bits as before either
 
 @pytest.mark.parametrize("layout", ["sphere-21-rings", "sphere-22-rings",

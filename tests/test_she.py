@@ -371,6 +371,15 @@ def test_negative_degree_arguments_are_named(kwargs, name):
             **kwargs)
 
 
+@pytest.mark.parametrize("R_quad", [0.0, -1.2, math.nan, math.inf])
+def test_bad_quadrature_radius_is_named(R_quad):
+    masses = [PointMass((0.3, 0.2, -0.1), 1.0)]
+    with pytest.raises(ValueError, match="R_quad"):
+        coeffs_from_sphere_quadrature(
+            lambda pts: potential_point_masses(masses, pts), R_quad, 0.5, 8,
+            brillouin_radius=0.4)
+
+
 def test_sphere_quadrature_warns_inside_brillouin():
     masses = [PointMass((0, 0, 0.5), 1.0)]
     with pytest.warns(UserWarning):
