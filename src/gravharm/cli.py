@@ -96,6 +96,16 @@ def _masses_from_args(args):
     return spma, spma.as_point_masses()
 
 
+def _check_positive_finite(args, *names):
+    """Options that must be positive and finite where given, checked
+    before any work."""
+    for name in names:
+        value = getattr(args, name.replace("-", "_"))
+        if value is not None and not 0 < value < np.inf:
+            raise CliError("--%s must be positive and finite, got %s"
+                           % (name, value))
+
+
 def _check_directions(args):
     """--directions, checked before any work."""
     if args.directions < 1:
@@ -129,9 +139,7 @@ def _write_rc_csv(path, reports):
 
 def cmd_coeffs(args):
     _require(args, "out")
-    if args.quad_radius is not None and not 0 < args.quad_radius < np.inf:
-        raise CliError("--quad-radius must be positive and finite, got %s"
-                       % args.quad_radius)
+    _check_positive_finite(args, "quad-radius", "R", "G")
     spma, masses = _masses_from_args(args)
     R_pm = pointmass_brillouin_radius(masses)
     R = args.R if args.R is not None else R_pm
@@ -225,6 +233,7 @@ def cmd_potential(args):
     if args.oracle_resolution < 0:
         raise CliError("--oracle-resolution must be 0 (skip) or positive, "
                        "got %d" % args.oracle_resolution)
+    _check_positive_finite(args, "G")
     spma, masses = _masses_from_args(args)
     try:
         d = np.asarray([float(t) for t in args.direction.split(",")])

@@ -571,8 +571,9 @@ def _parallel(fn, items):
     fn also runs on the helper threads, where bench/tracer.py's one span
     stack cannot follow it: it must call no function that the traced
     benchmark wraps (bench/layers.py), only kernels such as _grid_slab,
-    the chunk loop of _each_distance_block with its bodies, and
-    SPMA.profile / mass_within / tail_first_moment.
+    the chunk loop of _each_distance_block with its bodies,
+    SPMA.profile / mass_within / tail_first_moment, and the Legendre
+    kernel (she._degree_steps) in coeffs_from_point_masses' order ranges.
     """
     helpers = min(_WORKERS, len(items)) - 1
     if helpers < 1:

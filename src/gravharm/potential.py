@@ -20,8 +20,8 @@ __all__ = ["potential_point_masses", "potential_spm", "potential_spma",
 
 
 def _check_G(G):
-    if not G > 0:
-        raise ValueError("G must be positive")
+    if not 0 < G < math.inf:
+        raise ValueError("G must be positive and finite, got %r" % G)
 
 
 def _point_mass_sums(masses, x, G=1.0):
@@ -48,11 +48,19 @@ def _point_mass_sums(masses, x, G=1.0):
 
 
 def potential_point_masses(masses, x, G=1.0):
-    """G * sum m_i / ||x - x_i||; raises at a mass position.  A block of
-    points at a time against all masses (PointMasses or PointMass
-    objects): each point's sum is one np.sum whatever the block."""
+    """G * sum m_i / ||x - x_i||; raises ZeroDivisionError at a mass
+    position and ValueError at a non-finite point.  A block of points at
+    a time against all masses (PointMasses or PointMass objects): each
+    point's sum is one np.sum whatever the block."""
     pts = np.asarray(x, dtype=float)
-    out = _point_mass_sums(masses, np.atleast_2d(pts), G)
+    batch = np.atleast_2d(pts)
+    finite = np.isfinite(batch).all(axis=-1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError("evaluation point %s%s is not finite"
+                         % ("" if pts.ndim == 1 else "%d " % i,
+                            batch[i].tolist()))
+    out = _point_mass_sums(masses, batch, G)
     if np.isnan(out).any():
         raise ZeroDivisionError("potential evaluated at a point-mass "
                                 "position")

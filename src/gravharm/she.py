@@ -20,6 +20,7 @@ import warnings
 import numpy as np
 from dataclasses import dataclass
 
+from . import density
 from .density import PointMasses
 
 __all__ = ["Direction", "SHECoefficients", "legendre_p", "ynm_bar",
@@ -85,21 +86,22 @@ _BLOCK_ELEMENTS = 1 << 19
 
 
 @functools.lru_cache(maxsize=8)
-def _recurrence_table(n_max, m_max):
-    """Recurrence coefficients for degrees 0..n_max and orders up to
-    m_max, built once per (n_max, m_max).
+def _recurrence_table(n_max, m_max, m_min=0):
+    """Recurrence coefficients for degrees 0..n_max and orders m_min..m_max,
+    built once per (n_max, m_max, m_min).
 
-    a[n] holds a_{n,m} for m = 0..min(n-1, m_max) and b[n] holds b_{n,m}
-    for m = 0..min(n-2, m_max), both as (count, 1) columns, so their
-    lengths are the rows each step of the column recurrence updates;
-    sectoral[n] is the factor taking Pbar_{n-1,n-1} / sin to Pbar_{n,n}.
+    a[n] holds a_{n,m} for m = m_min..min(n-1, m_max) and b[n] holds
+    b_{n,m} for m = m_min..min(n-2, m_max), both as (count, 1) columns,
+    so their lengths are the rows each step of the column recurrence
+    updates; sectoral[n] is the factor taking Pbar_{n-1,n-1} / sin to
+    Pbar_{n,n}.
     """
     a, b = [None], [None]
     for n in range(1, n_max + 1):
-        m = np.arange(min(n, m_max + 1))
+        m = np.arange(m_min, min(n, m_max + 1))
         a.append(np.sqrt((2 * n - 1) * (2 * n + 1)
                          / ((n - m) * (n + m)))[:, None])
-        m = np.arange(min(n - 1, m_max + 1))
+        m = np.arange(m_min, min(n - 1, m_max + 1))
         b.append(-np.sqrt((2 * n + 1) * (n + m - 1) * (n - m - 1)
                           / ((n - m) * (n + m) * (2 * n - 3)))[:, None])
     k = np.arange(n_max + 1)
@@ -108,22 +110,26 @@ def _recurrence_table(n_max, m_max):
     return a, b, sectoral
 
 
-def _legendre_blocks(u, s, n_max, ratio=1.0, m_max=None):
+def _legendre_blocks(u, s, n_max, ratio=1.0, m_max=None, m_min=0):
     """The fully normalized Legendre kernel, streamed by degree.
 
     u = cos(theta) and s = sin(theta) are 1-D arrays over k points.
     Yields (cols, degrees) for consecutive column blocks `cols` (slices
-    of the point axis); `degrees` yields (n, P) for n = 0..n_max, where
-    P[m] = ratio^n Pbar_{n,m}(u[cols]) for orders m = 0..min(n, m_max),
-    shape (rows, block).  P is a view of a buffer that later steps
-    overwrite.  m_max defaults to n_max (every order); m_max = 0 is the
-    zonal slice, O(n_max) per point, which needs no s (pass None).
+    of the point axis) of _BLOCK_ELEMENTS // (m_max + 1) points;
+    `degrees` yields (n, P) for n = m_min..n_max, where
+    P[i] = ratio^n Pbar_{n,m_min+i}(u[cols]) for orders
+    m = m_min..min(n, m_max), shape (rows, block).  P is a view of a
+    buffer that later steps overwrite.  m_max defaults to n_max (every
+    order); m_max = 0 is the zonal slice, O(n_max) per point, which needs
+    no s (pass None).
 
     Forward column recurrence, every carried order at once:
     P_{n,m} = (a_{n,m} ratio u) P_{n-1,m} + (b_{n,m} ratio^2) P_{n-2,m},
-    seeded by the sectoral P_{n,n} = (P_{n-1,n-1} ratio s) f_n.  Each row
-    is computed alone, so a bound on the orders leaves the rows it keeps
-    bit for bit.  With ratio 1 every product by it is exact, so P is Pbar
+    seeded by the sectoral P_{n,n} = (P_{n-1,n-1} ratio s) f_n.  An order
+    range from m_min > 0 first runs the sectoral chain up to
+    P_{m_min,m_min}, then carries rows m_min..m_max only.  Each row is
+    computed alone, so bounds on the orders leave the rows they keep bit
+    for bit.  With ratio 1 every product by it is exact, so P is Pbar
     bit for bit.
 
     Validated range: the addition theorem sum_m Pbar_{n,m}^2 = 2n+1
@@ -132,24 +138,30 @@ def _legendre_blocks(u, s, n_max, ratio=1.0, m_max=None):
     off by 2e-4 at n = 2000 and by 0.25 at n = 2200.
     """
     m_max = n_max if m_max is None else min(m_max, n_max)
-    a, b, sectoral = _recurrence_table(n_max, m_max)
+    table = _recurrence_table(n_max, m_max, m_min)
     ratio = np.broadcast_to(np.asarray(ratio, dtype=float), u.shape)
     width = max(1, _BLOCK_ELEMENTS // (m_max + 1))
     for start in range(0, len(u), width):
         cols = slice(start, start + width)
         yield cols, _degree_steps(u[cols], None if s is None else s[cols],
-                                  ratio[cols], n_max, m_max, a, b, sectoral)
+                                  ratio[cols], n_max, m_min, m_max, *table)
 
 
-def _degree_steps(u, s, ratio, n_max, m_max, a, b, sectoral):
+def _degree_steps(u, s, ratio, n_max, m_min, m_max, a, b, sectoral):
+    """`_legendre_blocks`' degrees for one column block, from
+    `_recurrence_table(n_max, m_max, m_min)`."""
     ru, r2 = ratio * u, ratio * ratio
     rs = ratio * s if m_max else None
     # one allocation: the three latest degrees and a work block
-    bufs = np.empty((4, m_max + 1, len(u)))
+    bufs = np.empty((4, m_max - m_min + 1, len(u)))
     tmp = bufs[3]
-    bufs[0, 0] = 1.0
-    yield 0, bufs[0, :1]
-    for n in range(1, n_max + 1):
+    p = bufs[m_min % 3, 0]
+    p[...] = 1.0
+    for n in range(1, m_min + 1):       # the sectoral chain to P_{m_min,m_min}
+        p *= rs
+        p *= sectoral[n]
+    yield m_min, bufs[m_min % 3, :1]
+    for n in range(m_min + 1, n_max + 1):
         p, p1, p2 = bufs[n % 3], bufs[(n - 1) % 3], bufs[(n - 2) % 3]
         an, bn = a[n], b[n]
         k, j = len(an), len(bn)
@@ -161,8 +173,8 @@ def _degree_steps(u, s, ratio, n_max, m_max, a, b, sectoral):
             t *= p2[:j]
             p[:j] += t
         if n <= m_max:
-            np.multiply(p1[n - 1], rs, out=p[n])
-            p[n] *= sectoral[n]
+            np.multiply(p1[k - 1], rs, out=p[k])
+            p[k] *= sectoral[n]
             k += 1
         yield n, p[:k]
 
@@ -201,8 +213,10 @@ class SHECoefficients:
         self.ref_radius = float(ref_radius)
         self.GM = float(GM)
         self.n_max = int(n_max)
-        if not self.ref_radius > 0 or not self.GM > 0:
-            raise ValueError("reference radius and GM must be positive")
+        if not (0 < self.ref_radius < math.inf and 0 < self.GM < math.inf):
+            raise ValueError("reference radius and GM must be positive and "
+                             "finite, got R=%r GM=%r"
+                             % (self.ref_radius, self.GM))
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (self.n_max + 1, 2 * self.n_max + 1):
             raise ValueError("coefficient array has wrong shape")
@@ -266,7 +280,10 @@ class SHECoefficients:
                                      % (where, c_s))
                 seen.add((n, m))
                 C[n, n_max + m] = c
-        return cls(R, GM, n_max, C)
+        try:
+            return cls(R, GM, n_max, C)
+        except ValueError as exc:       # an infinite R or GM
+            raise ValueError("%s:1: %s" % (path, exc))
 
 
 def _metadata(line):
@@ -302,8 +319,9 @@ def _mass_weights(masses, R, n_max):
     when a mass sits outside the reference sphere."""
     pms = PointMasses.of(masses)
     R = float(R)
-    if not R > 0:
-        raise ValueError("reference radius must be positive")
+    if not 0 < R < math.inf:
+        raise ValueError("reference radius must be positive and finite, "
+                         "got %r" % R)
     n_max = _nonnegative("n_max", n_max)
     pos, mval = pms.positions, pms.masses
     M = float(mval.sum())
@@ -322,6 +340,19 @@ def _unit_cosines(dots, d):
     return np.clip(u, -1.0, 1.0)
 
 
+def _order_ranges(n_max, points):
+    """Orders 0..n_max as (m_min, m_max) ranges of about equal triangle
+    work, one per core, cut at m_k = round(n_max (1 - sqrt(1 - k / W)));
+    a single range while points * (n_max + 1) < density._BLOCK, where
+    helper threads cost more than they save."""
+    workers = density._WORKERS
+    if points * (n_max + 1) < density._BLOCK:
+        workers = 1
+    cuts = [round(n_max * (1.0 - math.sqrt(1.0 - k / workers)))
+            for k in range(workers)] + [n_max + 1]
+    return [(lo, hi - 1) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+
+
 def coeffs_from_point_masses(masses, R, n_max, G=1.0):
     """Analytic expansion coefficients of a finite point-mass array
     (PointMasses, or a sequence of PointMass objects).
@@ -329,6 +360,13 @@ def coeffs_from_point_masses(masses, R, n_max, G=1.0):
     C_{n,m} = (1/(M (2n+1))) sum_i m_i (||x_i||/R)^n Ybar_{n,m}(x_i_hat),
     with GM = G * sum m_i.  Exact path, no surface quadrature.  Warns when
     a mass sits outside the reference sphere.
+
+    The masses go through the Legendre kernel in column blocks of
+    _BLOCK_ELEMENTS // (n_max + 1) points, one after another.  A block
+    of at least density._BLOCK entries (points * (n_max + 1)) splits its
+    orders into `_order_ranges`, run on every core through
+    density._parallel; each range adds only to its own columns of C
+    (n_max + m and n_max - m), so C keeps its bits whatever the split.
     """
     pos, d, ratio, weights, M, n_max = _mass_weights(masses, R, n_max)
     u = _unit_cosines(pos[:, 2], d)
@@ -336,16 +374,33 @@ def coeffs_from_point_masses(masses, R, n_max, G=1.0):
     phi = np.arctan2(pos[:, 1], pos[:, 0])
     orders = np.arange(n_max + 1)
     C = np.zeros((n_max + 1, 2 * n_max + 1))
-    for cols, degrees in _legendre_blocks(u, s, n_max, ratio):
-        mphi = np.outer(orders, phi[cols])
-        wc = np.cos(mphi)
-        wc *= weights[cols]
-        ws = np.sin(mphi, out=mphi)
-        ws *= weights[cols]
-        # Q_{n,m} = ratio^n Pbar_{n,m}(u); orders -n..-1 pair with |m| = n..1
-        for n, q in degrees:
-            C[n, n_max:n_max + n + 1] += np.vecdot(wc[:n + 1], q)
-            C[n, n_max - n:n_max] += np.vecdot(ws[n:0:-1], q[n:0:-1])
+    width = max(1, _BLOCK_ELEMENTS // (n_max + 1))
+    for start in range(0, len(u), width):
+        cols = slice(start, start + width)
+        wc = np.empty((n_max + 1, len(phi[cols])))
+        ws = np.empty_like(wc)
+
+        def add_orders(bounds):
+            lo, hi = bounds
+            rows = slice(lo, hi + 1)
+            mphi = np.multiply(orders[rows, None], phi[cols], out=ws[rows])
+            np.cos(mphi, out=wc[rows])
+            wc[rows] *= weights[cols]
+            np.sin(mphi, out=mphi)
+            mphi *= weights[cols]
+            # q[i] = ratio^n Pbar_{n,lo+i}(u) for orders lo..top.  Columns
+            # n_max - m take the sines of m = top down to max(lo, 1), order
+            # 0 having none: q's row 0 (order lo) only where lo > 0
+            w_stop, q_stop = max(lo - 1, 0), None if lo else 0
+            for n, q in _degree_steps(u[cols], s[cols], ratio[cols], n_max,
+                                      lo, hi, *_recurrence_table(n_max, hi,
+                                                                 lo)):
+                top = n if n < hi else hi
+                C[n, n_max + lo:n_max + top + 1] += np.vecdot(
+                    wc[lo:top + 1], q)
+                C[n, n_max - top:n_max - w_stop] += np.vecdot(
+                    ws[top:w_stop:-1], q[top - lo:q_stop:-1])
+        density._parallel(add_orders, _order_ranges(n_max, wc.shape[1]))
     C *= 1.0 / (2 * orders[:, None] + 1)
     return SHECoefficients(R, G * M, n_max, C)
 

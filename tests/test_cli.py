@@ -434,6 +434,17 @@ def test_potential_requires_range(snowman_file):
     *[(["coeffs", "--snowman-gamma", 0.5, "--n-max", 8, "--dual-path",
         "--quad-radius=%s" % r, "--out", "c.csv"], None, "--quad-radius")
       for r in (0, -1.5, "nan", "inf")],
+    # checked before the masses are read or a coefficient computed
+    *[(["coeffs", "--snowman-gamma", 0.5, "--R", r, "--out", "c.csv"], None,
+       "--R must be positive and finite, got %s" % r)
+      for r in ("inf", "nan", "-1.0")],
+    *[(["coeffs", "--snowman-gamma", 0.5, "--G", g, "--out", "c.csv"], None,
+       "--G must be positive and finite, got %s" % g)
+      for g in ("inf", "0.0")],
+    (["potential", "--snowman-gamma", 0.5, "--r-from", 3, "--r-to", 4,
+      "--G", "inf"], None, "--G must be positive and finite, got inf"),
+    (["potential", "--snowman-gamma", 0.5, "--r-from", 3, "--r-to", 4,
+      "--G", "nan"], None, "--G must be positive and finite, got nan"),
 ], ids=["window-one-value", "window-not-int", "resolution-1",
         "resolution-negative", "min-ball-radius", "grid-header-value",
         "grid-header-fields", "grid-value", "grid-spacing-zero",
@@ -444,7 +455,9 @@ def test_potential_requires_range(snowman_file):
         "direction-infinite", "steps-0", "steps-negative", "rc-directions-0",
         "descent-snowman-directions-0", "descent-spma-directions-negative",
         "r-from-nan", "r-from-infinite", "r-to-infinite", "quad-radius-0",
-        "quad-radius-negative", "quad-radius-nan", "quad-radius-infinite"])
+        "quad-radius-negative", "quad-radius-nan", "quad-radius-infinite",
+        "R-infinite", "R-nan", "R-negative", "coeffs-G-infinite",
+        "coeffs-G-0", "potential-G-infinite", "potential-G-nan"])
 def test_bad_inputs_name_what_is_wrong(tmp_path, monkeypatch, capsys, argv,
                                        grid, message):
     monkeypatch.chdir(tmp_path)             # where a relative --out lands

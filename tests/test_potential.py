@@ -56,6 +56,17 @@ def test_point_mass_potential_singularity():
         potential_point_masses(masses, np.array([1.0, 2.0, 3.0]))
 
 
+@pytest.mark.parametrize("x, where", [
+    ([math.nan, 0.0, 0.0], r"evaluation point \[nan, 0.0, 0.0\] is not"),
+    ([[3.0, 0.0, 0.0], [0.0, math.inf, 1.0]],
+     r"evaluation point 1 \[0.0, inf, 1.0\] is not finite"),
+], ids=["nan-point", "infinite-row"])
+def test_point_mass_potential_names_a_non_finite_point(x, where):
+    # no mass sits at a non-finite point, so this is no ZeroDivisionError
+    with pytest.raises(ValueError, match=where):
+        potential_point_masses([PointMass((0, 0, 1), 1.0)], x)
+
+
 def _random_masses(rng, n):
     return [PointMass(p, m) for p, m in
             zip(rng.uniform(-1, 1, (n, 3)), rng.uniform(0.1, 2.0, n))]
@@ -340,7 +351,7 @@ def test_g_must_be_positive():
         lambda G: potential_oracle(mixed_spma(), x, G=G, resolution=8),
     ]
     for call in calls:
-        for G in (0.0, -1.0, float("nan")):
+        for G in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="G must be positive"):
                 call(G)
 

@@ -1,6 +1,8 @@
 """Harmonics, coefficient construction, and series evaluation."""
 
+import concurrent.futures
 import math
+import sys
 import warnings
 
 import re
@@ -10,16 +12,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import lpmv
 
-from gravharm import she
+from gravharm import density, she
 from gravharm import (Direction, PointMass, PointMasses, SHECoefficients,
-                      coeffs_from_point_masses, coeffs_from_sphere_quadrature,
+                      SnowmanParams, build_snowman, coeffs_from_point_masses, coeffs_from_sphere_quadrature,
                       evaluate_partial_sum, fibonacci_directions, legendre_p,
                       partial_sum_sequence, pointmass_brillouin_radius,
                       pointmass_direction_sums, potential_point_masses,
                       series_value, ynm_bar, ynm_table)
 from gravharm.she import direction_coefficient_table, direction_term_sequence
 
-from conftest import random_point_masses, unblocked_potential_point_masses
+from conftest import (across_workers, random_point_masses,
+                      unblocked_potential_point_masses)
 
 
 def ynm_oracle(n, m, theta, phi):
@@ -184,6 +187,25 @@ def test_bounded_orders_keep_their_rows_of_the_full_kernel():
                 assert np.array_equal(p, full[n, :min(n, m_max) + 1, cols])
 
 
+@pytest.mark.parametrize("m_min", [0, 1, 7, 30])
+@pytest.mark.parametrize("with_ratio", [False, True])
+def test_order_ranges_keep_their_rows_of_the_full_kernel(m_min, with_ratio):
+    theta = np.concatenate([[0.0, math.pi / 2, math.pi],
+                            np.linspace(0.02, 3.1, 9)])
+    u, s = np.cos(theta), np.sin(theta)
+    ratio = np.linspace(0.3, 1.0, len(u)) if with_ratio else 1.0
+    full = _kernel_table(u, s, 30, ratio)
+    for m_max in sorted({m_min, min(m_min + 5, 30), 30}):
+        degrees_seen = []
+        for cols, degrees in she._legendre_blocks(u, s, 30, ratio, m_max,
+                                                  m_min):
+            for n, p in degrees:
+                degrees_seen.append(n)
+                assert np.array_equal(
+                    p, full[n, m_min:min(n, m_max) + 1, cols])
+        assert degrees_seen == list(range(m_min, 31))
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 57, 200])
 def test_legendre_p_is_the_full_kernels_zonal_row(n):
     x = np.linspace(-1.0, 1.0, 101)
@@ -285,6 +307,98 @@ def test_coeffs_from_objects_and_array_record_are_identical():
     c_arr = coeffs_from_point_masses(PointMasses.of(masses), 1.0, 40)
     assert np.array_equal(c_list.coeffs, c_arr.coeffs)
     assert c_list.GM == c_arr.GM
+
+
+def test_order_ranges_share_the_triangle_from_a_block_of_block_entries(
+        monkeypatch):
+    monkeypatch.setattr(density, "_WORKERS", 3)
+    # cut at round(160 (1 - sqrt(1 - k / 3))) for k = 1, 2
+    assert she._order_ranges(160, 1000) == [(0, 28), (29, 67), (68, 160)]
+    # 204 * 161 entries reach density._BLOCK, 203 * 161 do not
+    assert 203 * 161 < density._BLOCK <= 204 * 161
+    assert she._order_ranges(160, 204) == [(0, 28), (29, 67), (68, 160)]
+    assert she._order_ranges(160, 203) == [(0, 160)]
+    assert she._order_ranges(200, 2) == [(0, 200)]
+    # fewer orders than cores leave no empty range
+    assert she._order_ranges(1, 40000) == [(0, 1)]
+    assert she._order_ranges(0, 40000) == [(0, 0)]
+    monkeypatch.setattr(density, "_WORKERS", 1)
+    assert she._order_ranges(160, 1000) == [(0, 160)]
+
+
+def _ball_masses(count, seed):
+    """count masses in the 0.9-ball, one at the origin and two on the z
+    axis."""
+    rng = np.random.default_rng(seed)
+    pos = rng.normal(size=(count, 3))
+    pos *= (0.9 * rng.uniform(size=count) ** (1 / 3)
+            / np.linalg.norm(pos, axis=1))[:, None]
+    pos[:3] = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.4], [0.0, 0.0, -0.7]]
+    return PointMasses(pos, rng.uniform(0.1, 1.0, count))
+
+
+@pytest.mark.parametrize("count, n_max", [(1000, 60), (1000, 160),
+                                          (17000, 30)])
+def test_coefficients_split_orders_bit_for_bit(monkeypatch, count, n_max):
+    # 17000 masses at n_max = 30: a full block of 16912 points split
+    # across the cores, then 88 points run inline
+    pm = _ball_masses(count, count + n_max)
+    widths = []
+    parallel = density._parallel
+
+    def counting(fn, items):
+        widths.append(len(items))
+        parallel(fn, items)
+    monkeypatch.setattr(density, "_parallel", counting)
+    # the ranges share C and the phase-factor buffers: switch threads
+    # often, so that a write outside a range's own columns would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runs = across_workers(
+            monkeypatch,
+            lambda: coeffs_from_point_masses(pm, 1.0, n_max).coeffs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(c, runs[1]) for c in runs)
+    blocks = -(-count // (she._BLOCK_ELEMENTS // (n_max + 1)))
+    assert blocks == (2 if count == 17000 else 1)
+    # the run at 3 workers split the full block's orders three ways
+    assert widths[-blocks:] == [3, 1][:blocks]
+
+
+def test_small_coefficient_sets_start_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a helper thread was asked for")
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_thread)
+    monkeypatch.setattr(density, "_WORKERS", 3)
+    snowman = build_snowman(SnowmanParams(0.5)).as_point_masses()
+    assert len(snowman.masses) == 2
+    coeffs_from_point_masses(snowman, pointmass_brillouin_radius(snowman),
+                             200)
+    coeffs_from_point_masses([PointMass((0.1, 0.2, 0.3), 1.0)], 1.0, 200)
+    coeffs_from_point_masses(_ball_masses(64, 5), 1.0, 160)
+    # the stub is live: 1000 masses at n_max = 60 split their orders
+    with pytest.raises(AssertionError, match="helper thread"):
+        coeffs_from_point_masses(_ball_masses(1000, 5), 1.0, 60)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+def test_reference_radius_and_GM_must_be_positive_and_finite(bad):
+    pm = PointMasses(np.array([[0.0, 0.0, 0.5]]), [1.0])
+    with pytest.raises(ValueError, match="reference radius must be "
+                                         "positive and finite"):
+        coeffs_from_point_masses(pm, bad, 5)
+    with pytest.raises(ValueError, match="reference radius must be "
+                                         "positive and finite"):
+        pointmass_direction_sums(pm, bad, 5, np.array([0.0, 0.0, 1.0]))
+    for R, GM in ((bad, 1.0), (1.0, bad)):
+        with pytest.raises(ValueError, match="reference radius and GM must "
+                                             "be positive and finite"):
+            SHECoefficients(R, GM, 0, [[1.0]])
+    if bad > 0:                       # G = inf makes GM = inf
+        with pytest.raises(ValueError, match="GM=inf"):
+            coeffs_from_point_masses(pm, 1.0, 5, G=bad)
 
 
 def test_coeffs_warns_outside_reference_sphere():
@@ -604,6 +718,10 @@ def test_coefficients_load_rejects_bad_rows(tmp_path, rows, error):
      "c.csv:1: reference radius and GM must be positive, got R=1 GM=-2"),
     ("# R=1 GM=nan n_max=1\nn,m,C",
      "c.csv:1: reference radius and GM must be positive, got R=1 GM=nan"),
+    ("# R=inf GM=1 n_max=1\nn,m,C", "c.csv:1: reference radius and GM "
+     "must be positive and finite, got R=inf GM=1.0"),
+    ("# R=1 GM=inf n_max=1\nn,m,C", "c.csv:1: reference radius and GM "
+     "must be positive and finite, got R=1.0 GM=inf"),
 ])
 def test_coefficients_load_names_bad_metadata(tmp_path, head, error):
     path = tmp_path / "c.csv"
