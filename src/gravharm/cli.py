@@ -169,6 +169,7 @@ def cmd_descent(args):
     _check_directions(args)
     _fit_window(args.n_max)
     if args.subject == "snowman":
+        _check_positive_finite(args, "gamma", "m1", "m2")
         rep = snowman_descends_to_topography(
             SnowmanParams(args.gamma, args.m1, args.m2, args.profile),
             n_max=args.n_max, k=args.directions)
@@ -313,8 +314,9 @@ def _snowman_verdict(gamma):
 
 def cmd_snowman_scan(args):
     _require(args, "gamma-from", "gamma-to")
-    if not (args.gamma_from > 0 and args.gamma_to > args.gamma_from):
-        raise CliError("need 0 < --gamma-from < --gamma-to")
+    _check_positive_finite(args, "gamma-from", "gamma-to")
+    if not args.gamma_to > args.gamma_from:
+        raise CliError("need --gamma-from < --gamma-to")
     if not args.tol > 0:
         raise CliError("--tol must be positive")
     if args.steps < 1:

@@ -684,17 +684,29 @@ def _each_distance_block(x, positions, body):
     _parallel(run, range(workers))
 
 
+def _points(x):
+    """One point or an (n, 3) batch as an (n, 3) float batch, and whether
+    it was one point; ValueError naming the first non-finite point."""
+    pts = np.asarray(x, dtype=float)
+    batch = np.atleast_2d(pts)
+    finite = np.isfinite(batch).all(axis=-1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError("evaluation point %s%s is not finite"
+                         % ("" if pts.ndim == 1 else "%d " % i,
+                            batch[i].tolist()))
+    return batch, pts.ndim == 1
+
+
 def evaluate(density, x):
     """Density value at one point or an (n, 3) batch of points.
 
     SPMA components superpose, each point taking its terms in component
     order; grid densities interpolate trilinearly and vanish outside
-    their box.  For dense regular grids of points prefer
-    :func:`evaluate_on_grid`.
+    their box.  A non-finite point raises ValueError.  For dense regular
+    grids of points prefer :func:`evaluate_on_grid`.
     """
-    pts = np.asarray(x, dtype=float)
-    scalar = pts.ndim == 1
-    pts = np.atleast_2d(pts)
+    pts, scalar = _points(x)
     if isinstance(density, SPMA):
         out = np.zeros(len(pts))
 

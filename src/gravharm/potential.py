@@ -11,9 +11,9 @@ import math
 
 import numpy as np
 
-from .density import (_BLOCK, _DISTANCE_BLOCK, SPMA, PointMasses,
-                      _block_rows, _count, _each_distance_block, _grid_slab,
-                      _parallel, midpoint_nodes)
+from .density import (_DISTANCE_BLOCK, SPMA, PointMasses, _block_rows,
+                      _count, _each_distance_block, _grid_slab, _parallel,
+                      _points, midpoint_nodes)
 
 __all__ = ["potential_point_masses", "potential_spm", "potential_spma",
            "potential_oracle", "oracle_clear"]
@@ -52,19 +52,12 @@ def potential_point_masses(masses, x, G=1.0):
     position and ValueError at a non-finite point.  A block of points at
     a time against all masses (PointMasses or PointMass objects): each
     point's sum is one np.sum whatever the block."""
-    pts = np.asarray(x, dtype=float)
-    batch = np.atleast_2d(pts)
-    finite = np.isfinite(batch).all(axis=-1)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ValueError("evaluation point %s%s is not finite"
-                         % ("" if pts.ndim == 1 else "%d " % i,
-                            batch[i].tolist()))
-    out = _point_mass_sums(masses, batch, G)
+    pts, scalar = _points(x)
+    out = _point_mass_sums(masses, pts, G)
     if np.isnan(out).any():
         raise ZeroDivisionError("potential evaluated at a point-mass "
                                 "position")
-    return float(out[0]) if pts.ndim == 1 else out
+    return float(out[0]) if scalar else out
 
 
 def potential_spm(spm, x, G=1.0):
@@ -75,11 +68,10 @@ def potential_spm(spm, x, G=1.0):
 def potential_spma(spma, x, G=1.0):
     """Superposition of component potentials, each point taking its terms
     in component order: outside its ball a component acts as its point
-    mass, inside as interior mass over rho plus the outer shells."""
+    mass, inside as interior mass over rho plus the outer shells.  A
+    non-finite point raises ValueError."""
     _check_G(G)
-    pts = np.asarray(x, dtype=float)
-    scalar = pts.ndim == 1
-    pts = np.atleast_2d(pts)
+    pts, scalar = _points(x)
     out = np.zeros(len(pts))
 
     def body(p, rho):
@@ -98,8 +90,8 @@ def potential_spma(spma, x, G=1.0):
 def oracle_clear(density, x, resolution=128):
     """Which points of an (n, 3) batch `potential_oracle` at `resolution`
     evaluates: those farther than 2 quadrature cells from the support,
-    so that 1/r is resolved."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    so that 1/r is resolved.  A non-finite point raises ValueError."""
+    pts, _ = _points(x)
     resolution = _count("resolution", resolution)
     h = float(np.max(midpoint_nodes(*density.bounding_box(), resolution)[2]))
     if isinstance(density, SPMA):
@@ -146,51 +138,6 @@ def _subcell_mean(fine, s):
     return out
 
 
-def _fsums(rows):
-    """math.fsum of each row of a 2-D array, bit for bit, in numpy calls.
-
-    fsum returns the exact sum rounded once to the nearest float, ties to
-    even, and that float is unique.  Each finite entry is f * 2**e with
-    f * 2**53 an integer (np.frexp); its high 27 and low 26 bits, split
-    without rounding, add exactly in float64 per row and exponent
-    (np.bincount), those sums add exactly as Python integers, and one
-    integer division rounds the total.  A row that holds an inf or a
-    nan, comes within 2**1000 of overflow (where fsum can overflow in a
-    partial sum) or sums to zero (fsum keeps the sign of an all -0.0 row)
-    goes through math.fsum itself."""
-    n_rows, width = rows.shape
-    if not width:
-        return np.zeros(n_rows)              # fsum of no terms
-    exact = np.maximum(rows.max(axis=1), -rows.min(axis=1)) < 2.0**1000 / width
-    totals = [0] * n_rows                    # in units of 2**-1126
-    # chunks of a quarter block: the temporaries stay small beside the
-    # distance block being summed
-    chunk = _BLOCK // 4
-    step = max(1, chunk // width)            # rows per chunk
-    for r in range(0, n_rows, step):
-        for c in range(0, width, chunk):
-            f, e = np.frexp(rows[r:r + step, c:c + chunk])
-            k, e_min = len(f), int(e.min())
-            span = int(e.max()) - e_min + 1
-            e += span * np.arange(k, dtype=e.dtype)[:, None] - e_min
-            with np.errstate(invalid="ignore"):   # an inf's row is not summed
-                f *= 2.0**27
-                high = np.floor(f)
-                f -= high                # the low 26 bits, exactly
-                f *= 2.0**26
-            sums = [np.bincount(e.ravel(), w.ravel(), k * span)
-                    for w in (high, f)]
-            at = np.flatnonzero((sums[0] != 0) | (sums[1] != 0))
-            for a, hi, lo in zip(at.tolist(), sums[0][at].tolist(),
-                                 sums[1][at].tolist()):
-                i, b = divmod(a, span)
-                if exact[r + i]:
-                    totals[r + i] += ((int(hi) << 26) + int(lo)) << (
-                        b + e_min + 1073)
-    return np.array([t / (1 << 1126) if t else math.fsum(row)
-                     for t, row in zip(totals, rows)])
-
-
 def potential_oracle(density, x, G=1.0, resolution=128, subcell=1):
     """Brute-force midpoint quadrature of G * int f(y)/||x-y|| dy.
 
@@ -214,12 +161,15 @@ def potential_oracle(density, x, G=1.0, resolution=128, subcell=1):
     and one where a layer alone holds more.  Each node takes its terms
     in component order whatever its slab, and each coarse layer is
     averaged by itself, so the slab size changes no bits.
+
+    Each point's cell terms f / r are all positive and add in one np.sum
+    over its row, numpy's pairwise sum, which carries a relative error of
+    about log2(cells) * 2**-53 and the same bits whatever the slabs, the
+    distance chunks or the cores.  A non-finite point raises ValueError.
     """
     _check_G(G)
     n, s = _count("resolution", resolution), _count("subcell", subcell)
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 1
-    pts_x = np.atleast_2d(x)
+    pts_x, scalar = _points(x)
     if not np.all(oracle_clear(density, pts_x, n)):
         raise ValueError("evaluation point too close to the support "
                          "(need clearance > 2 quadrature cells)")
@@ -246,6 +196,6 @@ def potential_oracle(density, x, G=1.0, resolution=128, subcell=1):
 
     def body(p, d):
         np.divide(weights, d, out=d)
-        out[p] = G * cellvol * _fsums(d)
+        out[p] = G * cellvol * np.sum(d, axis=1)
     _each_distance_block(pts_x, pts, body)
     return float(out[0]) if scalar else out

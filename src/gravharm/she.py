@@ -110,27 +110,24 @@ def _recurrence_table(n_max, m_max, m_min=0):
     return a, b, sectoral
 
 
-def _legendre_blocks(u, s, n_max, ratio=1.0, m_max=None, m_min=0):
+def _legendre_blocks(u, s, n_max, ratio=1.0, m_max=None):
     """The fully normalized Legendre kernel, streamed by degree.
 
     u = cos(theta) and s = sin(theta) are 1-D arrays over k points.
     Yields (cols, degrees) for consecutive column blocks `cols` (slices
     of the point axis) of _BLOCK_ELEMENTS // (m_max + 1) points;
-    `degrees` yields (n, P) for n = m_min..n_max, where
-    P[i] = ratio^n Pbar_{n,m_min+i}(u[cols]) for orders
-    m = m_min..min(n, m_max), shape (rows, block).  P is a view of a
-    buffer that later steps overwrite.  m_max defaults to n_max (every
-    order); m_max = 0 is the zonal slice, O(n_max) per point, which needs
-    no s (pass None).
+    `degrees` yields (n, P) for n = 0..n_max, where
+    P[m] = ratio^n Pbar_{n,m}(u[cols]) for orders m = 0..min(n, m_max),
+    shape (rows, block).  P is a view of a buffer that later steps
+    overwrite.  m_max defaults to n_max (every order); m_max = 0 is the
+    zonal slice, O(n_max) per point, which needs no s (pass None).
 
     Forward column recurrence, every carried order at once:
     P_{n,m} = (a_{n,m} ratio u) P_{n-1,m} + (b_{n,m} ratio^2) P_{n-2,m},
-    seeded by the sectoral P_{n,n} = (P_{n-1,n-1} ratio s) f_n.  An order
-    range from m_min > 0 first runs the sectoral chain up to
-    P_{m_min,m_min}, then carries rows m_min..m_max only.  Each row is
-    computed alone, so bounds on the orders leave the rows they keep bit
-    for bit.  With ratio 1 every product by it is exact, so P is Pbar
-    bit for bit.
+    seeded by the sectoral P_{n,n} = (P_{n-1,n-1} ratio s) f_n.  Each
+    row is computed alone, so an order bound leaves the rows it keeps
+    bit for bit.  With ratio 1 every product by it is exact, so P is
+    Pbar bit for bit.
 
     Validated range: the addition theorem sum_m Pbar_{n,m}^2 = 2n+1
     holds to 1e-11 through n = 1800 at colatitudes 0.5 to 89.9 degrees.
@@ -138,18 +135,24 @@ def _legendre_blocks(u, s, n_max, ratio=1.0, m_max=None, m_min=0):
     off by 2e-4 at n = 2000 and by 0.25 at n = 2200.
     """
     m_max = n_max if m_max is None else min(m_max, n_max)
-    table = _recurrence_table(n_max, m_max, m_min)
+    table = _recurrence_table(n_max, m_max)
     ratio = np.broadcast_to(np.asarray(ratio, dtype=float), u.shape)
     width = max(1, _BLOCK_ELEMENTS // (m_max + 1))
     for start in range(0, len(u), width):
         cols = slice(start, start + width)
         yield cols, _degree_steps(u[cols], None if s is None else s[cols],
-                                  ratio[cols], n_max, m_min, m_max, *table)
+                                  ratio[cols], n_max, 0, m_max, *table)
 
 
 def _degree_steps(u, s, ratio, n_max, m_min, m_max, a, b, sectoral):
     """`_legendre_blocks`' degrees for one column block, from
-    `_recurrence_table(n_max, m_max, m_min)`."""
+    `_recurrence_table(n_max, m_max, m_min)`: (n, P) for n = m_min..n_max,
+    P[i] = ratio^n Pbar_{n,m_min+i}(u) for orders m_min..min(n, m_max).
+
+    The entry point for an order range: from m_min > 0 it first runs the
+    sectoral chain up to P_{m_min,m_min}, then carries rows m_min..m_max
+    only.  Each row is computed alone, so every kept row has the full
+    kernel's bits."""
     ru, r2 = ratio * u, ratio * ratio
     rs = ratio * s if m_max else None
     # one allocation: the three latest degrees and a work block
@@ -282,7 +285,7 @@ class SHECoefficients:
                 C[n, n_max + m] = c
         try:
             return cls(R, GM, n_max, C)
-        except ValueError as exc:       # an infinite R or GM
+        except ValueError as exc:       # R or GM not positive and finite
             raise ValueError("%s:1: %s" % (path, exc))
 
 
@@ -300,9 +303,6 @@ def _metadata(line):
     if missing:
         raise ValueError("metadata lacks %s" % ", ".join(missing))
     R, GM = float(kv["R"]), float(kv["GM"])
-    if not (R > 0 and GM > 0):
-        raise ValueError("reference radius and GM must be positive, got "
-                         "R=%s GM=%s" % (kv["R"], kv["GM"]))
     return R, GM, _nonnegative("n_max", kv["n_max"])
 
 

@@ -445,6 +445,20 @@ def test_potential_requires_range(snowman_file):
       "--G", "inf"], None, "--G must be positive and finite, got inf"),
     (["potential", "--snowman-gamma", 0.5, "--r-from", 3, "--r-to", 4,
       "--G", "nan"], None, "--G must be positive and finite, got nan"),
+    # snowman options, checked before the snowman is built or a CSV
+    # header written
+    (["descent", "snowman", "--gamma", "inf"], None,
+     "--gamma must be positive and finite, got inf"),
+    (["descent", "snowman", "--m1", "inf"], None,
+     "--m1 must be positive and finite, got inf"),
+    (["descent", "snowman", "--m2", 0], None,
+     "--m2 must be positive and finite, got 0.0"),
+    (["snowman-scan", "--gamma-from", 0.1, "--gamma-to", "inf"], None,
+     "--gamma-to must be positive and finite, got inf"),
+    (["snowman-scan", "--gamma-from", "nan", "--gamma-to", 0.9], None,
+     "--gamma-from must be positive and finite, got nan"),
+    (["snowman-scan", "--gamma-from", 0, "--gamma-to", 0.9], None,
+     "--gamma-from must be positive and finite, got 0.0"),
 ], ids=["window-one-value", "window-not-int", "resolution-1",
         "resolution-negative", "min-ball-radius", "grid-header-value",
         "grid-header-fields", "grid-value", "grid-spacing-zero",
@@ -457,7 +471,9 @@ def test_potential_requires_range(snowman_file):
         "r-from-nan", "r-from-infinite", "r-to-infinite", "quad-radius-0",
         "quad-radius-negative", "quad-radius-nan", "quad-radius-infinite",
         "R-infinite", "R-nan", "R-negative", "coeffs-G-infinite",
-        "coeffs-G-0", "potential-G-infinite", "potential-G-nan"])
+        "coeffs-G-0", "potential-G-infinite", "potential-G-nan",
+        "descent-gamma-infinite", "descent-m1-infinite", "descent-m2-0",
+        "scan-gamma-to-infinite", "scan-gamma-from-nan", "scan-gamma-from-0"])
 def test_bad_inputs_name_what_is_wrong(tmp_path, monkeypatch, capsys, argv,
                                        grid, message):
     monkeypatch.chdir(tmp_path)             # where a relative --out lands
@@ -471,7 +487,9 @@ def test_bad_inputs_name_what_is_wrong(tmp_path, monkeypatch, capsys, argv,
                        "--out", tmp_path / "o.spma",
                        "--report", tmp_path / "r.json"]
     assert run(argv) == 2
-    assert message in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert message in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -7,14 +7,14 @@ import pytest
 from scipy.integrate import quad
 
 from gravharm import (PointMass, PointMasses, SPMA, SmoothedPointMass,
-                      cosine_bump, evaluate_on_grid, lp_metric, oracle_clear,
-                      potential_oracle, potential_point_masses, potential_spm,
-                      potential_spma, quadratic_bump, table_profile,
-                      total_mass)
+                      cosine_bump, evaluate, evaluate_on_grid, lp_metric,
+                      oracle_clear, potential_oracle, potential_point_masses,
+                      potential_spm, potential_spma, quadratic_bump,
+                      table_profile, total_mass)
 from gravharm import density as density_module
 from gravharm import potential as potential_module
 from gravharm.density import _BLOCK, _DISTANCE_BLOCK, _z_runs, midpoint_nodes
-from gravharm.potential import _fsums, _point_mass_sums, _subcell_mean
+from gravharm.potential import _point_mass_sums, _subcell_mean
 
 from conftest import (across_workers, mixed_spma,
                       unblocked_potential_point_masses, unit_ball_grid,
@@ -56,15 +56,34 @@ def test_point_mass_potential_singularity():
         potential_point_masses(masses, np.array([1.0, 2.0, 3.0]))
 
 
-@pytest.mark.parametrize("x, where", [
+_NON_FINITE = pytest.mark.parametrize("x, where", [
     ([math.nan, 0.0, 0.0], r"evaluation point \[nan, 0.0, 0.0\] is not"),
     ([[3.0, 0.0, 0.0], [0.0, math.inf, 1.0]],
      r"evaluation point 1 \[0.0, inf, 1.0\] is not finite"),
 ], ids=["nan-point", "infinite-row"])
+
+
+@_NON_FINITE
 def test_point_mass_potential_names_a_non_finite_point(x, where):
     # no mass sits at a non-finite point, so this is no ZeroDivisionError
     with pytest.raises(ValueError, match=where):
         potential_point_masses([PointMass((0, 0, 1), 1.0)], x)
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: potential_spma(mixed_spma(), x),
+    lambda x: potential_spm(mixed_spma().components[0], x),
+    lambda x: evaluate(mixed_spma(), x),
+    lambda x: evaluate(unit_ball_grid(8), x),
+    lambda x: oracle_clear(mixed_spma(), x, resolution=8),
+    lambda x: potential_oracle(mixed_spma(), x, resolution=8),
+], ids=["spma", "spm", "evaluate-spma", "evaluate-grid", "oracle-clear",
+        "oracle"])
+@_NON_FINITE
+def test_evaluations_name_a_non_finite_point(call, x, where):
+    # unchecked, these gave nan or 0.0, and the oracle blamed clearance
+    with pytest.raises(ValueError, match=where):
+        call(x)
 
 
 def _random_masses(rng, n):
@@ -240,7 +259,7 @@ def _loop_oracle(density, x, resolution, subcell):
     mask = vals > 0
     xx, yy, zz = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([xx[mask], yy[mask], zz[mask]], axis=-1)
-    return np.array([cellvol * math.fsum(vals[mask] / np.linalg.norm(
+    return np.array([cellvol * np.sum(vals[mask] / np.linalg.norm(
         pts - xe, axis=1)) for xe in x])
 
 
@@ -267,52 +286,6 @@ def test_oracle_subcell_slabs_match_whole_fine_grid():
 # ---------------------------------------------------------------------------
 # brute-force oracle
 
-def _fsum_outcome(call):
-    try:
-        v = call()
-    except (OverflowError, ValueError) as exc:
-        return type(exc)
-    return (math.copysign(1.0, v), v) if v == v else "nan"
-
-
-def _fsum_rows(rng):
-    """Rows of every kind the exact sum must round as fsum does."""
-    n = 3000
-    wide = rng.uniform(-1, 1, (3, n)) * 10.0 ** rng.uniform(-300, 300, (3, n))
-    near = rng.uniform(0, 1, (3, n)) * 10.0 ** rng.uniform(-8, 8, (3, n))
-    half = rng.uniform(-1, 1, (2, n // 2)) * 10.0 ** rng.uniform(-20, 20, (2, n // 2))
-    cancel = np.hstack([half, -half[:, ::-1]])
-    cancel[:, 0] += 1e-30
-    subnormal = rng.uniform(-1, 1, (2, n)) * 1e-310
-    ints = rng.integers(-5, 5, (2, n)).astype(float)
-    rows = [*wide, *near, *cancel, *subnormal, *ints]
-    # ties, rounded to even either way, and a nudge off the tie
-    rows += [[base, 2.0**-53, nudge] for base in (1.0, 1.0 + 2**-52, -3.0)
-             for nudge in (-2.0**-80, 0.0, 2.0**-80)]
-    # one exponent's high bits cancel to 1 beside a second exponent
-    rows.append([(2.0**52 + 2.0**26 + 5) * 2.0**-53, -0.5, 1.0])
-    rows += [[-0.0, -0.0], [0.0, -0.0], [5e-324, 5e-324], [1e300, -1e300, 1.0],
-             [1e308, 1e308], [1e308, 1e308, -1e308], [2.0**999, 2.0**999],
-             [np.inf, 1.0], [np.inf, -np.inf], [np.nan, 1.0]]
-    return rows
-
-
-def test_exact_row_sums_are_math_fsum():
-    # fsum rounds the exact sum once, so any exact method gives its bits;
-    # rows near overflow, or with an inf or a nan, take fsum itself
-    for row in _fsum_rows(np.random.default_rng(30)):
-        row = np.asarray(row, dtype=float)[None]
-        assert _fsum_outcome(lambda: float(_fsums(row)[0])) == \
-            _fsum_outcome(lambda: math.fsum(row[0]))
-    # a block of rows at once, short rows sharing a chunk and long rows
-    # spanning several
-    rng = np.random.default_rng(31)
-    for shape in ((70, 900), (3, 2 * _BLOCK + 17)):
-        rows = rng.uniform(-1, 1, shape) * 10.0 ** rng.uniform(-9, 9, shape)
-        assert np.array_equal(_fsums(rows), [math.fsum(r) for r in rows])
-    assert np.array_equal(_fsums(np.empty((3, 0))), np.zeros(3))
-
-
 @pytest.mark.parametrize("s", range(1, 10))
 def test_subcell_mean_is_numpys_mean(s):
     # numpy's order: each run of s along the last axis, then the run sums
@@ -325,6 +298,47 @@ def test_subcell_mean_is_numpys_mean(s):
             fine = rng.uniform(-1, 1, shape) * 10.0 ** rng.uniform(-8, 8, shape)
             assert np.array_equal(_subcell_mean(fine, s), fine.reshape(
                 s, n, s, n, s).mean(axis=(0, 2, 4)))
+
+
+def _bench_ball_points():
+    """The bench's shell-theorem points: 10 at radius 1.5 to 3."""
+    rng = np.random.default_rng(99)
+    return np.array([rng.uniform(1.5, 3.0) * (v / np.linalg.norm(v))
+                     for v in rng.normal(size=(10, 3))])
+
+
+@pytest.mark.parametrize("density, resolution, subcell, x", [
+    # the bench's oracle: ~137k cells per sum
+    (SPMA([SmoothedPointMass((0, 0, 0), table_profile(
+        [0.0, 1.0], [2.0, 2.0], check_boundary=False))]), 64, 4,
+     _bench_ball_points()),
+    (mixed_spma(), 48, 2, np.array([[2.0, -1.5, 0.0], [-2.2, 2.0, -1.5],
+                                    [0.0, 0.1, 2.4], [9.0, 0.0, 0.0]])),
+], ids=["bench-ball", "mixed"])
+def test_oracle_sums_are_within_1e14_of_math_fsum(monkeypatch, density,
+                                                  resolution, subcell, x):
+    # every cell term is positive, so numpy's pairwise sum stays within
+    # about log2(cells) ulps of the exactly rounded sum; the terms are
+    # read from the oracle's last distance pass, after its body divided
+    passes = []
+    each_block = potential_module._each_distance_block
+
+    def spy(pts, positions, body):
+        terms = {}
+        passes.append(terms)
+
+        def kept(p, d):
+            body(p, d)
+            terms.update(zip(p.tolist(), d.copy()))
+        each_block(pts, positions, kept)
+    monkeypatch.setattr(potential_module, "_each_distance_block", spy)
+    v = potential_oracle(density, x, resolution=resolution, subcell=subcell)
+    cellvol = midpoint_nodes(*density.bounding_box(), resolution)[1]
+    terms = passes[-1]
+    assert sorted(terms) == list(range(len(x)))
+    assert all(np.all(t > 0) for t in terms.values())
+    exact = np.array([cellvol * math.fsum(terms[i]) for i in range(len(x))])
+    assert np.max(np.abs(v - exact) / exact) < 1e-14
 
 
 def test_oracle_matches_shell_theorem_exterior():

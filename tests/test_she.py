@@ -195,14 +195,14 @@ def test_order_ranges_keep_their_rows_of_the_full_kernel(m_min, with_ratio):
     u, s = np.cos(theta), np.sin(theta)
     ratio = np.linspace(0.3, 1.0, len(u)) if with_ratio else 1.0
     full = _kernel_table(u, s, 30, ratio)
+    ratio = np.broadcast_to(ratio, u.shape)
     for m_max in sorted({m_min, min(m_min + 5, 30), 30}):
         degrees_seen = []
-        for cols, degrees in she._legendre_blocks(u, s, 30, ratio, m_max,
-                                                  m_min):
-            for n, p in degrees:
-                degrees_seen.append(n)
-                assert np.array_equal(
-                    p, full[n, m_min:min(n, m_max) + 1, cols])
+        for n, p in she._degree_steps(u, s, ratio, 30, m_min, m_max,
+                                      *she._recurrence_table(30, m_max,
+                                                             m_min)):
+            degrees_seen.append(n)
+            assert np.array_equal(p, full[n, m_min:min(n, m_max) + 1])
         assert degrees_seen == list(range(m_min, 31))
 
 
@@ -712,12 +712,12 @@ def test_coefficients_load_rejects_bad_rows(tmp_path, rows, error):
     ("# R=1 GM=1 n_max=-1\nn,m,C",
      "c.csv:1: n_max must be non-negative, got -1"),
     ("# R=1 GM=1 n_max=3\nn,C", "c.csv:2: missing 'n,m,C' header"),
-    ("# R=0 GM=1 n_max=1\nn,m,C",
-     "c.csv:1: reference radius and GM must be positive, got R=0 GM=1"),
-    ("# R=1 GM=-2 n_max=1\nn,m,C",
-     "c.csv:1: reference radius and GM must be positive, got R=1 GM=-2"),
-    ("# R=1 GM=nan n_max=1\nn,m,C",
-     "c.csv:1: reference radius and GM must be positive, got R=1 GM=nan"),
+    ("# R=0 GM=1 n_max=1\nn,m,C", "c.csv:1: reference radius and GM "
+     "must be positive and finite, got R=0.0 GM=1.0"),
+    ("# R=1 GM=-2 n_max=1\nn,m,C", "c.csv:1: reference radius and GM "
+     "must be positive and finite, got R=1.0 GM=-2.0"),
+    ("# R=1 GM=nan n_max=1\nn,m,C", "c.csv:1: reference radius and GM "
+     "must be positive and finite, got R=1.0 GM=nan"),
     ("# R=inf GM=1 n_max=1\nn,m,C", "c.csv:1: reference radius and GM "
      "must be positive and finite, got R=inf GM=1.0"),
     ("# R=1 GM=inf n_max=1\nn,m,C", "c.csv:1: reference radius and GM "
