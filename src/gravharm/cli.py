@@ -459,23 +459,31 @@ def main(argv=None):
             unknown = sorted(set(conf) - known)
             if unknown:
                 raise CliError("unknown config keys: %s" % ", ".join(unknown))
-            # flags override the config file: only fill in values the
-            # command line left at their defaults (read from the
-            # subcommand's parser, which would demand its positionals if
-            # it were asked to parse), each through its flag's type as a
-            # command-line token would be
+            # flags override the config file, --config among them: fill
+            # in only what the command line leaves out, the subcommand's
+            # positionals and each flag named in full or by a unique
+            # prefix, with or without '=value' (read from the subcommand's
+            # parser, which would demand its positionals if it were asked
+            # to parse); each value goes through its flag's type as a
+            # command-line token would
             command = ap.subcommands[args.command]
             types = {a.dest: a.type for a in command._actions}
+            flags = {s: a.dest for a in command._actions
+                     for s in a.option_strings}
+            given = {"config"} | set(types) - set(flags.values())
+            for token in sys.argv[1:] if argv is None else argv:
+                name = str(token).partition("=")[0]
+                hits = {d for s, d in flags.items() if s.startswith(name)}
+                if name.startswith("--") and (name in flags or len(hits) == 1):
+                    given.add(flags.get(name) or hits.pop())
             for key, value in conf.items():
-                if key == "config":
-                    continue
                 if types.get(key) is not None:
                     try:
                         value = types[key](str(value))
                     except ValueError:
                         raise CliError("config key %s: invalid %s value %r"
                                        % (key, types[key].__name__, value))
-                if getattr(args, key) == command.get_default(key):
+                if key not in given:
                     setattr(args, key, value)
         # the command is looked up as it runs, not bound into the parser,
         # so a cmd_* function rebound on this module since the parser was

@@ -533,14 +533,13 @@ def _verify(spma, filling, params, meanf, tags):
     report["a6"] = {"pass": True, "by_construction": True}
 
     # a7 in the product form: per filling ball, the L1 error against f
-    # stays below var * |ball| plus a volume-proportional share of the
-    # residual budget; also reported with the component alone, which must
+    # stays below var * |ball| plus a volume-proportional share of a1's
+    # residual bound; also reported with the component alone, which must
     # fail whenever f is locally constant (var = 0 but the error of any
     # continuous profile vanishing on the rim is positive)
     var, at, starts = filling.ball_var, filling.at, filling.starts
     vols = 4.0 / 3.0 * np.pi * _pow(filling.filling.radii, 3)
-    slack_total = min(delta, eps) / 10.0
-    allow = var * vols + slack_total * vols / vols.sum()
+    allow = var * vols + filling.a1_bound * vols / vols.sum()
     fdiff = np.abs(g.values - lam_vals)[mask]
     err = np.add.reduceat(fdiff[at], starts) * cell
     worst = float(np.max(err - allow, initial=-np.inf))

@@ -573,7 +573,8 @@ def _parallel(fn, items):
     benchmark wraps (bench/layers.py), only kernels such as _grid_slab,
     the chunk loop of _each_distance_block with its bodies,
     SPMA.profile / mass_within / tail_first_moment, and the Legendre
-    kernel (she._degree_steps) in coeffs_from_point_masses' order ranges.
+    kernel (she._legendre_blocks) that each of coeffs_from_point_masses'
+    order ranges streams its column blocks through.
     """
     helpers = min(_WORKERS, len(items)) - 1
     if helpers < 1:
@@ -918,7 +919,7 @@ def save_spma(spma, path):
 
 
 def load_spma(path):
-    """Read an SPMA file; a bad line raises ValueError naming it."""
+    """Read an SPMA file; a bad line raises ValueError naming path:line."""
     rows, linenos = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -936,10 +937,9 @@ def load_spma(path):
                     raise ValueError("a table takes knots, then as many values")
                 rows.append(([float(v) for v in tok[:3]], float(tok[3]), code, q))
             except (IndexError, ValueError) as exc:
-                raise ValueError("bad SPMA file line %d: %s" % (lineno, exc))
+                raise ValueError("%s:%d: %s" % (path, lineno, exc))
             linenos.append(lineno)
     try:
         return SPMA.from_arrays(*_arrays(rows), check_boundary=False)
     except ComponentError as exc:
-        raise ValueError("bad SPMA file line %d: %s"
-                         % (linenos[exc.index], exc.reason))
+        raise ValueError("%s:%d: %s" % (path, linenos[exc.index], exc.reason))

@@ -78,10 +78,10 @@ def legendre_p(n, x):
     return p.reshape(x.shape) if x.ndim else float(p[0])
 
 
-# Points per column block times the orders carried (n_max + 1 for the
-# full kernel).  The kernel's buffers hold four such blocks (16 MB), so
-# memory stays O(n_max * block) whatever the point count; smaller blocks
-# spend more time in per-call overhead.
+# Points per column block times n_max + 1 (times 1 for the zonal slice).
+# The full kernel's buffers hold four such blocks (16 MB), so memory
+# stays O(n_max * block) whatever the point count; smaller blocks spend
+# more time in per-call overhead.
 _BLOCK_ELEMENTS = 1 << 19
 
 
@@ -110,24 +110,28 @@ def _recurrence_table(n_max, m_max, m_min=0):
     return a, b, sectoral
 
 
-def _legendre_blocks(u, s, n_max, ratio=1.0, m_max=None):
+def _legendre_blocks(u, s, n_max, ratio=1.0, m_max=None, m_min=0):
     """The fully normalized Legendre kernel, streamed by degree.
 
     u = cos(theta) and s = sin(theta) are 1-D arrays over k points.
     Yields (cols, degrees) for consecutive column blocks `cols` (slices
-    of the point axis) of _BLOCK_ELEMENTS // (m_max + 1) points;
-    `degrees` yields (n, P) for n = 0..n_max, where
-    P[m] = ratio^n Pbar_{n,m}(u[cols]) for orders m = 0..min(n, m_max),
-    shape (rows, block).  P is a view of a buffer that later steps
-    overwrite.  m_max defaults to n_max (every order); m_max = 0 is the
-    zonal slice, O(n_max) per point, which needs no s (pass None).
+    of the point axis) of _BLOCK_ELEMENTS // (n_max + 1) points, so that
+    every order range sees the same blocks (the zonal slice without s
+    takes _BLOCK_ELEMENTS); `degrees` yields (n, P) for n = m_min..n_max,
+    P[i] = ratio^n Pbar_{n,m_min+i}(u[cols]) for orders
+    m = m_min..min(n, m_max), shape (rows, block).  P is a view of a
+    buffer that later steps overwrite.  m_max defaults to n_max (every
+    order); m_max = 0 is the zonal slice, O(n_max) per point, which needs
+    no s (pass None).
 
     Forward column recurrence, every carried order at once:
     P_{n,m} = (a_{n,m} ratio u) P_{n-1,m} + (b_{n,m} ratio^2) P_{n-2,m},
-    seeded by the sectoral P_{n,n} = (P_{n-1,n-1} ratio s) f_n.  Each
-    row is computed alone, so an order bound leaves the rows it keeps
-    bit for bit.  With ratio 1 every product by it is exact, so P is
-    Pbar bit for bit.
+    seeded by the sectoral P_{n,n} = (P_{n-1,n-1} ratio s) f_n.  An order
+    range from m_min > 0 first runs the sectoral chain up to
+    P_{m_min,m_min}, then carries rows m_min..m_max only.  Each row is
+    computed alone, so bounds on the orders leave the rows they keep bit
+    for bit.  With ratio 1 every product by it is exact, so P is Pbar
+    bit for bit.
 
     Validated range: the addition theorem sum_m Pbar_{n,m}^2 = 2n+1
     holds to 1e-11 through n = 1800 at colatitudes 0.5 to 89.9 degrees.
@@ -135,24 +139,18 @@ def _legendre_blocks(u, s, n_max, ratio=1.0, m_max=None):
     off by 2e-4 at n = 2000 and by 0.25 at n = 2200.
     """
     m_max = n_max if m_max is None else min(m_max, n_max)
-    table = _recurrence_table(n_max, m_max)
+    table = _recurrence_table(n_max, m_max, m_min)
     ratio = np.broadcast_to(np.asarray(ratio, dtype=float), u.shape)
-    width = max(1, _BLOCK_ELEMENTS // (m_max + 1))
+    width = max(1, _BLOCK_ELEMENTS // (1 if s is None else n_max + 1))
     for start in range(0, len(u), width):
         cols = slice(start, start + width)
         yield cols, _degree_steps(u[cols], None if s is None else s[cols],
-                                  ratio[cols], n_max, 0, m_max, *table)
+                                  ratio[cols], n_max, m_min, m_max, *table)
 
 
 def _degree_steps(u, s, ratio, n_max, m_min, m_max, a, b, sectoral):
     """`_legendre_blocks`' degrees for one column block, from
-    `_recurrence_table(n_max, m_max, m_min)`: (n, P) for n = m_min..n_max,
-    P[i] = ratio^n Pbar_{n,m_min+i}(u) for orders m_min..min(n, m_max).
-
-    The entry point for an order range: from m_min > 0 it first runs the
-    sectoral chain up to P_{m_min,m_min}, then carries rows m_min..m_max
-    only.  Each row is computed alone, so every kept row has the full
-    kernel's bits."""
+    `_recurrence_table(n_max, m_max, m_min)`."""
     ru, r2 = ratio * u, ratio * ratio
     rs = ratio * s if m_max else None
     # one allocation: the three latest degrees and a work block
@@ -361,12 +359,12 @@ def coeffs_from_point_masses(masses, R, n_max, G=1.0):
     with GM = G * sum m_i.  Exact path, no surface quadrature.  Warns when
     a mass sits outside the reference sphere.
 
-    The masses go through the Legendre kernel in column blocks of
-    _BLOCK_ELEMENTS // (n_max + 1) points, one after another.  A block
-    of at least density._BLOCK entries (points * (n_max + 1)) splits its
-    orders into `_order_ranges`, run on every core through
-    density._parallel; each range adds only to its own columns of C
-    (n_max + m and n_max - m), so C keeps its bits whatever the split.
+    The orders split into `_order_ranges`, one per core, run through
+    density._parallel once.  Each range streams every column block of
+    the masses through `_legendre_blocks(..., m_max=hi, m_min=lo)`,
+    builds the phase factors of its own orders only and adds only to its
+    own columns of C (n_max + m and n_max - m); the blocks are the same
+    for every range, so C keeps its bits whatever the split.
     """
     pos, d, ratio, weights, M, n_max = _mass_weights(masses, R, n_max)
     u = _unit_cosines(pos[:, 2], d)
@@ -374,33 +372,27 @@ def coeffs_from_point_masses(masses, R, n_max, G=1.0):
     phi = np.arctan2(pos[:, 1], pos[:, 0])
     orders = np.arange(n_max + 1)
     C = np.zeros((n_max + 1, 2 * n_max + 1))
-    width = max(1, _BLOCK_ELEMENTS // (n_max + 1))
-    for start in range(0, len(u), width):
-        cols = slice(start, start + width)
-        wc = np.empty((n_max + 1, len(phi[cols])))
-        ws = np.empty_like(wc)
 
-        def add_orders(bounds):
-            lo, hi = bounds
-            rows = slice(lo, hi + 1)
-            mphi = np.multiply(orders[rows, None], phi[cols], out=ws[rows])
-            np.cos(mphi, out=wc[rows])
-            wc[rows] *= weights[cols]
-            np.sin(mphi, out=mphi)
-            mphi *= weights[cols]
-            # q[i] = ratio^n Pbar_{n,lo+i}(u) for orders lo..top.  Columns
-            # n_max - m take the sines of m = top down to max(lo, 1), order
-            # 0 having none: q's row 0 (order lo) only where lo > 0
-            w_stop, q_stop = max(lo - 1, 0), None if lo else 0
-            for n, q in _degree_steps(u[cols], s[cols], ratio[cols], n_max,
-                                      lo, hi, *_recurrence_table(n_max, hi,
-                                                                 lo)):
+    def add_orders(bounds):
+        lo, hi = bounds
+        # row i of wc, ws and q holds order lo + i (q's to top = min(n, hi));
+        # columns n_max - m take the sines of m = top down to max(lo, 1),
+        # order 0 having none: row 0 only where lo > 0
+        w_stop, stop = max(lo - 1, 0), None if lo else 0
+        for cols, degrees in _legendre_blocks(u, s, n_max, ratio, hi, lo):
+            ws = np.multiply(orders[lo:hi + 1, None], phi[cols])
+            wc = np.cos(ws)
+            wc *= weights[cols]
+            np.sin(ws, out=ws)
+            ws *= weights[cols]
+            for n, q in degrees:
                 top = n if n < hi else hi
                 C[n, n_max + lo:n_max + top + 1] += np.vecdot(
-                    wc[lo:top + 1], q)
+                    wc[:top - lo + 1], q)
                 C[n, n_max - top:n_max - w_stop] += np.vecdot(
-                    ws[top:w_stop:-1], q[top - lo:q_stop:-1])
-        density._parallel(add_orders, _order_ranges(n_max, wc.shape[1]))
+                    ws[top - lo:stop:-1], q[top - lo:stop:-1])
+            del q, wc, ws       # this block's buffers go before the next's
+    density._parallel(add_orders, _order_ranges(n_max, len(u)))
     C *= 1.0 / (2 * orders[:, None] + 1)
     return SHECoefficients(R, G * M, n_max, C)
 

@@ -616,8 +616,22 @@ def test_config_flags_override(tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"gamma_from": 0.2, "gamma_to": 0.6,
                                 "steps": 3}))
-    assert run(["--config", conf, "snowman-scan", "--steps", 5]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 6
+    # a flag set to its own default still wins, spelt out, with '=' or
+    # abbreviated as argparse accepts it; a flag the config lacks leaves
+    # the config's steps
+    for flags, rows in ((["--steps", 5], 5), (["--steps", 25], 25),
+                        (["--steps=25"], 25), (["--ste", 25], 25),
+                        (["--tol", 1e-8], 3)):
+        assert run(["--config", conf, "snowman-scan"] + flags) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + rows
+
+
+def test_config_cannot_replace_the_descent_positional(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"subject": "spma", "gamma": 0.3,
+                                "n_max": 60, "directions": 8}))
+    assert run(["--config", conf, "descent", "snowman"]) == 0
+    assert "descends=false" in capsys.readouterr().out
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):

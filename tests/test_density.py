@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import math
+import re
 import sys
 import threading
 import time
@@ -283,7 +284,7 @@ def test_load_spma_reports_line_numbers(tmp_path, line):
     path = tmp_path / "bad.spma"
     path.write_text("0 0 0 1 quadratic_bump 1\n%s\n0 0 0 1 cosine_bump 1\n"
                     % line)
-    with pytest.raises(ValueError, match="line 2"):
+    with pytest.raises(ValueError, match=re.escape("%s:2: " % path)):
         load_spma(path)
 
 

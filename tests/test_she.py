@@ -21,8 +21,7 @@ from gravharm import (Direction, PointMass, PointMasses, SHECoefficients,
                       series_value, ynm_bar, ynm_table)
 from gravharm.she import direction_coefficient_table, direction_term_sequence
 
-from conftest import (across_workers, random_point_masses,
-                      unblocked_potential_point_masses)
+from conftest import random_point_masses, unblocked_potential_point_masses
 
 
 def ynm_oracle(n, m, theta, phi):
@@ -198,11 +197,12 @@ def test_order_ranges_keep_their_rows_of_the_full_kernel(m_min, with_ratio):
     ratio = np.broadcast_to(ratio, u.shape)
     for m_max in sorted({m_min, min(m_min + 5, 30), 30}):
         degrees_seen = []
-        for n, p in she._degree_steps(u, s, ratio, 30, m_min, m_max,
-                                      *she._recurrence_table(30, m_max,
-                                                             m_min)):
-            degrees_seen.append(n)
-            assert np.array_equal(p, full[n, m_min:min(n, m_max) + 1])
+        for cols, degrees in she._legendre_blocks(u, s, 30, ratio, m_max,
+                                                  m_min):
+            for n, p in degrees:
+                degrees_seen.append(n)
+                assert np.array_equal(p, full[n, m_min:min(n, m_max) + 1,
+                                              cols])
         assert degrees_seen == list(range(m_min, 31))
 
 
@@ -337,34 +337,81 @@ def _ball_masses(count, seed):
     return PointMasses(pos, rng.uniform(0.1, 1.0, count))
 
 
-@pytest.mark.parametrize("count, n_max", [(1000, 60), (1000, 160),
-                                          (17000, 30)])
-def test_coefficients_split_orders_bit_for_bit(monkeypatch, count, n_max):
-    # 17000 masses at n_max = 30: a full block of 16912 points split
-    # across the cores, then 88 points run inline
-    pm = _ball_masses(count, count + n_max)
-    widths = []
+def _ranges_across_workers(monkeypatch, pm, n_max, workers=(1, 2, 3)):
+    """C at each worker count, and the number of items of each
+    density._parallel call made along the way."""
+    widths, runs = [], []
     parallel = density._parallel
 
     def counting(fn, items):
         widths.append(len(items))
         parallel(fn, items)
     monkeypatch.setattr(density, "_parallel", counting)
-    # the ranges share C and the phase-factor buffers: switch threads
-    # often, so that a write outside a range's own columns would show
+    # the ranges share C: switch threads often, so that a write outside a
+    # range's own columns would show
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        runs = across_workers(
-            monkeypatch,
-            lambda: coeffs_from_point_masses(pm, 1.0, n_max).coeffs)
+        for w in workers:
+            monkeypatch.setattr(density, "_WORKERS", w)
+            runs.append(coeffs_from_point_masses(pm, 1.0, n_max).coeffs)
     finally:
         sys.setswitchinterval(interval)
+    return runs, widths
+
+
+@pytest.mark.parametrize("count, n_max", [(1000, 60), (1000, 160),
+                                          (17000, 30)])
+def test_coefficients_split_orders_bit_for_bit(monkeypatch, count, n_max):
+    # 17000 masses at n_max = 30: a block of 16912 points and an 88-point
+    # tail, which every order range streams in turn
+    pm = _ball_masses(count, count + n_max)
+    runs, widths = _ranges_across_workers(monkeypatch, pm, n_max,
+                                          (density._WORKERS, 1, 3))
     assert all(np.array_equal(c, runs[1]) for c in runs)
-    blocks = -(-count // (she._BLOCK_ELEMENTS // (n_max + 1)))
-    assert blocks == (2 if count == 17000 else 1)
-    # the run at 3 workers split the full block's orders three ways
-    assert widths[-blocks:] == [3, 1][:blocks]
+    # one pool per call; at 3 workers it runs three order ranges
+    assert len(widths) == 3 and widths[1:] == [1, 3]
+
+
+@pytest.mark.parametrize("count, n_max, block", [(1000, 40, 300),
+                                                 (7000, 4, 2000)])
+def test_order_ranges_stream_several_column_blocks(monkeypatch, count, n_max,
+                                                   block):
+    # 4 blocks, the last one ragged; at n_max = 4 the first of 3 ranges
+    # carries order 0 alone, and must still see the full kernel's blocks
+    monkeypatch.setattr(she, "_BLOCK_ELEMENTS", block * (n_max + 1))
+    pm = _ball_masses(count, count)
+    runs, widths = _ranges_across_workers(monkeypatch, pm, n_max)
+    assert all(np.array_equal(c, runs[0]) for c in runs)
+    assert widths == [1, 2, 3]
+    # the runs leave density._WORKERS at 3
+    assert n_max != 4 or she._order_ranges(n_max, count)[0] == (0, 0)
+
+
+def test_order_ranges_keep_the_full_kernels_blocks_and_rows(monkeypatch):
+    theta = np.linspace(0.02, 3.1, 23)
+    u, s = np.cos(theta), np.sin(theta)
+    ratio = np.linspace(0.3, 1.0, len(u))
+    full = _kernel_table(u, s, 12, ratio)
+    # 5-point blocks for the full kernel and every order range, the last
+    # one 3 points; 65-point blocks for the zonal slice without s
+    monkeypatch.setattr(she, "_BLOCK_ELEMENTS", 5 * 13)
+    monkeypatch.setattr(density, "_WORKERS", 3)
+    ranges = she._order_ranges(12, 40000)
+    assert ranges == [(0, 1), (2, 4), (5, 12)]
+    for m_min, m_max in ranges + [(0, 0), (3, 3)]:
+        blocks = []
+        for cols, degrees in she._legendre_blocks(u, s, 12, ratio, m_max,
+                                                  m_min):
+            blocks.append(cols)
+            for n, p in degrees:
+                assert np.array_equal(p, full[n, m_min:min(n, m_max) + 1,
+                                              cols])
+        assert [(c.start, len(u[c])) for c in blocks] == [
+            (0, 5), (5, 5), (10, 5), (15, 5), (20, 3)]
+    zonal = [cols for cols, _ in she._legendre_blocks(u, None, 12, ratio,
+                                                      m_max=0)]
+    assert [(c.start, len(u[c])) for c in zonal] == [(0, 23)]
 
 
 def test_small_coefficient_sets_start_no_thread(monkeypatch):
