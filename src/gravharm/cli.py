@@ -106,6 +106,16 @@ def _check_positive_finite(args, *names):
                            % (name, value))
 
 
+def _check_nonnegative(args, *names):
+    """Integer options that must be non-negative, checked before any
+    work; the message names the library parameter and the flag."""
+    for name in names:
+        value = getattr(args, name.replace("-", "_"))
+        if value < 0:
+            raise CliError("%s must be non-negative, got %d (set by --%s)"
+                           % (name.replace("-", "_"), value, name))
+
+
 def _check_directions(args):
     """--directions, checked before any work."""
     if args.directions < 1:
@@ -140,6 +150,10 @@ def _write_rc_csv(path, reports):
 def cmd_coeffs(args):
     _require(args, "out")
     _check_positive_finite(args, "quad-radius", "R", "G")
+    _check_nonnegative(args, "n-max", "oversample")
+    if not 0 <= args.threshold < 1:     # at 1 or more the (0, 0) row goes
+        raise CliError("--threshold must be finite and in [0, 1), got %s"
+                       % args.threshold)
     spma, masses = _masses_from_args(args)
     R_pm = pointmass_brillouin_radius(masses)
     R = args.R if args.R is not None else R_pm
@@ -178,6 +192,7 @@ def cmd_descent(args):
     else:
         if args.file is None or args.eps is None:
             raise CliError("descent spma requires --file and --eps")
+        _check_positive_finite(args, "eps")
         rep = epsilon_descent_check(load_spma(args.file), args.eps,
                                     n_max=args.n_max, k=args.directions)
         R, eps, waist = rep.brillouin_radius, rep.eps, ""
@@ -193,10 +208,17 @@ def cmd_descent(args):
 
 def cmd_approximate(args):
     _require(args, "density", "delta", "eps", "out", "report")
+    _check_positive_finite(args, "delta", "eps")
+    try:
+        params = FillingParams(delta=args.delta, eps=args.eps,
+                               grid_resolution=args.resolution,
+                               min_ball_radius=args.min_ball_radius)
+    except ValueError as exc:
+        flag = {"delta": "--delta", "eps": "--eps",
+                "grid_resolution": "--resolution",
+                "min_ball_radius": "--min-ball-radius"}[str(exc).split()[0]]
+        raise CliError("%s (set by %s)" % (exc, flag))
     f = GridDensity.load(args.density)
-    params = FillingParams(delta=args.delta, eps=args.eps,
-                           grid_resolution=args.resolution,
-                           min_ball_radius=args.min_ball_radius)
     try:
         result = spma_approximate(f, params)
     except FillingBudgetError as exc:
@@ -235,6 +257,7 @@ def cmd_potential(args):
         raise CliError("--oracle-resolution must be 0 (skip) or positive, "
                        "got %d" % args.oracle_resolution)
     _check_positive_finite(args, "G")
+    _check_nonnegative(args, "n-max")
     spma, masses = _masses_from_args(args)
     try:
         d = np.asarray([float(t) for t in args.direction.split(",")])

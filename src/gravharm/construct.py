@@ -57,8 +57,10 @@ class FillingParams:
     min_ball_radius: float = 0.0  # 0: 1e-3 of the grid step
 
     def __post_init__(self):
-        if not (self.delta > 0 and self.eps > 0):
-            raise ValueError("delta and eps must be positive")
+        for name, value in (("delta", self.delta), ("eps", self.eps)):
+            if not 0 < value < np.inf:
+                raise ValueError("%s must be positive and finite, got %r"
+                                 % (name, value))
         if not (self.grid_resolution == 0 or self.grid_resolution >= 2):
             raise ValueError("grid_resolution must be 0 (the density's own "
                              "grid) or at least 2, got %r" % self.grid_resolution)

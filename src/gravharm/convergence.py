@@ -201,8 +201,8 @@ def epsilon_descent_check(spma, eps, n_max=400, k=DEFAULT_DIRECTIONS):
     that is reported as R_c = 0 (the exterior field is exactly GM/r).
     """
     eps = float(eps)
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError("eps must be positive and finite, got %r" % eps)
     R_support = brillouin_radius(spma)
     rc, reports = pointmass_rc(spma.as_point_masses(), n_max, k=k)
     inconclusive = all(r.classification == "inconclusive" for r in reports)

@@ -393,25 +393,36 @@ class SPMA:
 
     def _by_kind(self, formula, index, s):
         """formula(kind, a, p, s) at the entries (component index[e],
-        radius s[e]), one call per parameter group."""
+        radius s[e]), one call per parameter group.  A 0-d index is that
+        one component at every radius: one call with its own scalar
+        radius and parameters, with no output array or gather."""
         index, s = np.asarray(index, dtype=np.intp), np.asarray(s, dtype=float)
+        if index.ndim == 0:
+            return self._of_group(formula, self._group[index], index, s)
         out = np.empty(len(index))
         one = len(self._groups) == 1        # every entry is in that group
         group = None if one else self._group[index]
-        for g, (code, _, p) in enumerate(self._groups):
+        for g in range(len(self._groups)):
             sel = slice(None) if one else np.flatnonzero(group == g)
             c = index[sel]
             if c.size == 0:
                 continue
             if c[0] == c[-1] and np.all(c == c[0]):
-                c = c[:1]           # one component: its parameters broadcast
-            rows = self._row[c]
-            out[sel] = formula(code, self.radii[c], (p[0][rows], p[1][rows])
-                               if code == TABLE else p[rows], s[sel])
+                c = c[0]            # one component: as a 0-d index
+            out[sel] = self._of_group(formula, g, c, s[sel])
         return out
 
+    def _of_group(self, formula, g, c, s):
+        """formula at components c of group g, radii s; a scalar c
+        passes its scalar parameters."""
+        code, _, p = self._groups[g]
+        rows = self._row[c]
+        return formula(code, self.radii[c], (p[0][rows], p[1][rows])
+                       if code == TABLE else p[rows], s)
+
     def profile(self, index, s):
-        """g(s) of component index[e] at radius s[e]."""
+        """g(s) of component index[e] at radius s[e]; a 0-d index is
+        that one component at every radius."""
         return self._by_kind(_value, index, s)
 
     def mass_within(self, index, s):
@@ -776,7 +787,10 @@ def _grid_slab(density, origin, spacing, shape, start, stop):
     half the boxes' entries, every row is listed, the wide components'
     rows are cut to their ball's z-chord (`_chords`) and the rows that
     miss their ball are dropped; every node still takes the exact
-    dist <= r test, so it gets the same terms in component order."""
+    dist <= r test, so it gets the same terms in component order.  A
+    block whose rows are all one component's evaluates that component's
+    profile with a 0-d index, one formula call on its scalar parameters;
+    other blocks pass the component of each entry."""
     origin = as_vec3(origin)
     spacing = np.broadcast_to(np.asarray(spacing, dtype=float), (3,))
     nx, ny, nz = (int(n) for n in shape)
@@ -822,7 +836,7 @@ def _grid_slab(density, origin, spacing, shape, start, stop):
                                  for b in bufs)
         k = np.arange(width)
         np.add(k0[:, None], k, out=kz)
-        np.take(zn, kz, out=dist)
+        np.take(zn, kz, out=dist, mode="clip")    # kz stays in zn: no bounds check
         dist -= centers[c, 2][:, None]
         dist *= dist
         np.add(dxy[:, None], dist, out=dist)
@@ -831,9 +845,9 @@ def _grid_slab(density, origin, spacing, shape, start, stop):
         inside &= np.less(k, w[:, None], out=t)
         kz += (((i - start) * ny + j) * nz)[:, None]     # the flat index
         s = dist[inside]
-        # a block of one component's rows needs no per-entry component
-        owner = (np.broadcast_to(c[:1], len(s)) if c[0] == c[-1]
-                 else np.repeat(c, inside.sum(axis=1)))
+        # rows are component-major, so a block's ends name its one
+        # component, which needs no per-entry index
+        owner = c[0] if c[0] == c[-1] else np.repeat(c, inside.sum(axis=1))
         np.add.at(out, kz[inside], density.profile(owner, s))
 
     # listing every row pays where wide components hold most entries

@@ -417,6 +417,7 @@ def pointmass_direction_sums(masses, R, n_max, d):
         w = weights[cols]
         for n, q in degrees:
             b[n] += q[0] @ w
+        del q               # this block's buffers go before the next's
     b /= np.sqrt(2 * np.arange(n_max + 1) + 1)
     return b
 
@@ -469,6 +470,7 @@ def coeffs_from_sphere_quadrature(potential_fn, R_quad, R, n_max,
         for n, p in degrees:
             C[n, n_max:n_max + n + 1] += np.vecdot(wvc[:n + 1, cols], p)
             C[n, n_max - n:n_max] += np.vecdot(wvs[n:0:-1, cols], p[n:0:-1])
+        del p               # this block's buffers go before the next's
     C *= 0.5
     GM = R_quad * C[0, n_max]
     if GM <= 0:
@@ -502,6 +504,7 @@ def direction_coefficient_table(c, thetas, phis):
             bn = C[n, n_max:n_max + n + 1] @ t
             t = np.multiply(p[n:0:-1], sinm[n:0:-1], out=work[:n])
             b[cols, n] = bn + C[n, n_max - n:n_max] @ t
+        del p, t, mphi, cosm, sinm, work    # before the next block's
     return b
 
 

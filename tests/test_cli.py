@@ -122,15 +122,19 @@ def test_point_mass_file_builds_the_array_record(tmp_path, monkeypatch):
     assert len(build_snowman(SnowmanParams(0.5)).as_point_masses()) == 2
 
 
+N_MAX = "n_max must be non-negative, got -1 (set by --n-max)"
+
+
 @pytest.mark.parametrize("argv, name", [
     (["coeffs", "--snowman-gamma", 0.5, "--n-max", -1, "--out", "c.csv"],
-     "n_max"),
+     N_MAX),
     (["coeffs", "--snowman-gamma", 0.5, "--n-max", 8, "--dual-path",
-      "--oversample", -20, "--out", "c.csv"], "oversample"),
-    (["rc", "--snowman-gamma", 0.5, "--n-max", -1], "n_max"),
-    (["descent", "snowman", "--n-max", -1], "n_max"),
+      "--oversample", -20, "--out", "c.csv"],
+     "oversample must be non-negative, got -20 (set by --oversample)"),
+    (["rc", "--snowman-gamma", 0.5, "--n-max", -1], N_MAX),
+    (["descent", "snowman", "--n-max", -1], N_MAX),
     (["potential", "--snowman-gamma", 0.5, "--r-from", 3, "--r-to", 4,
-      "--samples", 2, "--n-max", -1], "n_max"),
+      "--samples", 2, "--n-max", -1], N_MAX),
 ], ids=["coeffs", "coeffs-oversample", "rc", "descent-snowman", "potential"])
 def test_negative_degree_arguments_name_the_parameter(tmp_path, monkeypatch,
                                                       capsys, argv, name):
@@ -384,9 +388,14 @@ def test_potential_requires_range(snowman_file):
 @pytest.mark.parametrize("argv, grid, message", [
     (["rc", "--snowman-gamma", 0.5, "--window", "50"], None, "--window"),
     (["rc", "--snowman-gamma", 0.5, "--window", "50,x"], None, "--window"),
-    (["approximate", "--resolution", 1], "ok", "grid_resolution"),
-    (["approximate", "--resolution", -5], "ok", "grid_resolution"),
-    (["approximate", "--min-ball-radius", -0.1], "ok", "min_ball_radius"),
+    (["approximate", "--resolution", 1], "ok",
+     "grid_resolution must be 0 (the density's own grid) or at least 2, "
+     "got 1 (set by --resolution)"),
+    (["approximate", "--resolution", -5], "ok",
+     "got -5 (set by --resolution)"),
+    (["approximate", "--min-ball-radius", -0.1], "ok",
+     "min_ball_radius must be non-negative, got -0.1 "
+     "(set by --min-ball-radius)"),
     (["approximate"], "2 2 x 1 0 0 0\n1 1 1 1\n", "ball.grid:1:"),
     (["approximate"], "2 2 2 1 0 0\n1 1 1 1\n", "ball.grid:1:"),
     (["approximate"], "2 2 2 1 0 0 0\n1 1 1 1\n1 1 x 1\n", "ball.grid:3:"),
@@ -459,6 +468,20 @@ def test_potential_requires_range(snowman_file):
      "--gamma-from must be positive and finite, got nan"),
     (["snowman-scan", "--gamma-from", 0, "--gamma-to", 0.9], None,
      "--gamma-from must be positive and finite, got 0.0"),
+    # a threshold of 1 or more would drop the (0, 0) row from the file
+    *[(["coeffs", "--snowman-gamma", 0.5, "--threshold", t, "--out", "c.csv"],
+       None, "--threshold must be finite and in [0, 1), got %s" % t)
+      for t in ("nan", "-1.0", "inf", "1.0")],
+    # a budget that is not finite makes a vacuous verdict, or a failed
+    # one; checked before the density or the SPMA file is read
+    *[(["approximate", "--density", "missing.grid", "--delta", 0.5,
+        "--eps", 0.5, "--out", "o.spma", "--report", "r.json",
+        "--%s=%s" % (flag, v)], None,
+       "--%s must be positive and finite, got %s" % (flag, v))
+      for flag in ("delta", "eps") for v in ("inf", "nan")],
+    *[(["descent", "spma", "--file", "missing.spma", "--eps", e], None,
+       "--eps must be positive and finite, got %s" % e)
+      for e in ("inf", "nan")],
 ], ids=["window-one-value", "window-not-int", "resolution-1",
         "resolution-negative", "min-ball-radius", "grid-header-value",
         "grid-header-fields", "grid-value", "grid-spacing-zero",
@@ -473,7 +496,10 @@ def test_potential_requires_range(snowman_file):
         "R-infinite", "R-nan", "R-negative", "coeffs-G-infinite",
         "coeffs-G-0", "potential-G-infinite", "potential-G-nan",
         "descent-gamma-infinite", "descent-m1-infinite", "descent-m2-0",
-        "scan-gamma-to-infinite", "scan-gamma-from-nan", "scan-gamma-from-0"])
+        "scan-gamma-to-infinite", "scan-gamma-from-nan", "scan-gamma-from-0",
+        "threshold-nan", "threshold-negative", "threshold-inf", "threshold-1",
+        "delta-infinite", "delta-nan", "eps-infinite", "eps-nan",
+        "descent-eps-infinite", "descent-eps-nan"])
 def test_bad_inputs_name_what_is_wrong(tmp_path, monkeypatch, capsys, argv,
                                        grid, message):
     monkeypatch.chdir(tmp_path)             # where a relative --out lands

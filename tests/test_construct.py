@@ -157,6 +157,11 @@ def test_filling_budget_error_for_tiny_budget():
 def test_filling_params_validation():
     with pytest.raises(ValueError):
         FillingParams(delta=0.0, eps=0.1)
+    for field in ("delta", "eps"):
+        for value in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="%s must be positive and "
+                                                 "finite" % field):
+                FillingParams(**{"delta": 0.1, "eps": 0.1, field: value})
     for field, value in (("grid_resolution", 1), ("grid_resolution", -5),
                          ("min_ball_radius", -1e-3)):
         with pytest.raises(ValueError, match=field):

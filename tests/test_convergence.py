@@ -207,5 +207,6 @@ def test_descent_radially_symmetric_reports_inconclusive_rc():
 
 def test_descent_eps_validation():
     spma = build_snowman(SnowmanParams(0.5))
-    with pytest.raises(ValueError):
-        epsilon_descent_check(spma, 0.0)
+    for eps in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            epsilon_descent_check(spma, eps)

@@ -597,7 +597,7 @@ def record_profile_calls(monkeypatch):
     profile = SPMA.profile
 
     def spy(self, index, s):
-        calls.append(np.asarray(index))
+        calls.append(np.broadcast_to(index, np.shape(s)))
         return profile(self, index, s)
     monkeypatch.setattr(SPMA, "profile", spy)
     return calls
@@ -646,6 +646,61 @@ def test_single_ball_rows_fall_into_equal_blocks(monkeypatch):
     assert all(0.95 * _BLOCK < n <= _BLOCK for n in padded[:-1])
     assert sum(padded) < 1.1 * chords < 0.9 * 4 * 256 * 256
     assert sum(len(row) for row, *_ in blocks) == 4 * 256     # none misses
+
+
+def record_profile_indices(monkeypatch):
+    """The index argument of every SPMA.profile call, as passed."""
+    calls = []
+    profile = SPMA.profile
+
+    def spy(self, index, s):
+        calls.append(np.asarray(index))
+        return profile(self, index, s)
+    monkeypatch.setattr(SPMA, "profile", spy)
+    return calls
+
+
+def bench_ball():
+    """The shell-theorem oracle's ball: a uniform table of radius 1."""
+    return SPMA([SmoothedPointMass((0, 0, 0), table_profile(
+        [0.0, 1.0], [2.0, 2.0], check_boundary=False))])
+
+
+@pytest.mark.parametrize("spma, origin, spacing, shape, start, stop", [
+    # the oracle's fine slab at resolution 64, subcell 4: chord rows
+    (bench_ball(), (-1 + 1 / 256,) * 3, 1 / 128, (256,) * 3, 126, 130),
+    # a ball under _CHORD_WIDTH nodes wide: every row of its box listed
+    (bench_ball(), (-1.03, -0.98, -1.01), 0.2, (11, 11, 11), 0, 11),
+], ids=["chords", "whole-rows"])
+def test_one_component_blocks_pass_one_index(monkeypatch, spma, origin,
+                                             spacing, shape, start, stop):
+    calls = record_profile_indices(monkeypatch)
+    got = _grid_slab(spma, origin, spacing, shape, start, stop)
+    monkeypatch.undo()
+    assert np.array_equal(got, padded_grid_slab(spma, origin, spacing, shape,
+                                                start, stop))
+    assert got.any() and calls
+    assert all(c.ndim == 0 and c == 0 for c in calls)
+
+
+def test_many_component_blocks_keep_their_entry_indices(monkeypatch):
+    # whole rows listed, blocks cut inside and across components: a block
+    # whose rows are all one component's passes that component, any
+    # other block the component of each entry
+    spma, origin = big_and_small(True), (-1.0, -0.95, -1.05)
+    monkeypatch.setattr(density_module, "_BLOCK", 200)
+    blocks, calls = record_blocks(monkeypatch), record_profile_indices(monkeypatch)
+    got = _grid_slab(spma, origin, 0.11, (19,) * 3, 0, 19)
+    monkeypatch.undo()
+    assert np.array_equal(got, padded_grid_slab(spma, origin, 0.11,
+                                                (19,) * 3, 0, 19))
+    assert len(calls) == len(blocks)
+    for (_, c, _, _), index in zip(blocks, calls):
+        if c[0] == c[-1]:
+            assert index.ndim == 0 and index == c[0]
+        else:
+            assert index.ndim == 1 and set(index) <= set(c)
+    assert {c.ndim for c in calls} == {0, 1}
 
 
 def _ball_at(z_steps, r_steps, h):
@@ -711,6 +766,35 @@ def test_a_slab_whose_chord_rows_all_miss_their_ball():
     assert not got.any()
     assert np.array_equal(_grid_slab(ball, origin, spacing, shape, 0, 7),
                           padded_grid_slab(ball, origin, spacing, shape, 0, 7))
+
+
+@pytest.mark.parametrize("kind, knots", [
+    (QUADRATIC, None), (COSINE, None), (TABLE, 2), (TABLE, 3), (TABLE, 5)])
+@pytest.mark.parametrize("name", ["profile", "mass_within",
+                                  "tail_first_moment"])
+def test_a_0d_index_is_that_component_at_every_radius(kind, knots, name):
+    # two components of the kind, so an index naming both gathers each
+    # entry's parameters; a 0-d index takes the component's scalars
+    rng = np.random.default_rng(knots or kind)
+    radii = np.array([0.7, 0.45])
+    tables = ()
+    if kind == TABLE:
+        k = np.sort(rng.uniform(0, 1, (2, knots)), axis=1)
+        k[:, 0], k[:, -1] = 0.0, 1.0
+        tables = [([0, 1], k * radii[:, None], rng.uniform(0.5, 2, (2, knots)))]
+    spma = SPMA.from_arrays([[0.0, 0, 0], [1.0, 0, 0]], radii, [kind] * 2,
+                            [1.3, 0.8], tables, check_boundary=False)
+    formula = getattr(spma, name)
+    for i, a in enumerate(radii):
+        s = np.concatenate([[-0.2, -1e-300, 0.0, a, np.nextafter(a, 1), 2.0],
+                            rng.uniform(0, a, 50)])
+        per_entry = formula(np.append(np.full(len(s), i), 1 - i),
+                            np.append(s, 0.1))[:-1]
+        got = formula(i, s)
+        assert got.shape == s.shape
+        assert np.array_equal(got, per_entry)
+        assert np.array_equal(got, formula(np.full(len(s), i), s))
+        assert formula(np.intp(i), np.empty(0)).shape == (0,)
 
 
 def test_one_table_values_match_it_inside_a_two_table_spma():

@@ -3,6 +3,7 @@
 import concurrent.futures
 import math
 import sys
+import tracemalloc
 import warnings
 
 import re
@@ -412,6 +413,63 @@ def test_order_ranges_keep_the_full_kernels_blocks_and_rows(monkeypatch):
     zonal = [cols for cols, _ in she._legendre_blocks(u, None, 12, ratio,
                                                       m_max=0)]
     assert [(c.start, len(u[c])) for c in zonal] == [(0, 23)]
+
+
+def _loop_peak(monkeypatch, call):
+    """call()'s result, and the most memory (tracemalloc) it held beyond
+    what it held as its _legendre_blocks loop began."""
+    blocks, start = she._legendre_blocks, []
+
+    def spy(*args, **kwargs):
+        start.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return blocks(*args, **kwargs)
+    monkeypatch.setattr(she, "_legendre_blocks", spy)
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        monkeypatch.setattr(she, "_legendre_blocks", blocks)
+    return out, peak - start[0]
+
+
+def _direction_table(k):
+    rng = np.random.default_rng(8)
+    c = coeffs_from_point_masses(_ball_masses(50, 8), 1.0, 40)
+    return lambda: direction_coefficient_table(c, rng.uniform(0, np.pi, k),
+                                               rng.uniform(0, 2 * np.pi, k))
+
+
+def _direction_sums(k):
+    pm = _ball_masses(k, 9)
+    return lambda: pointmass_direction_sums(pm, 1.0, 40, [0.6, 0.0, 0.8])
+
+
+def _sphere_quadrature(k):
+    pm = _ball_masses(20, 10)
+    return lambda: coeffs_from_sphere_quadrature(
+        lambda x: potential_point_masses(pm, x), 1.0, 1.0, 40,
+        oversample=k - 41).coeffs
+
+
+@pytest.mark.parametrize("make, one, many", [
+    (_direction_table, 41, 130),            # directions
+    (_direction_sums, 41 * 41, 5500),       # masses; the zonal slice's blocks
+    (_sphere_quadrature, 41, 141),          # Gauss-Legendre latitudes
+], ids=["direction-table", "direction-sums", "sphere-quadrature"])
+def test_column_blocks_free_their_buffers_before_the_next(monkeypatch, make,
+                                                          one, many):
+    # blocks of 41 columns at n_max = 40: `many` columns take 4 blocks,
+    # the last ragged, and hold no more at once than one block does
+    whole = make(many)()
+    monkeypatch.setattr(she, "_BLOCK_ELEMENTS", 41 * 41)
+    _, one_block = _loop_peak(monkeypatch, make(one))
+    got, four_blocks = _loop_peak(monkeypatch, make(many))
+    assert four_blocks < 1.1 * one_block
+    # smaller blocks change only how the sums are grouped
+    assert np.allclose(got, whole, rtol=0, atol=1e-14)
 
 
 def test_small_coefficient_sets_start_no_thread(monkeypatch):
