@@ -96,33 +96,6 @@ def _masses_from_args(args):
     return spma, spma.as_point_masses()
 
 
-def _check_positive_finite(args, *names):
-    """Options that must be positive and finite where given, checked
-    before any work."""
-    for name in names:
-        value = getattr(args, name.replace("-", "_"))
-        if value is not None and not 0 < value < np.inf:
-            raise CliError("--%s must be positive and finite, got %s"
-                           % (name, value))
-
-
-def _check_nonnegative(args, *names):
-    """Integer options that must be non-negative, checked before any
-    work; the message names the library parameter and the flag."""
-    for name in names:
-        value = getattr(args, name.replace("-", "_"))
-        if value < 0:
-            raise CliError("%s must be non-negative, got %d (set by --%s)"
-                           % (name.replace("-", "_"), value, name))
-
-
-def _check_directions(args):
-    """--directions, checked before any work."""
-    if args.directions < 1:
-        raise CliError("--directions must be at least 1, got %d"
-                       % args.directions)
-
-
 def _fit_window(n_max, window=None):
     """The root test's fit window, checked before any work; an unusable
     window names the option that set it."""
@@ -149,11 +122,6 @@ def _write_rc_csv(path, reports):
 
 def cmd_coeffs(args):
     _require(args, "out")
-    _check_positive_finite(args, "quad-radius", "R", "G")
-    _check_nonnegative(args, "n-max", "oversample")
-    if not 0 <= args.threshold < 1:     # at 1 or more the (0, 0) row goes
-        raise CliError("--threshold must be finite and in [0, 1), got %s"
-                       % args.threshold)
     spma, masses = _masses_from_args(args)
     R_pm = pointmass_brillouin_radius(masses)
     R = args.R if args.R is not None else R_pm
@@ -180,10 +148,8 @@ def cmd_coeffs(args):
 
 
 def cmd_descent(args):
-    _check_directions(args)
     _fit_window(args.n_max)
     if args.subject == "snowman":
-        _check_positive_finite(args, "gamma", "m1", "m2")
         rep = snowman_descends_to_topography(
             SnowmanParams(args.gamma, args.m1, args.m2, args.profile),
             n_max=args.n_max, k=args.directions)
@@ -192,7 +158,6 @@ def cmd_descent(args):
     else:
         if args.file is None or args.eps is None:
             raise CliError("descent spma requires --file and --eps")
-        _check_positive_finite(args, "eps")
         rep = epsilon_descent_check(load_spma(args.file), args.eps,
                                     n_max=args.n_max, k=args.directions)
         R, eps, waist = rep.brillouin_radius, rep.eps, ""
@@ -208,16 +173,9 @@ def cmd_descent(args):
 
 def cmd_approximate(args):
     _require(args, "density", "delta", "eps", "out", "report")
-    _check_positive_finite(args, "delta", "eps")
-    try:
-        params = FillingParams(delta=args.delta, eps=args.eps,
-                               grid_resolution=args.resolution,
-                               min_ball_radius=args.min_ball_radius)
-    except ValueError as exc:
-        flag = {"delta": "--delta", "eps": "--eps",
-                "grid_resolution": "--resolution",
-                "min_ball_radius": "--min-ball-radius"}[str(exc).split()[0]]
-        raise CliError("%s (set by %s)" % (exc, flag))
+    params = FillingParams(delta=args.delta, eps=args.eps,
+                           grid_resolution=args.resolution,
+                           min_ball_radius=args.min_ball_radius)
     f = GridDensity.load(args.density)
     try:
         result = spma_approximate(f, params)
@@ -247,26 +205,8 @@ def cmd_approximate(args):
 
 def cmd_potential(args):
     _require(args, "r-from", "r-to")
-    for name in ("r-from", "r-to"):
-        value = getattr(args, name.replace("-", "_"))
-        if not np.isfinite(value):
-            raise CliError("--%s must be finite, got %s" % (name, value))
-    if args.samples < 1:
-        raise CliError("--samples must be at least 1, got %d" % args.samples)
-    if args.oracle_resolution < 0:
-        raise CliError("--oracle-resolution must be 0 (skip) or positive, "
-                       "got %d" % args.oracle_resolution)
-    _check_positive_finite(args, "G")
-    _check_nonnegative(args, "n-max")
     spma, masses = _masses_from_args(args)
-    try:
-        d = np.asarray([float(t) for t in args.direction.split(",")])
-    except ValueError:
-        d = np.empty(0)
-    if d.shape != (3,) or not 0 < np.linalg.norm(d) < np.inf:
-        raise CliError("--direction must be a nonzero finite x,y,z triple, "
-                       "got %r" % args.direction)
-    d = d / np.linalg.norm(d)
+    d = args.direction
     radii = np.linspace(args.r_from, args.r_to, args.samples)
     x = radii[:, None] * d
     # all masses at the origin: any reference radius expands exactly
@@ -306,20 +246,10 @@ def cmd_potential(args):
 
 
 def cmd_rc(args):
-    _check_directions(args)
     spma, masses = _masses_from_args(args)
     if not pointmass_brillouin_radius(masses) > 0:
         raise CliError("all masses at the origin: no expansion to analyze")
-    window = None
-    if args.window:
-        try:
-            window = tuple(int(t) for t in args.window.split(","))
-        except ValueError:
-            window = ()
-        if len(window) != 2:
-            raise CliError("--window must be n_lo,n_hi (two integers), got %r"
-                           % args.window)
-    window = _fit_window(args.n_max, window)
+    window = _fit_window(args.n_max, args.window)
     _, reports = pointmass_rc(masses, args.n_max, k=args.directions,
                               window=window)
     if args.out:
@@ -337,13 +267,8 @@ def _snowman_verdict(gamma):
 
 def cmd_snowman_scan(args):
     _require(args, "gamma-from", "gamma-to")
-    _check_positive_finite(args, "gamma-from", "gamma-to")
     if not args.gamma_to > args.gamma_from:
         raise CliError("need --gamma-from < --gamma-to")
-    if not args.tol > 0:
-        raise CliError("--tol must be positive")
-    if args.steps < 1:
-        raise CliError("--steps must be at least 1, got %d" % args.steps)
     gammas = np.linspace(args.gamma_from, args.gamma_to, args.steps)
     out = sys.stdout if args.out is None else open(args.out, "w")
     try:
@@ -375,90 +300,136 @@ def cmd_snowman_scan(args):
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: each flag's type converts its value and checks the flag's rule,
+# so a bad value stops the command before any work
+
+def _rule(convert, holds, wants):
+    """An argparse type: the converted text if `holds` of it, else an
+    error that says what the flag wants and what it got."""
+    def check(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("must be %s, got %r"
+                                             % (wants, text))
+        if not holds(value):
+            raise argparse.ArgumentTypeError("must be %s, got %s"
+                                             % (wants, value))
+        return value
+    return check
+
+
+def _unit_vector(text):
+    """x,y,z to a unit vector; ValueError unless a nonzero finite triple."""
+    d = np.array([float(t) for t in text.split(",")])
+    if d.shape != (3,) or not 0 < np.linalg.norm(d) < np.inf:
+        raise ValueError(text)
+    return d / np.linalg.norm(d)
+
+
+def _int_pair(text):
+    """n_lo,n_hi to a pair of ints; ValueError unless exactly two."""
+    lo, hi = (int(t) for t in text.split(","))
+    return lo, hi
+
+
+_POSITIVE = _rule(float, lambda v: 0 < v < np.inf, "positive and finite")
+_FINITE = _rule(float, lambda v: abs(v) < np.inf, "finite")
+_NONNEGATIVE = _rule(int, lambda v: v >= 0, "non-negative")
+_AT_LEAST_1 = _rule(int, lambda v: v >= 1, "at least 1")
+
 
 def _add_mass_model(p):
     p.add_argument("--spma", help="SPMA file")
     p.add_argument("--points", help="point-mass file (x y z m per line)")
-    p.add_argument("--snowman-gamma", type=float,
+    p.add_argument("--snowman-gamma", type=_POSITIVE,
                    help="use the two-ball snowman with this gamma")
 
 
 def build_parser():
     ap = argparse.ArgumentParser(
-        prog="gravharm",
+        prog="gravharm", exit_on_error=False,
         description="Smoothed point-mass gravity models, harmonic "
                     "expansions, and convergence diagnostics.")
     ap.add_argument("--config", help="JSON file of flag defaults "
                                      "(flags override; unknown keys rejected)")
     sub = ap.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, exit_on_error=False)
 
-    p = sub.add_parser("coeffs", help="expansion coefficients to CSV")
+    p = add_parser("coeffs", help="expansion coefficients to CSV")
     _add_mass_model(p)
-    p.add_argument("--G", type=float, default=1.0,
+    p.add_argument("--G", type=_POSITIVE, default=1.0,
                    help="gravitational constant (scales every potential)")
-    p.add_argument("--R", type=float, help="reference radius "
-                                           "(default: mass array radius)")
-    p.add_argument("--n-max", type=int, default=60)
-    p.add_argument("--threshold", type=float, default=1e-15)
+    p.add_argument("--R", type=_POSITIVE, help="reference radius "
+                                               "(default: mass array radius)")
+    p.add_argument("--n-max", type=_NONNEGATIVE, default=60)
+    # at 1 or more the (0, 0) row would go
+    p.add_argument("--threshold", default=1e-15, type=_rule(
+        float, lambda v: 0 <= v < 1, "finite and in [0, 1)"))
     p.add_argument("--out")
     p.add_argument("--dual-path", action="store_true",
                    help="also derive coefficients by sphere quadrature "
                         "of the potential, written to OUT.quad")
-    p.add_argument("--quad-radius", type=float)
-    p.add_argument("--oversample", type=int, default=80)
+    p.add_argument("--quad-radius", type=_POSITIVE)
+    p.add_argument("--oversample", type=_NONNEGATIVE, default=80)
 
-    p = sub.add_parser("descent", help="does the expansion reach the "
-                                       "topography / eps below the sphere?")
+    p = add_parser("descent", help="does the expansion reach the "
+                                   "topography / eps below the sphere?")
     p.add_argument("subject", choices=["snowman", "spma"])
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--m1", type=float, default=1.0)
-    p.add_argument("--m2", type=float, default=1.0)
-    p.add_argument("--profile", default="quadratic_bump")
+    p.add_argument("--gamma", type=_POSITIVE, default=0.5)
+    p.add_argument("--m1", type=_POSITIVE, default=1.0)
+    p.add_argument("--m2", type=_POSITIVE, default=1.0)
+    p.add_argument("--profile", default="quadratic_bump",
+                   choices=["quadratic_bump", "cosine_bump", "constant_taper"])
     p.add_argument("--file", help="SPMA file (subject spma)")
-    p.add_argument("--eps", type=float)
-    p.add_argument("--n-max", type=int, default=400)
-    p.add_argument("--directions", type=int, default=64)
+    p.add_argument("--eps", type=_POSITIVE)
+    p.add_argument("--n-max", type=_NONNEGATIVE, default=400)
+    p.add_argument("--directions", type=_AT_LEAST_1, default=64)
     p.add_argument("--out", help="per-direction convergence CSV")
 
-    p = sub.add_parser("approximate",
-                       help="smoothed-array approximation of a grid density")
+    p = add_parser("approximate",
+                   help="smoothed-array approximation of a grid density")
     p.add_argument("--density", help="GridDensity file")
-    p.add_argument("--delta", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--resolution", type=int, default=0)
-    p.add_argument("--min-ball-radius", type=float, default=0.0)
+    p.add_argument("--delta", type=_POSITIVE)
+    p.add_argument("--eps", type=_POSITIVE)
+    p.add_argument("--resolution", default=0, type=_rule(
+        int, lambda v: v == 0 or v >= 2,
+        "0 (the density's own grid) or at least 2"))
+    p.add_argument("--min-ball-radius", default=0.0, type=_rule(
+        float, lambda v: 0 <= v < np.inf, "non-negative and finite"))
     p.add_argument("--out", help="output SPMA file")
     p.add_argument("--report", help="verification JSON")
 
-    p = sub.add_parser("potential", help="potential along a ray to CSV")
+    p = add_parser("potential", help="potential along a ray to CSV")
     _add_mass_model(p)
-    p.add_argument("--G", type=float, default=1.0,
+    p.add_argument("--G", type=_POSITIVE, default=1.0,
                    help="gravitational constant (scales every potential)")
-    p.add_argument("--direction", default="0,0,1")
-    p.add_argument("--r-from", type=float)
-    p.add_argument("--r-to", type=float)
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--n-max", type=int, default=200)
-    p.add_argument("--oracle-resolution", type=int, default=0,
+    p.add_argument("--direction", default="0,0,1", type=_rule(
+        _unit_vector, lambda d: True, "a nonzero finite x,y,z triple"))
+    p.add_argument("--r-from", type=_FINITE)
+    p.add_argument("--r-to", type=_FINITE)
+    p.add_argument("--samples", type=_AT_LEAST_1, default=50)
+    p.add_argument("--n-max", type=_NONNEGATIVE, default=200)
+    p.add_argument("--oracle-resolution", type=_NONNEGATIVE, default=0,
                    help="brute-force quadrature resolution (0: skip)")
     p.add_argument("--out")
 
-    p = sub.add_parser("rc", help="convergence-radius estimate")
+    p = add_parser("rc", help="convergence-radius estimate")
     _add_mass_model(p)
-    p.add_argument("--n-max", type=int, default=400)
-    p.add_argument("--directions", type=int, default=64)
-    p.add_argument("--window", help="fit window 'n_lo,n_hi'")
+    p.add_argument("--n-max", type=_NONNEGATIVE, default=400)
+    p.add_argument("--directions", type=_AT_LEAST_1, default=64)
+    p.add_argument("--window", help="fit window 'n_lo,n_hi'", type=_rule(
+        _int_pair, lambda w: True, "n_lo,n_hi (two integers)"))
     p.add_argument("--out", help="per-direction CSV")
 
-    p = sub.add_parser("snowman-scan",
-                       help="sweep gamma; waist radius and descent flag")
-    p.add_argument("--gamma-from", type=float)
-    p.add_argument("--gamma-to", type=float)
-    p.add_argument("--steps", type=int, default=25)
+    p = add_parser("snowman-scan",
+                   help="sweep gamma; waist radius and descent flag")
+    p.add_argument("--gamma-from", type=_POSITIVE)
+    p.add_argument("--gamma-to", type=_POSITIVE)
+    p.add_argument("--steps", type=_AT_LEAST_1, default=25)
     p.add_argument("--bisect", action="store_true",
                    help="bisect where the descent verdict flips")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_POSITIVE, default=1e-8)
     p.add_argument("--out")
     ap.subcommands = sub.choices
     return ap
@@ -471,47 +442,44 @@ def _parser():
     return build_parser()
 
 
-def main(argv=None):
-    ap = _parser()
+def _with_config(args, argv):
+    """argv parsed again with the --config file's values as the
+    subcommand's defaults, on a fresh parser: each flag on the command
+    line wins, and each value but an on/off flag's goes through its
+    flag's type as a command-line token would."""
+    with open(args.config) as fh:
+        conf = json.load(fh)
+    if not isinstance(conf, dict):
+        raise CliError("%s: expected a JSON object of flag defaults"
+                       % args.config)
+    unknown = sorted(set(conf) - (set(vars(args)) - {"command"}))
+    if unknown:
+        raise CliError("unknown config keys: %s" % ", ".join(unknown))
+    ap = build_parser()
+    command = ap.subcommands[args.command]
+    command.set_defaults(**{k: v if isinstance(command.get_default(k), bool)
+                            else str(v) for k, v in conf.items()})
     try:
-        args = ap.parse_args(argv)
+        return ap.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        # the command line parsed once already: the value is the file's
+        raise CliError("config key %s: %s" % (
+            exc.argument_name.lstrip("-").replace("-", "_"), exc.message))
+
+
+def main(argv=None):
+    try:
+        args = _parser().parse_args(argv)
         if args.config:
-            with open(args.config) as fh:
-                conf = json.load(fh)
-            known = set(vars(args)) - {"command"}
-            unknown = sorted(set(conf) - known)
-            if unknown:
-                raise CliError("unknown config keys: %s" % ", ".join(unknown))
-            # flags override the config file, --config among them: fill
-            # in only what the command line leaves out, the subcommand's
-            # positionals and each flag named in full or by a unique
-            # prefix, with or without '=value' (read from the subcommand's
-            # parser, which would demand its positionals if it were asked
-            # to parse); each value goes through its flag's type as a
-            # command-line token would
-            command = ap.subcommands[args.command]
-            types = {a.dest: a.type for a in command._actions}
-            flags = {s: a.dest for a in command._actions
-                     for s in a.option_strings}
-            given = {"config"} | set(types) - set(flags.values())
-            for token in sys.argv[1:] if argv is None else argv:
-                name = str(token).partition("=")[0]
-                hits = {d for s, d in flags.items() if s.startswith(name)}
-                if name.startswith("--") and (name in flags or len(hits) == 1):
-                    given.add(flags.get(name) or hits.pop())
-            for key, value in conf.items():
-                if types.get(key) is not None:
-                    try:
-                        value = types[key](str(value))
-                    except ValueError:
-                        raise CliError("config key %s: invalid %s value %r"
-                                       % (key, types[key].__name__, value))
-                if key not in given:
-                    setattr(args, key, value)
+            args = _with_config(args, argv)
         # the command is looked up as it runs, not bound into the parser,
         # so a cmd_* function rebound on this module since the parser was
         # built is the one called
         return globals()["cmd_" + args.command.replace("-", "_")](args)
+    except argparse.ArgumentError as exc:
+        print("error: %s %s" % (exc.argument_name, exc.message),
+              file=sys.stderr)
+        return EXIT_VALIDATION
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code

@@ -64,9 +64,9 @@ class FillingParams:
         if not (self.grid_resolution == 0 or self.grid_resolution >= 2):
             raise ValueError("grid_resolution must be 0 (the density's own "
                              "grid) or at least 2, got %r" % self.grid_resolution)
-        if not self.min_ball_radius >= 0:
-            raise ValueError("min_ball_radius must be non-negative, got %r"
-                             % self.min_ball_radius)
+        if not 0 <= self.min_ball_radius < np.inf:
+            raise ValueError("min_ball_radius must be non-negative and "
+                             "finite, got %r" % self.min_ball_radius)
 
 
 @dataclass
@@ -598,10 +598,10 @@ class SnowmanParams:
     profile_kind: str = "quadratic_bump"
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-        if not (self.m1 > 0 and self.m2 > 0):
-            raise ValueError("masses must be positive")
+        for name in ("gamma", "m1", "m2"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError("%s must be positive and finite, got %r"
+                                 % (name, getattr(self, name)))
 
 
 def _profile_with_mass(kind, mass, outer_radius):

@@ -231,6 +231,11 @@ class SHECoefficients:
         return float(self.coeffs[n, self.n_max + m])
 
     def save(self, path, threshold=0.0):
+        """Write the CSV, leaving out each |C| <= threshold when threshold
+        is nonzero; at 1 or more the (0, 0) row would go."""
+        if not 0 <= threshold < 1:
+            raise ValueError("threshold must be finite and in [0, 1), got %r"
+                             % threshold)
         with open(path, "w") as fh:
             fh.write("# R=%.17g GM=%.17g n_max=%d\n"
                      % (self.ref_radius, self.GM, self.n_max))

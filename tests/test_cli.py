@@ -122,7 +122,7 @@ def test_point_mass_file_builds_the_array_record(tmp_path, monkeypatch):
     assert len(build_snowman(SnowmanParams(0.5)).as_point_masses()) == 2
 
 
-N_MAX = "n_max must be non-negative, got -1 (set by --n-max)"
+N_MAX = "--n-max must be non-negative, got -1"
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -130,7 +130,7 @@ N_MAX = "n_max must be non-negative, got -1 (set by --n-max)"
      N_MAX),
     (["coeffs", "--snowman-gamma", 0.5, "--n-max", 8, "--dual-path",
       "--oversample", -20, "--out", "c.csv"],
-     "oversample must be non-negative, got -20 (set by --oversample)"),
+     "--oversample must be non-negative, got -20"),
     (["rc", "--snowman-gamma", 0.5, "--n-max", -1], N_MAX),
     (["descent", "snowman", "--n-max", -1], N_MAX),
     (["potential", "--snowman-gamma", 0.5, "--r-from", 3, "--r-to", 4,
@@ -144,17 +144,44 @@ def test_negative_degree_arguments_name_the_parameter(tmp_path, monkeypatch,
     assert not os.listdir(tmp_path)           # no output file written
 
 
+def _python(args, cwd=None):
+    """A fresh interpreter run with this gravharm on its path."""
+    import gravharm
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gravharm.__file__)))
+    return subprocess.run([sys.executable] + [str(a) for a in args], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+
+
 def test_importing_the_cli_loads_no_scipy():
     # coeffs, rc, descent and snowman-scan use no scipy: importing it
     # lazily keeps their start-up short
-    import gravharm
-    src = os.path.dirname(os.path.dirname(os.path.abspath(gravharm.__file__)))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, gravharm.cli; print(sorted("
-         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-        check=True).stdout
-    assert out.strip() == "[]"
+    out = _python(["-c", "import sys, gravharm.cli; print(sorted("
+                   "m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
+    assert out.returncode == 0
+    assert out.stdout.strip() == "[]"
+
+
+def test_the_entry_point_exits_with_the_code_of_main(tmp_path):
+    bad = _python(["-m", "gravharm.cli", "coeffs", "--snowman-gamma", 0.5,
+                   "--G", "inf", "--out", "c.csv"], cwd=tmp_path)
+    assert bad.returncode == 2
+    assert "--G must be positive and finite" in bad.stderr
+    assert bad.stdout == "" and not os.listdir(tmp_path)
+    (tmp_path / "conf.json").write_text(json.dumps({"steps": 2.5}))
+    bad = _python(["-m", "gravharm.cli", "--config", "conf.json",
+                   "snowman-scan", "--gamma-from", 0.2, "--gamma-to", 0.6],
+                  cwd=tmp_path)
+    assert bad.returncode == 2
+    assert "config key steps" in bad.stderr and bad.stdout == ""
+
+
+@pytest.mark.parametrize("command", sorted(cli._parser().subcommands))
+def test_every_subcommand_prints_its_help(command):
+    # each flag's type and choices render in the help
+    done = _python(["-m", "gravharm.cli", command, "--help"])
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: gravharm %s" % command)
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +416,15 @@ def test_potential_requires_range(snowman_file):
     (["rc", "--snowman-gamma", 0.5, "--window", "50"], None, "--window"),
     (["rc", "--snowman-gamma", 0.5, "--window", "50,x"], None, "--window"),
     (["approximate", "--resolution", 1], "ok",
-     "grid_resolution must be 0 (the density's own grid) or at least 2, "
-     "got 1 (set by --resolution)"),
+     "--resolution must be 0 (the density's own grid) or at least 2, "
+     "got 1"),
     (["approximate", "--resolution", -5], "ok",
-     "got -5 (set by --resolution)"),
+     "--resolution must be 0 (the density's own grid) or at least 2, "
+     "got -5"),
     (["approximate", "--min-ball-radius", -0.1], "ok",
-     "min_ball_radius must be non-negative, got -0.1 "
-     "(set by --min-ball-radius)"),
+     "--min-ball-radius must be non-negative and finite, got -0.1"),
+    (["approximate", "--min-ball-radius", "inf"], "ok",
+     "--min-ball-radius must be non-negative and finite, got inf"),
     (["approximate"], "2 2 x 1 0 0 0\n1 1 1 1\n", "ball.grid:1:"),
     (["approximate"], "2 2 2 1 0 0\n1 1 1 1\n", "ball.grid:1:"),
     (["approximate"], "2 2 2 1 0 0 0\n1 1 1 1\n1 1 x 1\n", "ball.grid:3:"),
@@ -482,8 +511,15 @@ def test_potential_requires_range(snowman_file):
     *[(["descent", "spma", "--file", "missing.spma", "--eps", e], None,
        "--eps must be positive and finite, got %s" % e)
       for e in ("inf", "nan")],
+    # an infinite tolerance would write the unbisected range
+    (["snowman-scan", "--gamma-from", 0.3, "--gamma-to", 0.5, "--bisect",
+      "--tol", "inf", "--out", "s.csv"], None,
+     "--tol must be positive and finite, got inf"),
+    (["descent", "snowman", "--profile", "bogus"], None,
+     "--profile invalid choice: 'bogus'"),
 ], ids=["window-one-value", "window-not-int", "resolution-1",
-        "resolution-negative", "min-ball-radius", "grid-header-value",
+        "resolution-negative", "min-ball-radius",
+        "min-ball-radius-infinite", "grid-header-value",
         "grid-header-fields", "grid-value", "grid-spacing-zero",
         "grid-origin-nan", "grid-dimensions-negative", "grid-value-negative",
         "grid-value-inf", "grid-value-count", "grid-disconnected",
@@ -499,7 +535,8 @@ def test_potential_requires_range(snowman_file):
         "scan-gamma-to-infinite", "scan-gamma-from-nan", "scan-gamma-from-0",
         "threshold-nan", "threshold-negative", "threshold-inf", "threshold-1",
         "delta-infinite", "delta-nan", "eps-infinite", "eps-nan",
-        "descent-eps-infinite", "descent-eps-nan"])
+        "descent-eps-infinite", "descent-eps-nan", "tol-infinite",
+        "profile-unknown"])
 def test_bad_inputs_name_what_is_wrong(tmp_path, monkeypatch, capsys, argv,
                                        grid, message):
     monkeypatch.chdir(tmp_path)             # where a relative --out lands
@@ -667,6 +704,14 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["[\"steps\"]", "2"])
+def test_config_must_be_a_json_object(tmp_path, capsys, text):
+    conf = tmp_path / "conf.json"
+    conf.write_text(text)
+    assert run(["--config", conf, "snowman-scan"]) == 2
+    assert "expected a JSON object of flag defaults" in capsys.readouterr().err
+
+
 def test_config_with_descent_positional(tmp_path, capsys):
     # the subcommand's positional must not be demanded again when the
     # config defaults are read
@@ -695,12 +740,28 @@ def test_config_with_rc(tmp_path, capsys):
     (["rc", "--points", "PM", "--n-max", 60], {"directions": "5"}, 0, ""),
     (["snowman-scan"], {"gamma_from": "0.3", "gamma_to": 0.5, "steps": 2},
      0, ""),
-    (["rc", "--points", "PM"], {"directions": "five"}, 2,
-     "config key directions: invalid int value 'five'"),
-    (["snowman-scan"], {"gamma_from": 0.3, "gamma_to": 0.5, "steps": 2.5},
-     2, "config key steps: invalid int value 2.5"),
-    (["snowman-scan", "--gamma-from", 0.3, "--gamma-to", 0.5],
-     {"tol": [1e-8]}, 2, "config key tol: invalid float value [1e-08]"),
+    pytest.param(["rc", "--points", "PM"], {"directions": "five"}, 2,
+                 "config key directions: must be at least 1, got 'five'",
+                 id="directions-not-int"),
+    pytest.param(["snowman-scan"],
+                 {"gamma_from": 0.3, "gamma_to": 0.5, "steps": 2.5}, 2,
+                 "config key steps: must be at least 1, got '2.5'",
+                 id="steps-not-int"),
+    pytest.param(["snowman-scan", "--gamma-from", 0.3, "--gamma-to", 0.5],
+                 {"tol": [1e-8]}, 2,
+                 "config key tol: must be positive and finite, got '[1e-08]'",
+                 id="tol-a-list"),
+    # JSON true is no count: only an on/off flag takes the file's value
+    pytest.param(["snowman-scan"],
+                 {"gamma_from": 0.3, "gamma_to": 0.5, "steps": True}, 2,
+                 "config key steps: must be at least 1, got 'True'",
+                 id="steps-true"),
+    pytest.param(["snowman-scan", "--gamma-from", 0.3, "--gamma-to", 0.5],
+                 {"bisect": True, "steps": 2}, 0, "", id="bisect-true"),
+    # a flag on the command line wins, and the file's value is skipped
+    pytest.param(["snowman-scan", "--gamma-from", 0.3, "--gamma-to", 0.5,
+                  "--steps", 2], {"steps": 2.5}, 0, "",
+                 id="overridden-value-skipped"),
 ])
 def test_config_values_take_the_flag_type(tmp_path, capsys, argv, conf, code,
                                           err):

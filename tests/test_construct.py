@@ -163,7 +163,8 @@ def test_filling_params_validation():
                                                  "finite" % field):
                 FillingParams(**{"delta": 0.1, "eps": 0.1, field: value})
     for field, value in (("grid_resolution", 1), ("grid_resolution", -5),
-                         ("min_ball_radius", -1e-3)):
+                         ("min_ball_radius", -1e-3),
+                         ("min_ball_radius", np.inf)):
         with pytest.raises(ValueError, match=field):
             FillingParams(delta=0.1, eps=0.1, **{field: value})
 
@@ -677,3 +678,12 @@ def test_snowman_params_validation():
         SnowmanParams(-0.1)
     with pytest.raises(ValueError):
         SnowmanParams(0.5, m1=0.0)
+
+
+@pytest.mark.parametrize("field", ["gamma", "m1", "m2"])
+@pytest.mark.parametrize("value", [np.inf, np.nan, 0.0])
+def test_snowman_params_name_the_field_that_is_not_positive_and_finite(
+        field, value):
+    with pytest.raises(ValueError, match="%s must be positive and finite, "
+                                         "got %r" % (field, value)):
+        SnowmanParams(**{"gamma": 0.5, "m1": 1.0, "m2": 1.0, field: value})

@@ -844,6 +844,39 @@ def test_coefficients_threshold_drops_small_entries(tmp_path):
     assert len(body) == 3 and body[2].startswith("0,0,")
 
 
+def _two_mass_coefficients():
+    # both at azimuth 0: every m < 0 coefficient is 0, and so is every
+    # n + m odd one of the mass on the equator
+    return coeffs_from_point_masses([PointMass((0, 0, 0.3), 1.0),
+                                     PointMass((0.2, 0, 0), 2.0)], 1.0, 4)
+
+
+@pytest.mark.parametrize("threshold", [1.0, float("nan"), -1.0])
+def test_coefficients_save_rejects_a_threshold_outside_0_1(tmp_path,
+                                                           threshold):
+    # at 1 the (0, 0) row would go, NaN would keep every row: the file is
+    # not opened
+    path = tmp_path / "c.csv"
+    with pytest.raises(ValueError, match=r"threshold must be finite and in "
+                                         r"\[0, 1\), got %r" % threshold):
+        _two_mass_coefficients().save(path, threshold=threshold)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1e-15])
+def test_coefficients_save_writes_every_row_above_the_threshold(tmp_path,
+                                                                threshold):
+    c = _two_mass_coefficients()
+    path = tmp_path / "c.csv"
+    c.save(path, threshold=threshold)
+    rows = ["%d,%d,%.17g\n" % (n, m, c.get(n, m))
+            for n in range(5) for m in range(-n, n + 1)
+            if not threshold or abs(c.get(n, m)) > threshold]
+    assert path.read_text() == "".join(
+        ["# R=1 GM=3 n_max=4\n", "n,m,C\n"] + rows)
+    assert len(rows) == (25 if threshold == 0 else 11)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_series_linearity_in_potentials(seed):
