@@ -151,7 +151,7 @@ def cmd_descent(args):
     _fit_window(args.n_max)
     if args.subject == "snowman":
         rep = snowman_descends_to_topography(
-            SnowmanParams(args.gamma, args.m1, args.m2, args.profile),
+            SnowmanParams(args.gamma, args.m1, args.m2),
             n_max=args.n_max, k=args.directions)
         R, eps = rep.spma_radius, 0.0
         waist = " waist=" + _fmt(rep.waist_radius)
@@ -346,8 +346,18 @@ def _add_mass_model(p):
                    help="use the two-ball snowman with this gamma")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose own rejections (an unrecognized or
+    ambiguous flag, a missing positional) raise CliError, so main prints
+    them as `error: ...` and returns 2, without usage text.  Its
+    subparsers are of this class too."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="gravharm", exit_on_error=False,
         description="Smoothed point-mass gravity models, harmonic "
                     "expansions, and convergence diagnostics.")
@@ -379,8 +389,6 @@ def build_parser():
     p.add_argument("--gamma", type=_POSITIVE, default=0.5)
     p.add_argument("--m1", type=_POSITIVE, default=1.0)
     p.add_argument("--m2", type=_POSITIVE, default=1.0)
-    p.add_argument("--profile", default="quadratic_bump",
-                   choices=["quadratic_bump", "cosine_bump", "constant_taper"])
     p.add_argument("--file", help="SPMA file (subject spma)")
     p.add_argument("--eps", type=_POSITIVE)
     p.add_argument("--n-max", type=_NONNEGATIVE, default=400)

@@ -12,7 +12,6 @@ Fillings and coverings are `BallRegion`s, center and radius arrays, and
 the approximation reuses the filling's grid and support nodes.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -22,8 +21,7 @@ from .geometry import (BallRegion, brillouin_radius,
                        general_position_perturb, hausdorff_distance,
                        pointmass_brillouin_radius)
 from .density import (QUADRATIC, SPMA, TABLE, GridDensity, SmoothedPointMass,
-                      _pow, constant_taper, cosine_bump, evaluate_on_grid,
-                      lp_metric, quadratic_bump)
+                      _pow, evaluate_on_grid, lp_metric, quadratic_bump)
 from .convergence import pointmass_rc
 
 __all__ = ["FillingParams", "SnowmanParams", "FillingBudgetError",
@@ -77,9 +75,10 @@ class SphericalFilling:
     steps), the nodes in filling ball j as at[starts[j]:starts[j + 1]],
     in a single-point query's order, and f's oscillation over them.  A
     greedy ball of q half steps on node c holds node k iff
-    4 |ijk[k] - ijk[c]|^2 <= q^2; a sub-step ball holds c alone.  The
-    residual mass is measured once, from the nodes left without a ball,
-    and is exactly 0.0 when every node has one."""
+    4 |ijk[k] - ijk[c]|^2 <= q^2, recorded from the one tree query that
+    placed it; a sub-step ball holds c alone.  The residual mass is
+    measured once, from the nodes left without a ball, and is exactly
+    0.0 when every node has one."""
 
     filling: BallRegion
     covering: BallRegion
@@ -119,15 +118,6 @@ def _support_arrays(g, safety):
     fvals = g.values[mask]
     r_sup = (edt[mask] - safety) * g.spacing * (1.0 - 1e-9)
     return mask, np.argwhere(mask), fvals, r_sup
-
-
-def _var_capped_radius(q, center, tree, fvals, bound):
-    """Lower q one half step at a time until the node oscillation of f
-    inside the ball is < bound, in the tree's half-step units.  q = 1
-    holds only its own node, so it always passes."""
-    while q > 1 and np.ptp(fvals[tree.query_ball_point(center, q)]) >= bound:
-        q -= 1
-    return q
 
 
 def spherical_filling(f, params):
@@ -178,31 +168,39 @@ def spherical_filling(f, params):
     # and -inf once covered, which both updates keep; a float, as phase 2
     # uses room below h/2.  avail only falls and no node exceeds the
     # chosen a, so a ball of q half steps can lower it only within
-    # q + a / step of its center; the 1e-9 margin only widens that query
-    # past the gaps' rounding
+    # q + a / step of its center; the query takes q before the variance
+    # cap, and the 1e-9 margin only widens it past the gaps' rounding
     avail = r_sup.copy()
-    centers, qs = [], []
+    centers, qs, in_ball = [], [], []
 
     # phase 1: quantized greedy, largest admissible ball first; packing
     # continues past the residual budget because every covered cell also
-    # improves the metric fit later on
+    # improves the metric fit later on.  One tree query per ball: its
+    # near set holds the ball at every q up to floor(a / step), so the
+    # variance cap lowers q on it, and its covered nodes, in the query's
+    # order, are the ball's record
     while len(qs) < MAX_BALLS:
         i = int(np.argmax(avail))
         a = float(avail[i])
         if not a >= step:
             break
         q = math.floor(a / step)
-        if need_var_cap:
-            q = _var_capped_radius(q, half[i], tree, fvals, a2_bound)
         near = np.array(tree.query_ball_point(half[i], (q + a / step)
                                               * (1.0 + 1e-9)), dtype=np.intp)
-        covered = np.square(half[near] - half[i]).sum(axis=1) <= q * q
+        D2 = np.square(half[near] - half[i]).sum(axis=1)
+        # lower q one half step at a time until f's node oscillation in
+        # the ball is below a2; q = 1 holds only its own node, so it passes
+        while (need_var_cap and q > 1
+               and np.ptp(fvals[near[D2 <= q * q]]) >= a2_bound):
+            q -= 1
+        covered = D2 <= q * q
         # np.linalg.norm's arithmetic, without its call overhead
         d = np.sqrt(np.square(nodes[near] - nodes[i]).sum(axis=1))
         avail[near] = np.where(covered, -np.inf,
                                np.minimum(avail[near], d - q * step))
         centers.append(i)
         qs.append(q)
+        in_ball.append(near[covered])
 
     # phase 2: batched sub-step endgame; radii capped below half the node
     # spacing so the new balls are mutually interior-disjoint by spacing
@@ -222,13 +220,11 @@ def spherical_filling(f, params):
     filling = BallRegion(nodes[centers],
                          np.concatenate([np.multiply(qs, step), r_e[keep]]))
     cover = BallRegion(nodes, np.full(n_nodes, COVER_RADIUS_STEPS * h))
-    # the support nodes in each filling ball, flat (sub-step balls at
-    # q = 0).  Every ball is centered on a support node, so none is empty
-    in_ball = tree.query_ball_point(half[centers], np.concatenate(
-        [qs, np.zeros(keep.sum())]), return_sorted=False)
-    sizes = np.fromiter(map(len, in_ball), np.intp, len(in_ball))
-    at = np.fromiter(itertools.chain.from_iterable(in_ball), np.intp,
-                     sizes.sum())
+    # the support nodes in each filling ball, flat; a sub-step ball holds
+    # its own node alone, so none is empty
+    at = np.concatenate(in_ball + [idx[keep]])
+    sizes = np.array([len(b) for b in in_ball] + [1] * int(keep.sum()),
+                     np.intp)
     starts = np.cumsum(sizes) - sizes
     f_at = fvals[at]
     ball_var = (np.maximum.reduceat(f_at, starts)
@@ -595,7 +591,6 @@ class SnowmanParams:
     gamma: float
     m1: float = 1.0
     m2: float = 1.0
-    profile_kind: str = "quadratic_bump"
 
     def __post_init__(self):
         for name in ("gamma", "m1", "m2"):
@@ -604,23 +599,11 @@ class SnowmanParams:
                                  % (name, getattr(self, name)))
 
 
-def _profile_with_mass(kind, mass, outer_radius):
-    if kind == "quadratic_bump":
-        make = lambda c: quadratic_bump(c, outer_radius)
-    elif kind == "cosine_bump":
-        make = lambda c: cosine_bump(c, outer_radius)
-    elif kind == "constant_taper":
-        make = lambda c: constant_taper(c, outer_radius, 0.05 * outer_radius)
-    else:
-        raise ValueError("unknown profile kind %r" % kind)
-    return make(mass / make(1.0).total_mass())
-
-
 def build_snowman(p):
-    """Two overlapping smoothed point masses at (+-1, 0, 0)."""
+    """Two overlapping quadratic bumps at (+-1, 0, 0), masses m1 and m2."""
     a = 1.0 + p.gamma
-    return SPMA([SmoothedPointMass((x, 0.0, 0.0),
-                                   _profile_with_mass(p.profile_kind, m, a))
+    unit = quadratic_bump(1.0, a).total_mass()
+    return SPMA([SmoothedPointMass((x, 0.0, 0.0), quadratic_bump(m / unit, a))
                  for x, m in ((1.0, p.m1), (-1.0, p.m2))])
 
 

@@ -953,6 +953,8 @@ def load_spma(path):
             except (IndexError, ValueError) as exc:
                 raise ValueError("%s:%d: %s" % (path, lineno, exc))
             linenos.append(lineno)
+    if not rows:
+        raise ValueError("%s: SPMA must have at least one component" % path)
     try:
         return SPMA.from_arrays(*_arrays(rows), check_boundary=False)
     except ComponentError as exc:

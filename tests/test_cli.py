@@ -515,8 +515,9 @@ def test_potential_requires_range(snowman_file):
     (["snowman-scan", "--gamma-from", 0.3, "--gamma-to", 0.5, "--bisect",
       "--tol", "inf", "--out", "s.csv"], None,
      "--tol must be positive and finite, got inf"),
+    # the snowman has one profile; the flag that named others is gone
     (["descent", "snowman", "--profile", "bogus"], None,
-     "--profile invalid choice: 'bogus'"),
+     "unrecognized arguments: --profile bogus"),
 ], ids=["window-one-value", "window-not-int", "resolution-1",
         "resolution-negative", "min-ball-radius",
         "min-ball-radius-infinite", "grid-header-value",
@@ -762,6 +763,10 @@ def test_config_with_rc(tmp_path, capsys):
     pytest.param(["snowman-scan", "--gamma-from", 0.3, "--gamma-to", 0.5,
                   "--steps", 2], {"steps": 2.5}, 0, "",
                  id="overridden-value-skipped"),
+    # the snowman has one profile, and no flag names it
+    pytest.param(["descent", "snowman"], {"profile": "cosine_bump"}, 2,
+                 "error: unknown config keys: profile\n",
+                 id="profile-removed"),
 ])
 def test_config_values_take_the_flag_type(tmp_path, capsys, argv, conf, code,
                                           err):
@@ -775,14 +780,24 @@ def test_config_values_take_the_flag_type(tmp_path, capsys, argv, conf, code,
 
 
 def _outcome(argv, capsys):
-    """(exit code, stdout, stderr) of one in-process main call; an
-    argparse rejection exits through SystemExit."""
-    try:
-        code = run(argv)
-    except SystemExit as exc:
-        code = exc.code
+    """(exit code, stdout, stderr) of one in-process main call."""
+    code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rc", "--snowman-gamma", 0.5, "--steps"],
+     "unrecognized arguments: --steps"),
+    (["potential", "--snowman-gamma", 0.5, "--r", 1],
+     "ambiguous option: --r could match --r-from, --r-to"),
+    ([], "the following arguments are required: command"),
+    (["descent"], "the following arguments are required: subject"),
+], ids=["unrecognized", "ambiguous", "no-command", "no-subject"])
+def test_argparse_rejections_return_2_with_one_error_line(capsys, argv,
+                                                          message):
+    # main returns, where argparse would print its usage and exit
+    assert _outcome(argv, capsys) == (2, "", "error: %s\n" % message)
 
 
 def test_calls_on_the_one_parser_print_what_fresh_parsers_print(tmp_path,

@@ -139,6 +139,48 @@ def test_incidence_is_exact_lattice_membership(n, graded, params):
     assert np.array_equal(np.unique(fill.at), np.arange(len(fill.fvals)))
 
 
+def ball_nodes_and_radii(fill):
+    """Each filling ball's center on the tree's half-step lattice and its
+    radius in half steps: q for a greedy ball, 0 for a sub-step one."""
+    g, step = fill.grid, fill.grid.spacing / 2.0
+    half = 2 * np.rint((fill.filling.centers - g.origin) / g.spacing)
+    radii = fill.filling.radii
+    return half, np.where(radii >= step, np.rint(radii / step), 0.0)
+
+
+@pytest.mark.parametrize("n, graded, params", [
+    (24, False, FillingParams(delta=0.5, eps=0.5)),
+    (20, True, FillingParams(delta=0.5, eps=0.5)),
+    (16, False, FillingParams(delta=0.7, eps=0.7, grid_resolution=20)),
+], ids=["ball-24", "graded-20", "resampled"])
+def test_incidence_is_in_a_single_point_query_order(n, graded, params):
+    # the plateaus' np.add.reduceat sums each ball's nodes in this order
+    fill = spherical_filling(bench_ball(n, graded), params)
+    half, qs = ball_nodes_and_radii(fill)
+    for sel, c, q in zip(np.split(fill.at, fill.starts[1:]), half, qs):
+        assert np.array_equal(sel, fill.tree.query_ball_point(c, q))
+
+
+def test_one_tree_query_per_greedy_ball(monkeypatch):
+    # the variance cap and the incidence record come from the query that
+    # places the ball; nothing queries the tree after the greedy loop
+    import scipy.spatial
+    queried = []
+
+    class CountingTree(scipy.spatial.cKDTree):
+        def query_ball_point(self, x, *args, **kwargs):
+            queried.append(np.array(x))
+            return super().query_ball_point(x, *args, **kwargs)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+    fill = spherical_filling(bench_ball(20, True),
+                             FillingParams(delta=0.5, eps=0.5))
+    half, qs = ball_nodes_and_radii(fill)
+    # the variance cap takes every greedy ball here down to one half
+    # step, and sub-step balls follow the loop
+    assert np.array_equal(queried, half[qs > 0])
+    assert set(qs) == {0.0, 1.0}
+
+
 def test_every_support_node_in_a_filling_ball_at_64():
     # the acceptance instance: a float distance put 90 of its support
     # nodes that lie exactly on a filling ball's sphere 1 ulp outside it
@@ -632,8 +674,7 @@ def test_build_snowman_geometry():
 
 
 def test_snowman_masses_configurable():
-    spma = build_snowman(SnowmanParams(0.2, m1=2.0, m2=3.0,
-                                       profile_kind="cosine_bump"))
+    spma = build_snowman(SnowmanParams(0.2, m1=2.0, m2=3.0))
     assert spma.masses == pytest.approx([2.0, 3.0], rel=1e-12)
 
 

@@ -288,6 +288,16 @@ def test_load_spma_reports_line_numbers(tmp_path, line):
         load_spma(path)
 
 
+@pytest.mark.parametrize("text", ["", "# comments only\n\n   \n"],
+                         ids=["empty", "comments-only"])
+def test_load_spma_names_a_file_without_components(tmp_path, text):
+    path = tmp_path / "empty.spma"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(
+            "%s: SPMA must have at least one component" % path)):
+        load_spma(path)
+
+
 # ---------------------------------------------------------------------------
 # the distance kernel behind every points-against-centers sum: bit for bit
 # np.linalg.norm of the difference array
