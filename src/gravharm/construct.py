@@ -76,7 +76,8 @@ class SphericalFilling:
     in a single-point query's order, and f's oscillation over them.  A
     greedy ball of q half steps on node c holds node k iff
     4 |ijk[k] - ijk[c]|^2 <= q^2, recorded from the one tree query that
-    placed it; a sub-step ball holds c alone.  The residual mass is
+    placed it; a ball placed once every room is below h has q = 1 and,
+    like a sub-step ball, holds c alone.  The residual mass is
     measured once, from the nodes left without a ball, and is exactly
     0.0 when every node has one."""
 
@@ -120,6 +121,70 @@ def _support_arrays(g, safety):
     return mask, np.argwhere(mask), fvals, r_sup
 
 
+# the 18 lattice offsets d with 0 < |d|^2 <= 2
+_OFFSETS = np.argwhere(np.ones((3, 3, 3), bool)) - 1
+_OFFSETS = _OFFSETS[np.isin(np.square(_OFFSETS).sum(axis=1), (1, 2))]
+
+
+def _one_step_balls(avail, mask, ijk, nodes, step, budget):
+    """The end of phase 1, from the first time every room in `avail` is
+    below 2 step: up to `budget` more greedy balls of q = 1, lowering
+    `avail` as the tree-query loop would; returns their centers in
+    placing order.
+
+    Each such ball holds its own node alone (4 |d|^2 <= 1 only at d = 0)
+    and the variance cap, which needs q > 1, passes it.  The loop's
+    query would return a subset of the center's 18 lattice neighbours
+    (|d|^2 <= 2, within 3 half steps); a neighbour beyond its radius
+    (1 + a / step)(1 + 1e-9) has a gap above a, the largest room, so
+    np.minimum keeps its room.  So the greedy runs on compact arrays:
+    the live nodes (room >= step) in node order, then their other
+    neighbours, then a dummy of room -inf that pads each live node's
+    row of neighbours.  Only a live node can reach a room >= step, so
+    the argmax's first index over the live entries is the full
+    argmax's, ties included.  Each live node's 18 gaps are fixed and
+    taken once, in the loop's arithmetic.
+    """
+    live = np.flatnonzero(avail >= step)
+    if budget <= 0 or not live.size:
+        return np.empty(0, np.intp)
+    n = len(avail)
+    # each lattice node's support index, n off the support, padded by
+    # one node all round so every neighbour exists
+    index = np.full(np.add(mask.shape, 2), n, np.intp)
+    index[1:-1, 1:-1, 1:-1][mask] = np.arange(n)
+    # one offset at a time, so that no (live, 18, 3) array is made
+    nb = np.empty((len(live), len(_OFFSETS)), np.intp)
+    for o, off in enumerate(_OFFSETS):
+        nb[:, o] = index[tuple((ijk[live] + 1 + off).T)]
+    rest = np.zeros(n + 1, bool)
+    rest[nb] = True
+    rest[live] = rest[n] = False
+    rel = np.concatenate([live, np.flatnonzero(rest)])
+    slot = np.full(n + 1, len(rel))
+    slot[rel] = np.arange(len(rel))
+    table = slot[nb]
+    # the dummy sits at infinity, so its gap is inf and its room stays
+    ends = np.vstack([nodes[rel], np.full(3, np.inf)])
+    gap = np.empty(table.shape)
+    for o, col in enumerate(table.T):
+        gap[:, o] = np.sqrt(np.square(ends[col] - nodes[live]).sum(axis=1))
+    gap -= step
+    av = np.append(avail[rel], -np.inf)
+    head = av[:len(live)]
+    placed = []
+    while len(placed) < budget:
+        k = int(np.argmax(head))
+        if not head[k] >= step:
+            break
+        j = table[k]
+        av[k] = -np.inf
+        av[j] = np.minimum(av[j], gap[k])
+        placed.append(k)
+    avail[rel] = av[:-1]
+    return live[np.array(placed, np.intp)]
+
+
 def spherical_filling(f, params):
     """Greedy interior-disjoint filling plus a per-node ball cover.
 
@@ -129,6 +194,14 @@ def spherical_filling(f, params):
     what drives the measured residual-mass condition below its budget.
     The covering is one radius-2h ball per support node: an open cover of
     the support whose members stay within 2h of it.
+
+    Each greedy step takes the first node of largest room a.  While
+    a >= h (two half steps) one tree query per ball finds the nodes the
+    ball can touch.  Below that every ball has q = 1, holds its own node
+    alone and touches only its 18 lattice neighbours, so phase 1 ends
+    on a fixed (node, 18) neighbour table over the nodes still in play,
+    kept in node order so that ties go to the same first node; see
+    `_one_step_balls`.  Both parts take the same balls in the same order.
 
     Membership is exact, as `SphericalFilling` states.  The residual mass
     is measured by node quadrature on the filling grid: a node's cell
@@ -169,20 +242,21 @@ def spherical_filling(f, params):
     # uses room below h/2.  avail only falls and no node exceeds the
     # chosen a, so a ball of q half steps can lower it only within
     # q + a / step of its center; the query takes q before the variance
-    # cap, and the 1e-9 margin only widens it past the gaps' rounding
+    # cap, and the 1e-9 margin only widens it past the gaps' rounding.
+    # For q = 1 that is within 3 half steps: the 18 lattice neighbours
     avail = r_sup.copy()
     centers, qs, in_ball = [], [], []
 
     # phase 1: quantized greedy, largest admissible ball first; packing
     # continues past the residual budget because every covered cell also
-    # improves the metric fit later on.  One tree query per ball: its
-    # near set holds the ball at every q up to floor(a / step), so the
-    # variance cap lowers q on it, and its covered nodes, in the query's
-    # order, are the ball's record
+    # improves the metric fit later on.  One tree query per ball while
+    # the room allows q >= 2: its near set holds the ball at every q up
+    # to floor(a / step), so the variance cap lowers q on it, and its
+    # covered nodes, in the query's order, are the ball's record
     while len(qs) < MAX_BALLS:
         i = int(np.argmax(avail))
         a = float(avail[i])
-        if not a >= step:
+        if not a >= 2 * step:
             break
         q = math.floor(a / step)
         near = np.array(tree.query_ball_point(half[i], (q + a / step)
@@ -201,6 +275,8 @@ def spherical_filling(f, params):
         centers.append(i)
         qs.append(q)
         in_ball.append(near[covered])
+    # phase 1's end: once a < 2 step every ball has q = 1
+    ones = _one_step_balls(avail, mask, ijk, nodes, step, MAX_BALLS - len(qs))
 
     # phase 2: batched sub-step endgame; radii capped below half the node
     # spacing so the new balls are mutually interior-disjoint by spacing
@@ -213,18 +289,18 @@ def spherical_filling(f, params):
         raise FillingBudgetError(
             "a1: residual mass %.3g exceeds budget %.3g at grid step %.3g; "
             "refine the grid or lower min_ball_radius" % (residual, a1_bound, h))
-    if len(qs) + keep.sum() >= MAX_BALLS:
+    if len(qs) + len(ones) + keep.sum() >= MAX_BALLS:
         raise FillingBudgetError("ball budget exhausted before meeting a1")
 
-    centers = np.concatenate([centers, idx[keep]]).astype(np.intp)
-    filling = BallRegion(nodes[centers],
-                         np.concatenate([np.multiply(qs, step), r_e[keep]]))
+    centers = np.concatenate([centers, ones, idx[keep]]).astype(np.intp)
+    filling = BallRegion(nodes[centers], np.concatenate(
+        [np.multiply(qs, step), np.full(len(ones), step), r_e[keep]]))
     cover = BallRegion(nodes, np.full(n_nodes, COVER_RADIUS_STEPS * h))
-    # the support nodes in each filling ball, flat; a sub-step ball holds
-    # its own node alone, so none is empty
-    at = np.concatenate(in_ball + [idx[keep]])
-    sizes = np.array([len(b) for b in in_ball] + [1] * int(keep.sum()),
-                     np.intp)
+    # the support nodes in each filling ball, flat; a ball of one half
+    # step or less holds its own node alone, so none is empty
+    at = np.concatenate(in_ball + [ones, idx[keep]])
+    sizes = np.array([len(b) for b in in_ball]
+                     + [1] * (len(ones) + int(keep.sum())), np.intp)
     starts = np.cumsum(sizes) - sizes
     f_at = fvals[at]
     ball_var = (np.maximum.reduceat(f_at, starts)

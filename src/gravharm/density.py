@@ -479,8 +479,8 @@ class GridDensity:
     def __init__(self, origin, spacing, values):
         self.origin = as_vec3(origin)
         self.spacing = float(spacing)
-        if not self.spacing > 0:
-            raise ValueError("grid spacing must be positive")
+        if not (math.isfinite(self.spacing) and self.spacing > 0):
+            raise ValueError("grid spacing must be finite and positive")
         self.values = np.asarray(values, dtype=float)
         if self.values.ndim != 3:
             raise ValueError("values must be a 3-D array")
@@ -924,12 +924,24 @@ def lp_metric(f, g, resolution=64):
 # a table's params being its knots then as many values; # comments
 
 def save_spma(spma, path):
-    formats = {}        # a line's format, by its parameter count
+    """Write `spma` one line per component, in component order: each
+    run of components from one parameter group is formatted up to 32
+    lines at a time, with one % over their joined line formats."""
+    group = spma._group
+    runs = np.split(np.arange(len(group)),
+                    np.flatnonzero(group[1:] != group[:-1]) + 1)
     with open(path, "w") as fh:
-        fh.writelines(formats.setdefault(len(q), "%.17g %.17g %.17g %.17g %s"
-                                         + " %.17g" * len(q) + "\n")
-                      % (*c, a, KIND_NAMES[code], *q)
-                      for c, a, code, q in spma._rows())
+        for run in runs:
+            code, _, p = spma._groups[group[run[0]]]
+            rows = spma._row[run]
+            q = (np.hstack([p[0][rows], p[1][rows]]) if code == TABLE
+                 else p[rows, None])
+            line = ("%.17g %.17g %.17g %.17g " + KIND_NAMES[code]
+                    + " %.17g" * q.shape[1] + "\n")
+            vals = np.hstack([spma.centers[run], spma.radii[run, None], q])
+            for b in range(0, len(run), 32):
+                block = vals[b:b + 32]
+                fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def load_spma(path):

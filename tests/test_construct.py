@@ -163,7 +163,8 @@ def test_incidence_is_in_a_single_point_query_order(n, graded, params):
 
 def test_one_tree_query_per_greedy_ball(monkeypatch):
     # the variance cap and the incidence record come from the query that
-    # places the ball; nothing queries the tree after the greedy loop
+    # places the ball while its room is at least 2 half steps; once the
+    # room is below that, each ball has q = 1 and nothing queries the tree
     import scipy.spatial
     queried = []
 
@@ -171,14 +172,37 @@ def test_one_tree_query_per_greedy_ball(monkeypatch):
         def query_ball_point(self, x, *args, **kwargs):
             queried.append(np.array(x))
             return super().query_ball_point(x, *args, **kwargs)
+    g, params = bench_ball(20, True), FillingParams(delta=0.5, eps=0.5)
     monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
-    fill = spherical_filling(bench_ball(20, True),
-                             FillingParams(delta=0.5, eps=0.5))
+    fill = spherical_filling(g, params)
     half, qs = ball_nodes_and_radii(fill)
+    rooms = place_loop_filling(g, params)[-1]
+    # the room only falls: here the first 299 of 2,347 phase-1 balls
+    wide = rooms >= g.spacing
+    n = int(wide.sum())
+    assert np.all(wide[:n]) and len(rooms) == int(np.sum(qs > 0))
+    assert (n, len(rooms)) == (299, 2347)
+    assert np.array_equal(queried, half[:n])
     # the variance cap takes every greedy ball here down to one half
     # step, and sub-step balls follow the loop
-    assert np.array_equal(queried, half[qs > 0])
     assert set(qs) == {0.0, 1.0}
+
+
+@pytest.mark.parametrize("min_ball_radius, error", [
+    (0.0, "ball budget exhausted before meeting a1"),
+    # no sub-step balls: the residual is the mass no greedy ball covers
+    (2.0 / 19, "a1: residual mass %.3g exceeds budget"),
+], ids=["sub-step-balls", "greedy-only"])
+def test_ball_budget_stops_the_one_half_step_end(monkeypatch,
+                                                 min_ball_radius, error):
+    # graded 20^3 places its first 299 balls by tree query, 2,048 after
+    g = bench_ball(20, True)
+    params = FillingParams(0.5, 0.5, min_ball_radius=min_ball_radius)
+    monkeypatch.setattr(construct, "MAX_BALLS", 1000)
+    if "%" in error:
+        error %= place_loop_filling(g, params)[2]
+    with pytest.raises(FillingBudgetError, match="^" + error):
+        spherical_filling(g, params)
 
 
 def test_every_support_node_in_a_filling_ball_at_64():
@@ -311,8 +335,9 @@ def place_loop_filling(f, params):
     nodes, takes np.linalg.norm and scatters the gaps back, here with
     membership and the variance cap by brute force in int64; kept as
     the reference.  Returns the filling's centers and radii, its residual
-    mass, the largest oscillation of f over a phase-1 ball's nodes, and
-    how many balls the variance cap shrank."""
+    mass, the largest oscillation of f over a phase-1 ball's nodes, how
+    many balls the variance cap shrank, and the room each phase-1 ball
+    was placed at."""
     g, safety = construct._filling_grid(f, params)
     _, ijk, fvals, r_sup = construct._support_arrays(g, safety)
     h = g.spacing
@@ -324,7 +349,7 @@ def place_loop_filling(f, params):
     need_var_cap = float(fvals.max() - fvals.min()) >= a2_bound
     active = np.arange(len(nodes))
     gap = np.full(len(nodes), np.inf)
-    centers, radii = [], []
+    centers, radii, rooms = [], [], []
     max_ball_var, capped = 0.0, 0
     while len(radii) < construct.MAX_BALLS and active.size:
         avail = np.minimum(r_sup[active], gap[active])
@@ -346,12 +371,13 @@ def place_loop_filling(f, params):
         active = active[d2[active] > q * q]
         centers.append(nodes[c])
         radii.append(r)
+        rooms.append(avail[i])
     r_e = np.minimum(np.minimum(r_sup[active], gap[active]), 0.495 * h) * 0.99
     keep = r_e >= min_r
     residual = float(fvals[active[~keep]].sum() * cell)
     return (np.vstack([np.reshape(centers, (-1, 3)), nodes[active[keep]]]),
             np.concatenate([radii, r_e[keep]]), residual, max_ball_var,
-            capped)
+            capped, np.array(rooms))
 
 
 @pytest.mark.parametrize("n, graded, params, caps", [
@@ -362,13 +388,15 @@ def place_loop_filling(f, params):
     (16, False, FillingParams(delta=0.7, eps=0.7, grid_resolution=20), True),
     (20, True, FillingParams(delta=0.5, eps=0.5, min_ball_radius=0.02), True),
     (12, True, FillingParams(delta=6.0, eps=6.0), True),
+    # q >= 2 balls, capped and not, then the one-half-step end
+    (24, True, FillingParams(delta=10.0, eps=10.0), True),
 ], ids=["ball-24", "graded-20", "graded-13", "resampled", "min-ball-radius",
-        "graded-12-wide"])
+        "graded-12-wide", "graded-24-wide"])
 def test_compacted_filling_matches_place_loop(n, graded, params, caps):
     g = GridDensity((-1.0, -1.0, -1.0), 2.0 / (n - 1), ball_values(n, graded))
     fill = spherical_filling(g, params)
     assert np.array_equal(g.values, ball_values(n, graded))   # not mutated
-    centers, radii, residual, max_ball_var, capped = \
+    centers, radii, residual, max_ball_var, capped, _ = \
         place_loop_filling(g, params)
     assert np.array_equal(fill.filling.centers, centers)
     assert np.array_equal(fill.filling.radii, radii)

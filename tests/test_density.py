@@ -6,6 +6,7 @@ import re
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +195,15 @@ def test_grid_density_rejects_disconnected_support():
 def test_grid_density_rejects_negative_values():
     with pytest.raises(ValueError):
         GridDensity((0, 0, 0), 1.0, -np.ones((2, 2, 2)))
+
+
+@pytest.mark.parametrize("spacing", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+def test_grid_density_rejects_a_spacing_not_finite_and_positive(spacing):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^grid spacing must be finite "
+                                             "and positive$"):
+            GridDensity((0, 0, 0), spacing, np.ones((2, 2, 2)))
 
 
 def test_grid_total_mass_node_sum():
@@ -541,6 +551,22 @@ def test_save_matches_component_loop_and_round_trips(mixed, tmp_path):
     assert text == (tmp_path / "b.spma").read_bytes()
     save_spma(load_spma(tmp_path / "a.spma"), tmp_path / "c.spma")
     assert (tmp_path / "c.spma").read_bytes() == text
+
+
+def test_save_matches_component_loop_across_long_runs(tmp_path):
+    # runs of one group longer than one formatted block of 32 lines,
+    # between runs of other groups and single components
+    rng = np.random.default_rng(30)
+    mixed = list(mixed_spma().components)
+    comps = (mixed[:3]
+             + [SmoothedPointMass(rng.uniform(-1, 1, 3), quadratic_bump(
+                 rng.uniform(0.5, 2), rng.uniform(0.1, 0.5))) for _ in range(70)]
+             + mixed[3:4] * 33 + mixed[5:6] + mixed[4:5] * 32 + mixed[6:])
+    spma = SPMA(comps)
+    save_spma(spma, tmp_path / "a.spma")
+    _loop_save(spma, tmp_path / "b.spma")
+    assert (tmp_path / "a.spma").read_bytes() == \
+        (tmp_path / "b.spma").read_bytes()
 
 
 def padded_grid_slab(spma, origin, spacing, shape, start, stop):
