@@ -173,9 +173,7 @@ def cmd_descent(args):
 
 def cmd_approximate(args):
     _require(args, "density", "delta", "eps", "out", "report")
-    params = FillingParams(delta=args.delta, eps=args.eps,
-                           grid_resolution=args.resolution,
-                           min_ball_radius=args.min_ball_radius)
+    params = FillingParams(delta=args.delta, eps=args.eps)
     f = GridDensity.load(args.density)
     try:
         result = spma_approximate(f, params)
@@ -269,7 +267,15 @@ def cmd_snowman_scan(args):
     _require(args, "gamma-from", "gamma-to")
     if not args.gamma_to > args.gamma_from:
         raise CliError("need --gamma-from < --gamma-to")
-    gammas = np.linspace(args.gamma_from, args.gamma_to, args.steps)
+    lo, hi = args.gamma_from, args.gamma_to
+    # both ends before --out opens: a range the bisection rejects writes
+    # no file
+    if args.bisect:
+        at_lo = _snowman_verdict(lo)[1]
+        if _snowman_verdict(hi)[1] == at_lo:
+            raise CliError("the descent verdict does not change in the "
+                           "gamma range", EXIT_NUMERIC)
+    gammas = np.linspace(lo, hi, args.steps)
     out = sys.stdout if args.out is None else open(args.out, "w")
     try:
         out.write("gamma,waist_radius,descends\n")
@@ -278,11 +284,6 @@ def cmd_snowman_scan(args):
             out.write("%s,%s,%s\n" % (_fmt(g), _fmt(waist),
                                       str(descends).lower()))
         if args.bisect:
-            lo, hi = args.gamma_from, args.gamma_to
-            at_lo = _snowman_verdict(lo)[1]
-            if _snowman_verdict(hi)[1] == at_lo:
-                raise CliError("the descent verdict does not change in the "
-                               "gamma range", EXIT_NUMERIC)
             while hi - lo > args.tol:
                 mid = 0.5 * (lo + hi)
                 if not lo < mid < hi:       # lo and hi are adjacent floats
@@ -400,11 +401,6 @@ def build_parser():
     p.add_argument("--density", help="GridDensity file")
     p.add_argument("--delta", type=_POSITIVE)
     p.add_argument("--eps", type=_POSITIVE)
-    p.add_argument("--resolution", default=0, type=_rule(
-        int, lambda v: v == 0 or v >= 2,
-        "0 (the density's own grid) or at least 2"))
-    p.add_argument("--min-ball-radius", default=0.0, type=_rule(
-        float, lambda v: 0 <= v < np.inf, "non-negative and finite"))
     p.add_argument("--out", help="output SPMA file")
     p.add_argument("--report", help="verification JSON")
 

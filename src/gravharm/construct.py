@@ -8,8 +8,8 @@ below its budget.  The covering is a blanket of radius-2h balls, one per
 support node; their amplitudes are fitted so the summed background
 tracks a fixed fraction of f across the whole support, and each filling
 ball then carries the local mean of what the background leaves over.
-Fillings and coverings are `BallRegion`s, center and radius arrays, and
-the approximation reuses the filling's grid and support nodes.
+Fillings and coverings are `BallRegion`s, center and radius arrays.
+The filling, the fit and every check run on the input grid's own nodes.
 """
 
 import math
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from .geometry import (BallRegion, brillouin_radius,
                        general_position_perturb, hausdorff_distance,
                        pointmass_brillouin_radius)
-from .density import (QUADRATIC, SPMA, TABLE, GridDensity, SmoothedPointMass,
-                      _pow, evaluate_on_grid, lp_metric, quadratic_bump)
+from .density import (QUADRATIC, SPMA, TABLE, SmoothedPointMass, _pow,
+                      evaluate_on_grid, lp_metric, quadratic_bump)
 from .convergence import pointmass_rc
 
 __all__ = ["FillingParams", "SnowmanParams", "FillingBudgetError",
@@ -34,6 +34,7 @@ COVER_RADIUS_STEPS = 2     # covering-ball radius in grid steps
 BACKGROUND_FRACTION = 0.95  # share of f the covering background carries
 TAPER_FRACTION = 0.02      # filling-taper rim width over its radius
 MAX_BALLS = 200_000        # filling balls before the budget counts as lost
+MIN_BALL_STEPS = 1e-3      # smallest sub-step ball radius in grid steps
 FIT_ITERATIONS = 80        # projected-gradient steps of the background fit
 
 
@@ -47,29 +48,23 @@ class ConstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class FillingParams:
-    """Budgets and resolution knobs for the spherical filling."""
+    """The two budgets of the approximation: delta for mu_1(f, lambda)
+    and eps for the set and boundary distances and the Brillouin radii.
+    The filling runs on f's own grid nodes."""
 
-    delta: float                 # metric budget for mu_1(f, lambda)
-    eps: float                   # geometric budget for the set distances
-    grid_resolution: int = 0     # 0: fill on the density's own grid
-    min_ball_radius: float = 0.0  # 0: 1e-3 of the grid step
+    delta: float
+    eps: float
 
     def __post_init__(self):
         for name, value in (("delta", self.delta), ("eps", self.eps)):
             if not 0 < value < np.inf:
                 raise ValueError("%s must be positive and finite, got %r"
                                  % (name, value))
-        if not (self.grid_resolution == 0 or self.grid_resolution >= 2):
-            raise ValueError("grid_resolution must be 0 (the density's own "
-                             "grid) or at least 2, got %r" % self.grid_resolution)
-        if not 0 <= self.min_ball_radius < np.inf:
-            raise ValueError("min_ball_radius must be non-negative and "
-                             "finite, got %r" % self.min_ball_radius)
 
 
 @dataclass
 class SphericalFilling:
-    """Result of the greedy filling on `grid`: disjoint balls, a cover of
+    """Result of the greedy filling on f's grid: disjoint balls, a cover of
     one ball per support node (`mask`'s, in `np.argwhere` order), f at
     those nodes, their KD-tree over 2 ijk (ijk the lattice index: half
     steps), the nodes in filling ball j as at[starts[j]:starts[j + 1]],
@@ -86,7 +81,6 @@ class SphericalFilling:
     residual_mass: float
     a1_bound: float
     a2_bound: float
-    grid: GridDensity
     mask: np.ndarray
     fvals: np.ndarray
     tree: object
@@ -99,25 +93,15 @@ class SphericalFilling:
         return float(np.max(self.ball_var, initial=0.0))
 
 
-def _filling_grid(f, params):
-    """The grid the filling runs on: f's own, or an internal resample."""
-    if params.grid_resolution and params.grid_resolution != max(f.shape):
-        lo, hi = f.bounding_box()
-        n = int(params.grid_resolution)
-        h = float(np.max(hi - lo) / (n - 1))
-        return GridDensity(lo, h, evaluate_on_grid(f, lo, h, (n,) * 3)), 0.5
-    return f, 0.0
-
-
-def _support_arrays(g, safety):
+def _support_arrays(f):
     """Support mask, lattice indices, values and safe inside-support radii."""
     from scipy import ndimage
-    mask = g.values > 0
+    mask = f.values > 0
     # balls of radius under edt*h (edt: steps to the nearest zero node)
     # around a positive node stay strictly inside the trilinear support
     edt = ndimage.distance_transform_edt(mask)
-    fvals = g.values[mask]
-    r_sup = (edt[mask] - safety) * g.spacing * (1.0 - 1e-9)
+    fvals = f.values[mask]
+    r_sup = edt[mask] * f.spacing * (1.0 - 1e-9)
     return mask, np.argwhere(mask), fvals, r_sup
 
 
@@ -186,14 +170,16 @@ def _one_step_balls(avail, mask, ijk, nodes, step, budget):
 
 
 def spherical_filling(f, params):
-    """Greedy interior-disjoint filling plus a per-node ball cover.
+    """Greedy interior-disjoint filling of f's support plus a per-node
+    ball cover, both on f's own grid nodes (step h).
 
     Filling balls are centered on grid nodes with radii of q half steps
     down to the grid scale, then a single batched pass places sub-step
-    balls on every remaining support node that still has room, which is
-    what drives the measured residual-mass condition below its budget.
-    The covering is one radius-2h ball per support node: an open cover of
-    the support whose members stay within 2h of it.
+    balls, of radius at least MIN_BALL_STEPS h, on every remaining
+    support node with room for one, which is what drives the measured
+    residual-mass condition below its budget.  The covering is one
+    radius-2h ball per support node: an open cover of the support whose
+    members stay within 2h of it.
 
     Each greedy step takes the first node of largest room a.  While
     a >= h (two half steps) one tree query per ball finds the nodes the
@@ -204,19 +190,18 @@ def spherical_filling(f, params):
     `_one_step_balls`.  Both parts take the same balls in the same order.
 
     Membership is exact, as `SphericalFilling` states.  The residual mass
-    is measured by node quadrature on the filling grid: a node's cell
-    counts as captured once the node lies inside a filling ball, so
-    sub-cell crevices are below the apparatus resolution, and budgets
-    under one cell's mass are rejected outright.  Raises
-    FillingBudgetError naming the violated condition when the budgets
-    cannot be met at this resolution.
+    is measured by node quadrature on f's grid: a node's cell counts as
+    captured once the node lies inside a filling ball, so sub-cell
+    crevices are below the apparatus resolution, and budgets under one
+    cell's mass are rejected outright.  Raises FillingBudgetError naming
+    the violated condition when the budgets cannot be met at this
+    resolution.
     """
     from scipy.spatial import cKDTree
 
-    g, safety = _filling_grid(f, params)
-    mask, ijk, fvals, r_sup = _support_arrays(g, safety)
-    h = g.spacing
-    nodes = g.origin + h * ijk
+    mask, ijk, fvals, r_sup = _support_arrays(f)
+    h = f.spacing
+    nodes = f.origin + h * ijk
     n_nodes = len(nodes)
     cell = h**3
     support_volume = n_nodes * cell
@@ -230,7 +215,7 @@ def spherical_filling(f, params):
             "a1: residual budget %.3g is below one grid cell's mass %.3g; "
             "unachievable at grid step %.3g"
             % (a1_bound, cell * float(fvals.max()), h))
-    min_r = params.min_ball_radius or 1e-3 * h
+    min_r = MIN_BALL_STEPS * h
     step = h / 2.0
     f_range = float(fvals.max() - fvals.min())
     need_var_cap = f_range >= a2_bound
@@ -288,7 +273,7 @@ def spherical_filling(f, params):
     if residual >= a1_bound:
         raise FillingBudgetError(
             "a1: residual mass %.3g exceeds budget %.3g at grid step %.3g; "
-            "refine the grid or lower min_ball_radius" % (residual, a1_bound, h))
+            "refine the grid or raise the budgets" % (residual, a1_bound, h))
     if len(qs) + len(ones) + keep.sum() >= MAX_BALLS:
         raise FillingBudgetError("ball budget exhausted before meeting a1")
 
@@ -305,7 +290,7 @@ def spherical_filling(f, params):
     f_at = fvals[at]
     ball_var = (np.maximum.reduceat(f_at, starts)
                 - np.minimum.reduceat(f_at, starts))
-    return SphericalFilling(filling, cover, residual, a1_bound, a2_bound, g,
+    return SphericalFilling(filling, cover, residual, a1_bound, a2_bound,
                             mask, fvals, tree, at, starts, ball_var)
 
 
@@ -428,14 +413,13 @@ def spma_approximate(f, params):
     """
     filling = spherical_filling(f, params)
     fill, cover = filling.filling, filling.covering
-    g = filling.grid
-    h = g.spacing
+    h = f.spacing
     mask, fvals, starts = filling.mask, filling.fvals, filling.starts
     sizes = np.diff(starts, append=len(filling.at))
     amp_floor = 1e-12 * max(float(fvals.max()), 1.0)
 
     w_grid, bg_grid, meanf_grid, fit = _fit_background(
-        g.values, mask, BACKGROUND_FRACTION)
+        f.values, mask, BACKGROUND_FRACTION)
     cover_amp = np.maximum(w_grid[mask], amp_floor)
     lam_bg = bg_grid[mask]
 
@@ -460,7 +444,7 @@ def spma_approximate(f, params):
     parts = _shrink_extremal(parts, params, h)
 
     spma = _assemble(parts)
-    report = _verify(spma, filling, params, meanf_grid[mask], parts["tag"])
+    report = _verify(spma, f, filling, params, meanf_grid[mask], parts["tag"])
     report["background_fit"] = fit
     failed = [k for k in ("p1", "p2", "p3", "p4", "p5", "p6", "p7")
               if not report[k]["pass"]]
@@ -521,15 +505,14 @@ def _boundary_voxels(mask, origin, h):
     return origin + h * np.argwhere(edge)
 
 
-def _verify(spma, filling, params, meanf, tags):
-    """The p1-p7 / a1-a8 report over the filling's support record, `tags`
-    as in _PART."""
+def _verify(spma, f, filling, params, meanf, tags):
+    """The p1-p7 / a1-a8 report of `spma` against f, over f's grid nodes
+    and the filling's support record, `tags` as in _PART."""
     from scipy import ndimage
 
     delta, eps = params.delta, params.eps
-    g = filling.grid
     mask, fvals, nodes = filling.mask, filling.fvals, filling.covering.centers
-    h = g.spacing
+    h = f.spacing
     cell = h**3
     report = {}
 
@@ -553,19 +536,19 @@ def _verify(spma, filling, params, meanf, tags):
     # p2 / a3: every support node strictly inside some ball.  Every
     # amplitude is at least amp_floor > 0 and every profile is positive
     # strictly inside its ball, so that holds exactly where lambda > 0
-    lam_vals = evaluate_on_grid(spma, g.origin, g.spacing, g.shape)
+    lam_vals = evaluate_on_grid(spma, f.origin, h, f.shape)
     uncovered = int(np.count_nonzero(~(lam_vals[mask] > 0)))
     report["p2"] = {"pass": uncovered == 0, "nodes_checked": len(nodes),
                     "nodes_uncovered": uncovered}
     report["a3"] = dict(report["p2"])
 
     # p3: measured L1 distance
-    mu1 = lp_metric(g, spma, resolution=max(g.shape))
+    mu1 = lp_metric(f, spma, resolution=max(f.shape))
     report["p3"] = {"pass": bool(mu1 < delta), "mu1": mu1, "delta": delta}
 
     # p4/p5 and a4: set and boundary distances at voxel scale
-    bf = _boundary_voxels(mask, g.origin, h)
-    bl = _boundary_voxels(mask_lam, g.origin, h)
+    bf = _boundary_voxels(mask, f.origin, h)
+    bl = _boundary_voxels(mask_lam, f.origin, h)
     d_boundary = hausdorff_distance(bf, bl)
     tol = 3.0 * h            # voxelization accuracy
     report["p5"] = {"pass": bool(d_boundary < eps + tol),
@@ -614,7 +597,7 @@ def _verify(spma, filling, params, meanf, tags):
     var, at, starts = filling.ball_var, filling.at, filling.starts
     vols = 4.0 / 3.0 * np.pi * _pow(filling.filling.radii, 3)
     allow = var * vols + filling.a1_bound * vols / vols.sum()
-    fdiff = np.abs(g.values - lam_vals)[mask]
+    fdiff = np.abs(f.values - lam_vals)[mask]
     err = np.add.reduceat(fdiff[at], starts) * cell
     worst = float(np.max(err - allow, initial=-np.inf))
     # the component of each filling ball that kept exactly one, else -1

@@ -953,6 +953,9 @@ def load_spma(path):
             if not tok or tok[0].startswith("#"):
                 continue
             try:
+                if len(tok) < 5:
+                    raise ValueError("expected 'cx cy cz a kind params...', "
+                                     "got %r" % line.strip())
                 if tok[4] not in KIND_NAMES:
                     raise ValueError("unknown profile kind %r" % tok[4])
                 code = KIND_NAMES.index(tok[4])
@@ -962,7 +965,7 @@ def load_spma(path):
                 if code == TABLE and (len(q) % 2 or not q):
                     raise ValueError("a table takes knots, then as many values")
                 rows.append(([float(v) for v in tok[:3]], float(tok[3]), code, q))
-            except (IndexError, ValueError) as exc:
+            except ValueError as exc:
                 raise ValueError("%s:%d: %s" % (path, lineno, exc))
             linenos.append(lineno)
     if not rows:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -415,16 +416,13 @@ def test_potential_requires_range(snowman_file):
 @pytest.mark.parametrize("argv, grid, message", [
     (["rc", "--snowman-gamma", 0.5, "--window", "50"], None, "--window"),
     (["rc", "--snowman-gamma", 0.5, "--window", "50,x"], None, "--window"),
-    (["approximate", "--resolution", 1], "ok",
-     "--resolution must be 0 (the density's own grid) or at least 2, "
-     "got 1"),
-    (["approximate", "--resolution", -5], "ok",
-     "--resolution must be 0 (the density's own grid) or at least 2, "
-     "got -5"),
-    (["approximate", "--min-ball-radius", -0.1], "ok",
-     "--min-ball-radius must be non-negative and finite, got -0.1"),
-    (["approximate", "--min-ball-radius", "inf"], "ok",
-     "--min-ball-radius must be non-negative and finite, got inf"),
+    # the filling runs on the density's own grid with a fixed sub-step
+    # floor; the flags that changed either are gone
+    *[(["approximate", flag, v], "ok",
+       "unrecognized arguments: %s %s" % (flag, v))
+      for flag, v in (("--resolution", 1), ("--resolution", -5),
+                      ("--min-ball-radius", -0.1),
+                      ("--min-ball-radius", "inf"))],
     (["approximate"], "2 2 x 1 0 0 0\n1 1 1 1\n", "ball.grid:1:"),
     (["approximate"], "2 2 2 1 0 0\n1 1 1 1\n", "ball.grid:1:"),
     (["approximate"], "2 2 2 1 0 0 0\n1 1 1 1\n1 1 x 1\n", "ball.grid:3:"),
@@ -556,6 +554,23 @@ def test_bad_inputs_name_what_is_wrong(tmp_path, monkeypatch, capsys, argv,
     assert out == ""
 
 
+def test_readme_lists_every_flag_rule():
+    # README's rule list names exactly the flags that declare a rule, so a
+    # flag added or deleted without its doc line fails here
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    head = "Each flag declares its rule where it is defined"
+    rules = text[text.index(head):].split("\n\n")[1]
+    assert rules.startswith("- ")
+    ap = cli.build_parser()
+    typed = {flag for p in [ap, *ap.subcommands.values()]
+             for action in p._actions if action.type is not None
+             for flag in action.option_strings}
+    assert set(re.findall(r"--[a-zA-Z][\w-]*", rules)) == typed
+
+
 @pytest.mark.parametrize("argv, message", [
     (["rc", "--snowman-gamma", 0.5, "--n-max", 9],
      "default fit window (n_max/4..n_max) 2,9 must span at least 8 degrees "
@@ -656,8 +671,12 @@ def test_snowman_scan_rejects_nonpositive_tol(tol, capsys):
 
 
 def test_snowman_scan_no_sign_change(tmp_path):
-    assert run(["snowman-scan", "--gamma-from", 0.5, "--gamma-to", 0.8,
-                "--bisect", "--out", tmp_path / "s.csv"]) == 3
+    # both ends are checked before --out opens, so no partial scan is left
+    for lo, hi in ((0.5, 0.8), (0.1, 0.2)):
+        out = tmp_path / ("s-%s.csv" % lo)
+        assert run(["snowman-scan", "--gamma-from", lo, "--gamma-to", hi,
+                    "--bisect", "--out", out]) == 3
+        assert not out.exists()
 
 
 def test_snowman_scan_range_validation():

@@ -1,5 +1,6 @@
 """Greedy fillings, smoothed-array approximation, and the snowman family."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -17,7 +18,7 @@ from gravharm import (ConstructionError, FillingBudgetError, FillingParams,
                       snowman_descends_to_topography, snowman_waist_radius,
                       spherical_filling, spma_approximate)
 
-from gravharm import construct, density as density_module
+from gravharm import construct
 from gravharm.construct import (BACKGROUND_FRACTION, COVER_RADIUS_STEPS,
                                 FIT_ITERATIONS, _convolver, _cover_kernel,
                                 _fit_background, _half_grid_values)
@@ -74,7 +75,7 @@ def test_filling_residual_below_budget(ball_filling):
     # recompute the node-quadrature residual independently
     fvals = g.values[g.values > 0]
     covered = np.zeros(len(fvals), dtype=bool)
-    for sel in exact_members(fill):
+    for sel in exact_members(g, fill):
         covered[sel] = True
     resid = float(fvals[~covered].sum() * g.spacing**3)
     assert resid == fill.residual_mass == 0.0
@@ -91,12 +92,12 @@ def test_covering_is_a_support_blanket(ball_filling):
     assert np.max(d) == 0.0
 
 
-def exact_members(fill):
-    """The support nodes in each filling ball by brute force in int64:
-    node k is in the ball of q half steps on node c iff
+def exact_members(g, fill):
+    """The support nodes in each filling ball of g by brute force in
+    int64: node k is in the ball of q half steps on node c iff
     4 |ijk[k] - ijk[c]|^2 <= q^2.  q is exact for the greedy balls, and
     0 or 1 for the sub-step ones, which hold their own node alone."""
-    g, step = fill.grid, fill.grid.spacing / 2.0
+    step = g.spacing / 2.0
     ijk = np.argwhere(fill.mask).astype(np.int64)
     cij = np.rint((fill.filling.centers - g.origin) / g.spacing).astype(np.int64)
     assert np.array_equal(g.origin + g.spacing * cij, fill.filling.centers)
@@ -125,38 +126,35 @@ def test_tree_query_is_exact_lattice_membership():
     assert on_sphere > 1000
 
 
-@pytest.mark.parametrize("n, graded, params", [
-    (24, False, FillingParams(delta=0.5, eps=0.5)),
-    (20, True, FillingParams(delta=0.5, eps=0.5)),
-    (16, False, FillingParams(delta=0.7, eps=0.7, grid_resolution=20)),
-], ids=["ball-24", "graded-20", "resampled"])
-def test_incidence_is_exact_lattice_membership(n, graded, params):
-    fill = spherical_filling(bench_ball(n, graded), params)
+@pytest.mark.parametrize("n, graded", [(24, False), (20, True)],
+                         ids=["ball-24", "graded-20"])
+def test_incidence_is_exact_lattice_membership(n, graded):
+    g = bench_ball(n, graded)
+    fill = spherical_filling(g, FillingParams(delta=0.5, eps=0.5))
     assert [sorted(sel) for sel in np.split(fill.at, fill.starts[1:])] == \
-        [list(sel) for sel in exact_members(fill)]
+        [list(sel) for sel in exact_members(g, fill)]
     # no support node is left without a ball
     assert fill.residual_mass == 0.0
     assert np.array_equal(np.unique(fill.at), np.arange(len(fill.fvals)))
 
 
-def ball_nodes_and_radii(fill):
-    """Each filling ball's center on the tree's half-step lattice and its
-    radius in half steps: q for a greedy ball, 0 for a sub-step one."""
-    g, step = fill.grid, fill.grid.spacing / 2.0
+def ball_nodes_and_radii(g, fill):
+    """Each filling ball of g: its center on the tree's half-step lattice
+    and its radius in half steps, q for a greedy ball, 0 for a sub-step
+    one."""
+    step = g.spacing / 2.0
     half = 2 * np.rint((fill.filling.centers - g.origin) / g.spacing)
     radii = fill.filling.radii
     return half, np.where(radii >= step, np.rint(radii / step), 0.0)
 
 
-@pytest.mark.parametrize("n, graded, params", [
-    (24, False, FillingParams(delta=0.5, eps=0.5)),
-    (20, True, FillingParams(delta=0.5, eps=0.5)),
-    (16, False, FillingParams(delta=0.7, eps=0.7, grid_resolution=20)),
-], ids=["ball-24", "graded-20", "resampled"])
-def test_incidence_is_in_a_single_point_query_order(n, graded, params):
+@pytest.mark.parametrize("n, graded", [(24, False), (20, True)],
+                         ids=["ball-24", "graded-20"])
+def test_incidence_is_in_a_single_point_query_order(n, graded):
     # the plateaus' np.add.reduceat sums each ball's nodes in this order
-    fill = spherical_filling(bench_ball(n, graded), params)
-    half, qs = ball_nodes_and_radii(fill)
+    g = bench_ball(n, graded)
+    fill = spherical_filling(g, FillingParams(delta=0.5, eps=0.5))
+    half, qs = ball_nodes_and_radii(g, fill)
     for sel, c, q in zip(np.split(fill.at, fill.starts[1:]), half, qs):
         assert np.array_equal(sel, fill.tree.query_ball_point(c, q))
 
@@ -175,7 +173,7 @@ def test_one_tree_query_per_greedy_ball(monkeypatch):
     g, params = bench_ball(20, True), FillingParams(delta=0.5, eps=0.5)
     monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
     fill = spherical_filling(g, params)
-    half, qs = ball_nodes_and_radii(fill)
+    half, qs = ball_nodes_and_radii(g, fill)
     rooms = place_loop_filling(g, params)[-1]
     # the room only falls: here the first 299 of 2,347 phase-1 balls
     wide = rooms >= g.spacing
@@ -188,21 +186,37 @@ def test_one_tree_query_per_greedy_ball(monkeypatch):
     assert set(qs) == {0.0, 1.0}
 
 
-@pytest.mark.parametrize("min_ball_radius, error", [
-    (0.0, "ball budget exhausted before meeting a1"),
+@pytest.mark.parametrize("min_ball_steps, error", [
+    (construct.MIN_BALL_STEPS, "ball budget exhausted before meeting a1"),
     # no sub-step balls: the residual is the mass no greedy ball covers
-    (2.0 / 19, "a1: residual mass %.3g exceeds budget"),
+    (1.0, "a1: residual mass %.3g exceeds budget"),
 ], ids=["sub-step-balls", "greedy-only"])
 def test_ball_budget_stops_the_one_half_step_end(monkeypatch,
-                                                 min_ball_radius, error):
+                                                 min_ball_steps, error):
     # graded 20^3 places its first 299 balls by tree query, 2,048 after
     g = bench_ball(20, True)
-    params = FillingParams(0.5, 0.5, min_ball_radius=min_ball_radius)
+    params = FillingParams(0.5, 0.5)
     monkeypatch.setattr(construct, "MAX_BALLS", 1000)
+    monkeypatch.setattr(construct, "MIN_BALL_STEPS", min_ball_steps)
     if "%" in error:
         error %= place_loop_filling(g, params)[2]
     with pytest.raises(FillingBudgetError, match="^" + error):
         spherical_filling(g, params)
+
+
+@pytest.mark.parametrize("below_step, budget", [(False, 0), (True, 1000)],
+                         ids=["no-budget", "no-live-node"])
+def test_one_step_balls_returns_none_and_keeps_the_rooms(below_step, budget):
+    # nothing to place: the end of phase 1 returns no ball, lowers no room
+    g = bench_ball(13, True)
+    mask, ijk, _, r_sup = construct._support_arrays(g)
+    nodes, step = g.origin + g.spacing * ijk, g.spacing / 2.0
+    avail = np.minimum(r_sup, 0.99 * step) if below_step else r_sup.copy()
+    before = avail.copy()
+    assert np.any(avail >= step) != below_step
+    placed = construct._one_step_balls(avail, mask, ijk, nodes, step, budget)
+    assert placed.dtype == np.intp and placed.size == 0
+    assert np.array_equal(avail, before)
 
 
 def test_every_support_node_in_a_filling_ball_at_64():
@@ -228,11 +242,10 @@ def test_filling_params_validation():
             with pytest.raises(ValueError, match="%s must be positive and "
                                                  "finite" % field):
                 FillingParams(**{"delta": 0.1, "eps": 0.1, field: value})
-    for field, value in (("grid_resolution", 1), ("grid_resolution", -5),
-                         ("min_ball_radius", -1e-3),
-                         ("min_ball_radius", np.inf)):
-        with pytest.raises(ValueError, match=field):
-            FillingParams(delta=0.1, eps=0.1, **{field: value})
+    # the filling runs on the density's own grid: the two budgets are
+    # its only parameters
+    assert [f.name for f in dataclasses.fields(FillingParams)] == \
+        ["delta", "eps"]
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +351,12 @@ def place_loop_filling(f, params):
     mass, the largest oscillation of f over a phase-1 ball's nodes, how
     many balls the variance cap shrank, and the room each phase-1 ball
     was placed at."""
-    g, safety = construct._filling_grid(f, params)
-    _, ijk, fvals, r_sup = construct._support_arrays(g, safety)
-    h = g.spacing
-    nodes = g.origin + h * ijk
+    _, ijk, fvals, r_sup = construct._support_arrays(f)
+    h = f.spacing
+    nodes = f.origin + h * ijk
     cell = h**3
     a2_bound = min(params.delta, params.eps) / (10.0 * len(nodes) * cell)
-    min_r = params.min_ball_radius or 1e-3 * h
+    min_r = construct.MIN_BALL_STEPS * h
     step = h / 2.0
     need_var_cap = float(fvals.max() - fvals.min()) >= a2_bound
     active = np.arange(len(nodes))
@@ -380,19 +392,22 @@ def place_loop_filling(f, params):
             capped, np.array(rooms))
 
 
-@pytest.mark.parametrize("n, graded, params, caps", [
+@pytest.mark.parametrize("n, graded, budget, min_ball_steps, caps", [
     # the bench's two balls
-    (24, False, FillingParams(delta=0.5, eps=0.5), False),
-    (20, True, FillingParams(delta=0.5, eps=0.5), True),
-    (13, True, FillingParams(delta=0.5, eps=0.5), True),
-    (16, False, FillingParams(delta=0.7, eps=0.7, grid_resolution=20), True),
-    (20, True, FillingParams(delta=0.5, eps=0.5, min_ball_radius=0.02), True),
-    (12, True, FillingParams(delta=6.0, eps=6.0), True),
+    (24, False, 0.5, construct.MIN_BALL_STEPS, False),
+    (20, True, 0.5, construct.MIN_BALL_STEPS, True),
+    (13, True, 0.5, construct.MIN_BALL_STEPS, True),
+    # sub-step balls of radius 0.02 and up (h = 2 / 19)
+    (20, True, 0.5, 0.19, True),
+    (12, True, 6.0, construct.MIN_BALL_STEPS, True),
     # q >= 2 balls, capped and not, then the one-half-step end
-    (24, True, FillingParams(delta=10.0, eps=10.0), True),
-], ids=["ball-24", "graded-20", "graded-13", "resampled", "min-ball-radius",
+    (24, True, 10.0, construct.MIN_BALL_STEPS, True),
+], ids=["ball-24", "graded-20", "graded-13", "min-ball-radius",
         "graded-12-wide", "graded-24-wide"])
-def test_compacted_filling_matches_place_loop(n, graded, params, caps):
+def test_compacted_filling_matches_place_loop(monkeypatch, n, graded, budget,
+                                              min_ball_steps, caps):
+    monkeypatch.setattr(construct, "MIN_BALL_STEPS", min_ball_steps)
+    params = FillingParams(delta=budget, eps=budget)
     g = GridDensity((-1.0, -1.0, -1.0), 2.0 / (n - 1), ball_values(n, graded))
     fill = spherical_filling(g, params)
     assert np.array_equal(g.values, ball_values(n, graded))   # not mutated
@@ -401,8 +416,7 @@ def test_compacted_filling_matches_place_loop(n, graded, params, caps):
     assert np.array_equal(fill.filling.centers, centers)
     assert np.array_equal(fill.filling.radii, radii)
     assert (fill.residual_mass, fill.max_ball_var) == (residual, max_ball_var)
-    # f that varies takes the variance cap (a resample varies at the
-    # support's edge)
+    # f that varies takes the variance cap
     assert (capped > 0) == caps
 
 
@@ -432,21 +446,6 @@ def test_approximate_report_labels_what_it_does_not_measure(ball_approx):
     assert res.report["a6"]["pass"] and res.report["a6"]["by_construction"]
     a7, n_fill = res.report["a7"], len(res.filling.filling)
     assert a7["balls_checked"] == a7["balls_total"] == n_fill
-
-
-def test_approximate_evaluates_a_resampled_density_once(monkeypatch):
-    # the filling grid is built once and shared with the approximation
-    g = unit_ball_grid(16)
-    calls = []
-
-    def counting(density, x):
-        calls.append(density is g)
-        return evaluate(density, x)
-    monkeypatch.setattr(density_module, "evaluate", counting)
-    res = spma_approximate(g, FillingParams(delta=0.7, eps=0.7,
-                                           grid_resolution=20))
-    assert calls.count(True) == 1
-    assert res.filling.grid.shape == (20, 20, 20)
 
 
 def test_approximate_center_norms_distinct(ball_approx):
@@ -487,11 +486,11 @@ def bench_ball(n, graded):
                        ball_values(n, graded))
 
 
-def ball_queries(filling):
+def ball_queries(g, filling):
     """Each filling ball's support-node list by exact lattice membership,
-    from one query per ball set on a tree like the filling's, in the
-    order of a single-point query."""
-    g, step = filling.grid, filling.grid.spacing / 2.0
+    from one query per ball set on a tree like the filling's over g's
+    support, in the order of a single-point query."""
+    step = g.spacing / 2.0
     half = 2 * np.rint((filling.filling.centers - g.origin) / g.spacing)
     return cKDTree(2 * np.argwhere(filling.mask)).query_ball_point(
         half, np.rint(filling.filling.radii / step), return_sorted=False)
@@ -518,7 +517,7 @@ def test_plateaus_match_per_ball_mean(monkeypatch, n, graded):
     nodes, fvals = res.filling.covering.centers, g.values[mask]
     lam_bg = _fit_background(g.values, mask, BACKGROUND_FRACTION)[1][mask]
     amp_floor = 1e-12 * max(float(fvals.max()), 1.0)
-    in_ball = ball_queries(res.filling)
+    in_ball = ball_queries(g, res.filling)
     ref = np.array([max(float(np.mean(fvals[sel] - lam_bg[sel])), amp_floor)
                     for sel in in_ball])
     # every ball is centered on a support node, so it holds that node
@@ -531,11 +530,10 @@ def test_plateaus_match_per_ball_mean(monkeypatch, n, graded):
     assert np.all(np.abs(amp - ref) <= 1e-13 * np.abs(ref))
 
 
-def per_ball_a7(spma, filling, params, tags):
+def per_ball_a7(spma, g, filling, params, tags):
     """a7's (worst_excess, worst_excess_component_alone) by the loop that
     made one profile call per owned filling ball; kept as the reference
     for the segment sums."""
-    g = filling.grid
     mask = g.values > 0
     nodes, fvals, cell = filling.covering.centers, g.values[mask], g.spacing**3
     lam = evaluate_on_grid(spma, g.origin, g.spacing, g.shape)
@@ -548,7 +546,7 @@ def per_ball_a7(spma, filling, params, tags):
     vols = 4.0 / 3.0 * np.pi * _pow(filling.filling.radii, 3)
     slack_total = min(params.delta, params.eps) / 10.0
     worst = worst_lit = -np.inf
-    for j, sel in enumerate(ball_queries(filling)):
+    for j, sel in enumerate(ball_queries(g, filling)):
         if not sel:
             continue
         var = float(fvals[sel].max() - fvals[sel].min())
@@ -579,11 +577,11 @@ def approximate_and_verify_args(monkeypatch, g, params):
 
 def a7_and_per_ball_loop(monkeypatch, n, graded):
     """a7's two figures from the report and from per_ball_a7."""
-    res, (spma, filling, params, *_, tags) = approximate_and_verify_args(
+    res, (spma, g, filling, params, *_, tags) = approximate_and_verify_args(
         monkeypatch, bench_ball(n, graded), FillingParams(delta=0.5, eps=0.5))
     a7 = res.report["a7"]
     return ((a7["worst_excess"], a7["worst_excess_component_alone"]),
-            per_ball_a7(spma, filling, params, tags))
+            per_ball_a7(spma, g, filling, params, tags))
 
 
 def test_a7_batched_profile_matches_per_ball_loop(monkeypatch):
@@ -611,7 +609,8 @@ def test_a2_measures_every_filling_ball():
     res = spma_approximate(g, FillingParams(delta=0.7, eps=0.7))
     fvals = g.values[g.values > 0]
     assert np.ptp(fvals) < res.filling.a2_bound
-    var = np.array([np.ptp(fvals[sel]) for sel in ball_queries(res.filling)])
+    var = np.array([np.ptp(fvals[sel])
+                    for sel in ball_queries(g, res.filling)])
     assert np.array_equal(res.filling.ball_var, var)
     a2 = res.report["a2"]
     assert a2["max_ball_var"] == res.filling.max_ball_var == var.max() > 0
@@ -641,10 +640,10 @@ def test_a7_component_alone_counts_owned_balls_only(monkeypatch):
     # the figure is that ball's own, and with none it is -inf.  On the
     # tilted ball some balls see var > 0
     g = tilted_ball()
-    _, (spma, filling, params, meanf, tags) = approximate_and_verify_args(
+    _, (spma, _, filling, params, meanf, tags) = approximate_and_verify_args(
         monkeypatch, g, FillingParams(delta=0.7, eps=0.7))
     fvals = g.values[g.values > 0]
-    var = np.array([np.ptp(fvals[sel]) for sel in ball_queries(filling)])
+    var = np.array([np.ptp(fvals[sel]) for sel in ball_queries(g, filling)])
     assert np.count_nonzero(var) > 1
     filled = np.flatnonzero(tags >= 0)
     for j in [*np.argsort(var)[-3:], len(var) - 1, None]:
@@ -654,8 +653,8 @@ def test_a7_component_alone_counts_owned_balls_only(monkeypatch):
         t[filled] = 1 if j == 0 else 0
         if j is not None:
             t[filled[tags[filled] == j]] = j
-        a7 = construct._verify(spma, filling, params, meanf, t)["a7"]
-        ref = per_ball_a7(spma, filling, params, t)
+        a7 = construct._verify(spma, g, filling, params, meanf, t)["a7"]
+        ref = per_ball_a7(spma, g, filling, params, t)
         assert (a7["worst_excess"], a7["worst_excess_component_alone"]) == \
             pytest.approx(ref, rel=1e-12)
         assert (ref[1] == -np.inf) == (j is None)

@@ -172,6 +172,16 @@ def test_classify_convergent_outside_critical_radius():
     assert rep.final_sum == pytest.approx(1.0 / 0.1, rel=1e-6)
 
 
+def test_classify_inconclusive_while_the_tail_is_unresolved():
+    # at r = 0.85 the terms decay like (16/17)^n: through degree 20 the
+    # sums neither blow up nor settle within 1e-9 of the last one
+    c = axis_mass_coeffs(0.8, n_max=20)
+    rep = classify_partial_sums(c, 0.85, Direction(0.0, 0.0))
+    assert rep.classification == "inconclusive"
+    assert rep.late_fluctuation > 1e-9 * abs(rep.final_sum)
+    assert rep.max_abs_sum == abs(rep.final_sum)
+
+
 def test_classify_validation():
     c = axis_mass_coeffs(0.5, n_max=40)
     with pytest.raises(ValueError):

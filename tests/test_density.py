@@ -286,15 +286,21 @@ def test_spma_save_load_round_trip(tmp_path):
     "0 0 0 1 quadratic_bump inf",
     "0 0 0 1 cosine_bump inf",
     "0 0 0 100 quadratic_bump 1e308",
+    "0 0 0 1",
+    "0 0 0",
 ], ids=["unknown-kind", "nonfinite-center", "extra-tokens", "no-amplitude",
         "negative-radius", "negative-amplitude", "odd-table", "knots-span",
         "knots-decrease", "negative-value", "no-mass", "infinite-amplitude",
-        "infinite-cosine-amplitude", "infinite-mass"])
+        "infinite-cosine-amplitude", "infinite-mass", "no-kind",
+        "no-radius"])
 def test_load_spma_reports_line_numbers(tmp_path, line):
     path = tmp_path / "bad.spma"
     path.write_text("0 0 0 1 quadratic_bump 1\n%s\n0 0 0 1 cosine_bump 1\n"
                     % line)
-    with pytest.raises(ValueError, match=re.escape("%s:2: " % path)):
+    message = "%s:2: " % path
+    if len(line.split()) < 5:       # the layout, not an index error
+        message += "expected 'cx cy cz a kind params...', got %r" % line
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_spma(path)
 
 

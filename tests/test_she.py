@@ -787,11 +787,16 @@ def test_coefficients_save_load_round_trip(tmp_path):
                                   PointMass((-0.3, 0, 0.1), 2.0)], 1.0, 12)
     path = tmp_path / "c.csv"
     c.save(path, threshold=0.0)
-    c2 = SHECoefficients.load(path)
-    assert c2.n_max == c.n_max
-    assert c2.ref_radius == c.ref_radius
-    assert c2.GM == c.GM
-    assert np.array_equal(c2.coeffs, c.coeffs)
+    lines = path.read_text().splitlines(keepends=True)
+    blanks = tmp_path / "blanks.csv"
+    # a blank and a whitespace-only line among the rows, a blank at the end
+    blanks.write_text("".join(lines[:5] + ["\n", "  \n"] + lines[5:] + ["\n"]))
+    for p in (path, blanks):
+        c2 = SHECoefficients.load(p)
+        assert c2.n_max == c.n_max
+        assert c2.ref_radius == c.ref_radius
+        assert c2.GM == c.GM
+        assert np.array_equal(c2.coeffs, c.coeffs)
 
 
 @pytest.mark.parametrize("rows,error", [
